@@ -5,16 +5,12 @@ from .tensor import Tensor, concat, dropout, layer_norm, linear, parameter, soft
 from .optim import AdamState, adam_step, zero_grads
 from .attention import (
     AttentionParams, TemporalBlockParams, multi_head, positional_encoding,
-    scaled_attention, temporal_block,
+    temporal_block,
 )
-from .graph import (
-    InteractionGraph, TGConvParams, build_graph, spatial_block, tgconv,
-    tgconv_multihead,
-)
+from .graph import InteractionGraph, TGConvParams, build_graph, spatial_block
 from .model import (
-    GraphMemory, StarConfig, StarParams, config_for_variant, decode_step,
-    embed_inputs, encoder1, encoder2, init_params, load_checkpoint,
-    memory_read, rollout, save_checkpoint,
+    StarConfig, StarParams, config_for_variant, decode_step, embed_inputs,
+    encoder1, encoder2, init_params, load_checkpoint, rollout, save_checkpoint,
 )
 from .data import (
     Batch, TrajectoryScene, augment_rotation, leave_one_out_split, load_dataset,

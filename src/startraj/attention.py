@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import MaskError, ShapeMismatchError
-from .tensor import Tensor, concat, layer_norm, linear, parameter, softmax
+from .tensor import Tensor, layer_norm, linear, parameter, softmax
 
 MASK_FILL = -1e9
 
@@ -90,15 +90,27 @@ def masked_attention(
     return weights.matmul(v), weights
 
 
-def scaled_attention(
-    q: Tensor, k: Tensor, v: Tensor, mask: Optional[np.ndarray] = None
-) -> Tensor:
-    """Single-head attention over (t, d_k) inputs; mask is (t_q, t_k) boolean
-    with True = attend."""
-    if mask is None:
-        mask = np.ones((q.shape[-2], k.shape[-2]), dtype=bool)
-    out, _ = masked_attention(q, k, v, mask, q.shape[-1])
-    return out
+def head_projections(
+    h: Tensor, params: AttentionParams
+) -> Tuple[Tensor, Tensor, Tensor]:
+    """Queries, keys and values of (..., t, d_model) inputs, split into
+    heads: each (..., heads, t, d_k)."""
+    lead_t = h.shape[:-1]
+
+    def split(x: Tensor) -> Tensor:
+        return x.reshape(lead_t + (params.head_count, params.d_k)).swapaxes(-3, -2)
+
+    return (
+        split(linear(h, params.wq, params.bq)),
+        split(linear(h, params.wk, params.bk)),
+        split(linear(h, params.wv, params.bv)),
+    )
+
+
+def merge_heads(out: Tensor, params: AttentionParams) -> Tensor:
+    """Inverse of the head split: (..., heads, t, d_k) -> (..., t, d_model)."""
+    merged = out.swapaxes(-3, -2)
+    return merged.reshape(merged.shape[:-2] + (params.d_model,))
 
 
 def multi_head(
@@ -110,20 +122,11 @@ def multi_head(
     (N, 1, t, t) for per-pedestrian key masks.
     """
     t = h.shape[-2]
-    lead = h.shape[:-2]
-    k_heads, d_k = params.head_count, params.d_k
-
-    def split(x: Tensor) -> Tensor:
-        return x.reshape(lead + (t, k_heads, d_k)).swapaxes(-3, -2)
-
-    q = split(linear(h, params.wq, params.bq))
-    k = split(linear(h, params.wk, params.bk))
-    v = split(linear(h, params.wv, params.bv))
+    q, k, v = head_projections(h, params)
     if mask is None:
         mask = np.ones((t, t), dtype=bool)
-    out, _ = masked_attention(q, k, v, mask, d_k)
-    merged = out.swapaxes(-3, -2).reshape(lead + (t, params.d_model))
-    return linear(merged, params.wo, params.bo)
+    out, _ = masked_attention(q, k, v, mask, params.d_k)
+    return linear(merge_heads(out, params), params.wo, params.bo)
 
 
 def positional_encoding(t_max: int, d_model: int) -> np.ndarray:

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__, gradcheck
 from .data import (
     DATASET_NAMES, TrajectoryScene, leave_one_out_split, load_dataset,
-    make_scenes, preprocess,
+    make_scenes, preprocess, scene_window,
 )
 from .errors import DataFormatError, MaskError, NonFiniteError
 from .model import StarConfig, config_for_variant, load_checkpoint, rollout
@@ -44,9 +45,8 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------------
 # config files: flat key = value text, '#' comments
 # ----------------------------------------------------------------------
-_CONFIG_FIELDS = set(StarConfig().to_dict())
-_SPEC_FIELDS = {"learning_rate", "ped_budget", "scene_batch", "epochs", "seed",
-                "checkpoint_every", "augment", "max_steps"}
+_CONFIG_FIELDS = {f.name for f in fields(StarConfig)}
+_SPEC_FIELDS = {f.name for f in fields(TrainSpec)}
 
 
 def _parse_value(raw: str):
@@ -82,27 +82,32 @@ def load_config_file(path: str) -> Dict[str, object]:
     return values
 
 
+def _settings(cls, file_values: Dict[str, object], keys, flags: Dict[str, object]):
+    """Build `cls` from the config file's values for `keys`, then apply the
+    command-line flags that were given. A bad file value is a data error, a
+    bad flag a usage error."""
+    try:
+        obj = cls(**{k: v for k, v in file_values.items() if k in keys})
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"config file: {exc}") from None
+    try:
+        return replace(obj, **{k: v for k, v in flags.items() if v is not None})
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _build_config(file_values: Dict[str, object], args) -> StarConfig:
-    d = StarConfig().to_dict()
-    d.update({k: v for k, v in file_values.items() if k in _CONFIG_FIELDS})
-    if getattr(args, "deterministic", False):
-        d["deterministic"] = True
-    cfg = StarConfig.from_dict(d)
-    if getattr(args, "variant", None):
+    cfg = _settings(StarConfig, file_values, _CONFIG_FIELDS,
+                    {"deterministic": args.deterministic or None})
+    if args.variant:
         cfg = config_for_variant(args.variant, cfg)
     return cfg
 
 
 def _build_spec(file_values: Dict[str, object], args) -> TrainSpec:
-    d = {k: v for k, v in file_values.items() if k in _SPEC_FIELDS}
-    spec = TrainSpec(**d)
-    if getattr(args, "seed", None) is not None:
-        spec.seed = args.seed
-    if getattr(args, "epochs", None) is not None:
-        spec.epochs = args.epochs
-    if getattr(args, "max_steps", None) is not None:
-        spec.max_steps = args.max_steps
-    return spec
+    return _settings(TrainSpec, file_values, _SPEC_FIELDS,
+                     {"seed": args.seed, "epochs": args.epochs,
+                      "max_steps": args.max_steps})
 
 
 def write_manifest(out_dir: str, command: str, args_dict: dict,
@@ -152,26 +157,8 @@ def scene_from_file(path: str, config: StarConfig) -> TrajectoryScene:
     raw = load_dataset(path)
     if not raw.tracklets:
         raise DataFormatError(f"{path}: no observations")
-    total = config.obs_len + config.pred_len
-    step = raw.frame_step
     lo = min(int(t.frames[0]) for t in raw.tracklets)
-    frames = lo + step * np.arange(total)
-    members = []
-    for t in raw.tracklets:
-        mask = np.isin(frames, t.frames)
-        if mask.any():
-            members.append((t, mask))
-    n = len(members)
-    positions = np.zeros((n, total, 2))
-    presence = np.zeros((n, total), dtype=bool)
-    ped_ids = []
-    for i, (t, mask) in enumerate(members):
-        idx = np.searchsorted(t.frames, frames[mask])
-        positions[i, mask] = t.xy[idx]
-        presence[i] = mask
-        ped_ids.append(t.ped_id)
-    scene = TrajectoryScene(ped_ids=ped_ids, positions=positions,
-                            presence=presence, obs_len=config.obs_len)
+    scene = scene_window(raw, lo, config.obs_len, config.pred_len)
     if not scene.rollout_mask.any():
         raise DataFormatError(
             f"{path}: no pedestrian observed for all {config.obs_len} frames"
@@ -281,6 +268,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     params = load_checkpoint(args.checkpoint)
     config = params.config
     files = _dataset_files(args.data_dir)
@@ -404,7 +393,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--max-steps", type=int, dest="max_steps")
     common(p, "train_out")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, seed=None)  # the config file may set it
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)

@@ -129,6 +129,26 @@ def _to_tracklet(ped: str, run: List[Tuple[int, float, float]]) -> Tracklet:
     )
 
 
+def scene_window(
+    raw: RawTrajectories, start: int, obs: int, pred: int, dataset: str = ""
+) -> TrajectoryScene:
+    """The (obs+pred)-frame window of the recording that opens at frame
+    `start`, over every pedestrian seen in at least one of its frames."""
+    total = obs + pred
+    frames = start + raw.frame_step * np.arange(total)
+    members = [(t, mask) for t in raw.tracklets
+               if (mask := np.isin(frames, t.frames)).any()]
+    positions = np.zeros((len(members), total, 2))
+    presence = np.zeros((len(members), total), dtype=bool)
+    for i, (t, mask) in enumerate(members):
+        positions[i, mask] = t.xy[np.searchsorted(t.frames, frames[mask])]
+        presence[i] = mask
+    return TrajectoryScene(
+        ped_ids=[t.ped_id for t, _ in members], positions=positions,
+        presence=presence, obs_len=obs, dataset=dataset,
+    )
+
+
 def make_scenes(
     raw: RawTrajectories,
     obs: int = 8,
@@ -141,39 +161,15 @@ def make_scenes(
     are carried along as masked neighbors."""
     if stride < 1:
         raise DataFormatError("stride must be >= 1")
-    total = obs + pred
     if not raw.tracklets:
         return []
     step = raw.frame_step
     lo = min(int(t.frames[0]) for t in raw.tracklets)
     hi = max(int(t.frames[-1]) for t in raw.tracklets)
-    scenes = []
-    start = lo
-    while start + (total - 1) * step <= hi:
-        frames = start + step * np.arange(total)
-        members = []
-        for t in raw.tracklets:
-            mask = np.isin(frames, t.frames)
-            if mask.any():
-                members.append((t, mask))
-        if members:
-            n = len(members)
-            positions = np.zeros((n, total, 2))
-            presence = np.zeros((n, total), dtype=bool)
-            ped_ids = []
-            for i, (t, mask) in enumerate(members):
-                idx = np.searchsorted(t.frames, frames[mask])
-                positions[i, mask] = t.xy[idx]
-                presence[i] = mask
-                ped_ids.append(t.ped_id)
-            scene = TrajectoryScene(
-                ped_ids=ped_ids, positions=positions, presence=presence,
-                obs_len=obs, dataset=dataset,
-            )
-            if scene.targets.any():
-                scenes.append(scene)
-        start += stride * step
-    return scenes
+    last_start = hi - (obs + pred - 1) * step
+    windows = (scene_window(raw, start, obs, pred, dataset)
+               for start in range(lo, last_start + 1, stride * step))
+    return [scene for scene in windows if scene.targets.any()]
 
 
 def preprocess(scene: TrajectoryScene) -> TrajectoryScene:

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import tensor as T
 from .attention import TemporalBlockParams, temporal_block
-from .data import TrajectoryScene, preprocess
-from .graph import TGConvParams, build_graph, tgconv
+from .data import preprocess
+from .graph import TGConvParams, build_graph, spatial_block
 from .model import StarConfig, init_params, rollout
 from .synthetic import simulate_scene
 from .tensor import Tensor
@@ -132,14 +132,14 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> Dict[str, float]:
         [("x", dx)],
     )
 
-    # graph convolution on a 4-node path graph
+    # graph convolution on a 4-node path graph, one timestep
     gparams = TGConvParams.init(8, 2, np.random.default_rng(seed + 4))
     _jitter(gparams.parameters("tgconv"), rng)
     graph = build_graph([(i, float(i), 0.0) for i in range(4)], d=1.5)
-    gh = _leaf(rng, 4, 8)
-    gw = Tensor(rng0(seed + 5, (4, 8)))
+    gh = _leaf(rng, 4, 1, 8)
+    gw = Tensor(rng0(seed + 5, (4, 1, 8)))
     report["tgconv"] = check_gradients(
-        lambda: (tgconv(gh, graph, gparams) * gw).sum(),
+        lambda: (spatial_block(gh, [graph], gparams) * gw).sum(),
         [("h", gh)] + gparams.parameters("tgconv"),
         max_entries_per_tensor=8,
     )

@@ -1,15 +1,15 @@
 """Interaction-graph construction and the transformer-based graph convolution
-(spatial transformer) applied per timestep.
+(TGConv, the spatial transformer) applied per timestep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .attention import _xavier, masked_attention
+from .attention import AttentionParams, head_projections, masked_attention, merge_heads
 from .errors import DataFormatError, ShapeMismatchError
 from .tensor import Tensor, layer_norm, linear, parameter
 
@@ -69,107 +69,30 @@ def adjacency_mask(graph: InteractionGraph, order: Optional[List[Hashable]] = No
 
 @dataclass
 class TGConvParams:
-    """Per-node query/key/value projections, output layer, and two layer norms."""
+    """TGConv weights: one multi-head attention layer, whose output
+    projection (wo, bo) serves as the feed-forward f_out, and two layer norms."""
 
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    w_out: Tensor
-    b_out: Tensor
+    attn: AttentionParams
     ln1_gain: Tensor
     ln1_bias: Tensor
     ln2_gain: Tensor
     ln2_bias: Tensor
-    head_count: int = 1
-    d_model: int = 32
-
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.head_count
 
     @staticmethod
     def init(d_model: int, head_count: int, rng: np.random.Generator) -> "TGConvParams":
-        if d_model % head_count != 0:
-            raise ShapeMismatchError(
-                f"d_model {d_model} not divisible by head count {head_count}"
-            )
-        mk = lambda: parameter(_xavier(rng, d_model, d_model))
-        zb = lambda: parameter(np.zeros(d_model))
         return TGConvParams(
-            wq=mk(), bq=zb(), wk=mk(), bk=zb(), wv=mk(), bv=zb(),
-            w_out=mk(), b_out=zb(),
+            attn=AttentionParams.init(d_model, head_count, rng),
             ln1_gain=parameter(np.ones(d_model)),
             ln1_bias=parameter(np.zeros(d_model)),
             ln2_gain=parameter(np.ones(d_model)),
             ln2_bias=parameter(np.zeros(d_model)),
-            head_count=head_count, d_model=d_model,
         )
 
     def parameters(self, prefix: str) -> List[Tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.wq", self.wq), (f"{prefix}.bq", self.bq),
-            (f"{prefix}.wk", self.wk), (f"{prefix}.bk", self.bk),
-            (f"{prefix}.wv", self.wv), (f"{prefix}.bv", self.bv),
-            (f"{prefix}.w_out", self.w_out), (f"{prefix}.b_out", self.b_out),
+        return self.attn.parameters(prefix) + [
             (f"{prefix}.ln1_gain", self.ln1_gain), (f"{prefix}.ln1_bias", self.ln1_bias),
             (f"{prefix}.ln2_gain", self.ln2_gain), (f"{prefix}.ln2_bias", self.ln2_bias),
         ]
-
-
-def _tgconv_core(
-    h: Tensor, allow: np.ndarray, params: TGConvParams
-) -> Tuple[Tensor, Tensor]:
-    """Attention over neighborhoods on (..., N, d_model) node features.
-
-    allow: boolean (..., N, N) neighborhood mask including self. Returns the
-    updated features and the attention weights (..., heads, N, N).
-    """
-    lead = h.shape[:-2]
-    n = h.shape[-2]
-    kh, d_k = params.head_count, params.d_k
-
-    def split(x: Tensor) -> Tensor:
-        return x.reshape(lead + (n, kh, d_k)).swapaxes(-3, -2)
-
-    q = split(linear(h, params.wq, params.bq))
-    k = split(linear(h, params.wk, params.bk))
-    v = split(linear(h, params.wv, params.bv))
-    att, weights = masked_attention(q, k, v, np.asarray(allow), d_k)
-    merged = att.swapaxes(-3, -2).reshape(lead + (n, params.d_model))
-    a = layer_norm(merged + h, params.ln1_gain, params.ln1_bias)
-    out = layer_norm(linear(a, params.w_out, params.b_out) + a, params.ln2_gain, params.ln2_bias)
-    return out, weights
-
-
-def tgconv(
-    h: Tensor,
-    graph: InteractionGraph,
-    params: TGConvParams,
-    return_weights: bool = False,
-):
-    """Graph convolution at one timestep: each node attends over its neighbors
-    plus itself; two skip connections, layer norm after each.
-
-    Row order of h follows graph.node_ids. Multi-head behaviour is controlled
-    by params.head_count (1 recovers the single-head form).
-    """
-    if h.shape[0] != len(graph.node_ids):
-        raise ShapeMismatchError(
-            f"feature rows ({h.shape[0]}) do not match graph nodes "
-            f"({len(graph.node_ids)})"
-        )
-    allow = adjacency_mask(graph)
-    out, weights = _tgconv_core(h, allow[None, :, :], params)
-    if return_weights:
-        return out, weights
-    return out
-
-
-# k-head TGConv is the same operation with params.head_count > 1
-tgconv_multihead = tgconv
 
 
 def spatial_block(
@@ -179,7 +102,9 @@ def spatial_block(
     presence: Optional[np.ndarray] = None,
     return_weights: bool = False,
 ):
-    """Apply TGConv with shared weights to each timestep's graph.
+    """TGConv with shared weights at each timestep: every node attends over
+    its graph neighbors plus itself; two skip connections, layer norm after
+    each.
 
     h: (N, t, d_model); graphs: one per timestep, node ids are row indices
     into h. Absent pedestrians (presence False) pass through as zeros. With
@@ -188,10 +113,19 @@ def spatial_block(
     n, t, d = h.shape
     if len(graphs) != t:
         raise ShapeMismatchError(f"{len(graphs)} graphs for {t} timesteps")
+    for step, g in enumerate(graphs):
+        if g.node_ids and max(g.node_ids) >= n:
+            raise ShapeMismatchError(
+                f"graph {step} names node row {max(g.node_ids)}; h has {n} rows"
+            )
     rows = list(range(n))
     allow = np.stack([adjacency_mask(g, order=rows) for g in graphs])  # (t, N, N)
     x = h.swapaxes(0, 1)  # (t, N, d)
-    out, weights = _tgconv_core(x, allow[:, None, :, :], params)
+    attn = params.attn
+    q, k, v = head_projections(x, attn)
+    att, weights = masked_attention(q, k, v, allow[:, None, :, :], attn.d_k)
+    a = layer_norm(merge_heads(att, attn) + x, params.ln1_gain, params.ln1_bias)
+    out = layer_norm(linear(a, attn.wo, attn.bo) + a, params.ln2_gain, params.ln2_bias)
     out = out.swapaxes(0, 1)
     if presence is not None:
         out = out * Tensor(presence[:, :, None].astype(np.float64))

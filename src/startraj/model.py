@@ -1,25 +1,28 @@
 """The full trajectory prediction network: input embeddings, two interleaved
-spatial/temporal encoders, external graph memory, noise-conditioned decoder,
-and the autoregressive rollout loop.
+spatial/temporal encoders, noise-conditioned decoder, and the autoregressive
+rollout loop, which carries the graph memory from one step to the next.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .attention import AttentionParams, TemporalBlockParams, _xavier, temporal_block
+from .attention import TemporalBlockParams, _xavier, temporal_block
 from .data import TrajectoryScene, preprocess
-from .errors import DataFormatError, ShapeMismatchError
+from .errors import DataFormatError, NonFiniteError, ShapeMismatchError
 from .graph import InteractionGraph, TGConvParams, build_graph, spatial_block
 from .tensor import Tensor, concat, linear, parameter
 
 CHECKPOINT_FORMAT = "startraj-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# v1 named the TGConv output layer w_out/b_out; v2 stores it as the attention
+# output projection wo/bo
+_V1_RENAMES = {".spatial.w_out": ".spatial.wo", ".spatial.b_out": ".spatial.bo"}
 
 
 @dataclass
@@ -43,6 +46,11 @@ class StarConfig:
             raise ValueError("need pred_len >= 1 and obs_len >= 2")
         if self.temporal_kind not in ("transformer", "recurrent"):
             raise ValueError(f"unknown temporal_kind {self.temporal_kind!r}")
+        if self.heads < 1 or self.d_model % self.heads or self.d_model % 2:
+            raise ValueError(
+                f"need an even d_model divisible by heads; got d_model "
+                f"{self.d_model}, heads {self.heads}"
+            )
         if self.temporal_kind == "recurrent":
             # the recurrent ablation runs without graph memory
             self.use_memory = False
@@ -52,14 +60,7 @@ class StarConfig:
         return 0 if self.deterministic else self.noise_dim
 
     def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model, "heads": self.heads, "dropout": self.dropout,
-            "noise_dim": self.noise_dim, "obs_len": self.obs_len,
-            "pred_len": self.pred_len, "graph_threshold": self.graph_threshold,
-            "use_memory": self.use_memory, "temporal_kind": self.temporal_kind,
-            "use_encoder2": self.use_encoder2, "deterministic": self.deterministic,
-            "teacher_forcing": self.teacher_forcing, "ff_dim": self.ff_dim,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "StarConfig":
@@ -103,31 +104,6 @@ class GruParams:
     def parameters(self, prefix: str) -> List[Tuple[str, Tensor]]:
         return [(f"{prefix}.{n}", getattr(self, n))
                 for n in ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn")]
-
-
-class GraphMemory:
-    """Read-writable store of per-pedestrian embedding sequences.
-
-    Writes replace the whole store; reads return it verbatim. Contents are
-    produced by learnable layers but carry no free parameters themselves.
-    """
-
-    def __init__(self):
-        self._store: Optional[Tensor] = None
-
-    def write(self, embeddings: Tensor) -> None:
-        self._store = embeddings
-
-    def read(self) -> Optional[Tensor]:
-        return self._store
-
-    @property
-    def steps(self) -> int:
-        return 0 if self._store is None else self._store.shape[1]
-
-
-def memory_read(memory: GraphMemory) -> Optional[Tensor]:
-    return memory.read()
 
 
 @dataclass
@@ -248,24 +224,23 @@ def encoder1(
     h_spatial: Tensor,
     h_temporal: Tensor,
     graphs: Sequence[InteractionGraph],
-    memory: GraphMemory,
+    memory: Optional[Tensor],
     params: StarParams,
     presence: np.ndarray,
 ) -> Tensor:
     """Parallel spatial and temporal branches fused by a linear layer.
 
-    With memory enabled and non-empty, the temporal branch consumes the
-    memorized embeddings for steps 1..L-1 concatenated (along time) with the
-    current embedding at step L."""
+    Given a graph memory (the previous rollout step's encoder-2 output, which
+    covers steps 1..L-1), the temporal branch consumes it verbatim,
+    concatenated along time with the current embedding at step L."""
     n, L, d = h_temporal.shape
     spatial = spatial_block(h_spatial, graphs, params.enc1_spatial, presence)
-    mem = memory.read() if params.config.use_memory else None
-    if mem is not None:
-        if mem.shape[1] != L - 1:
+    if memory is not None:
+        if memory.shape[1] != L - 1:
             raise ShapeMismatchError(
-                f"memory holds {mem.shape[1]} steps; expected {L - 1}"
+                f"memory holds {memory.shape[1]} steps; expected {L - 1}"
             )
-        seq = concat([mem, h_temporal[:, L - 1 : L, :]], axis=1)
+        seq = concat([memory, h_temporal[:, L - 1 : L, :]], axis=1)
     else:
         seq = h_temporal
     temporal = _temporal(seq, params, "enc1", presence)
@@ -276,13 +251,12 @@ def encoder1(
 def encoder2(
     h: Tensor,
     graphs: Sequence[InteractionGraph],
-    memory: GraphMemory,
     params: StarParams,
     presence: np.ndarray,
     capture: Optional[dict] = None,
 ) -> Tensor:
-    """Spatial then temporal transformer; the full output sequence overwrites
-    the graph memory. Identity passthrough when encoder 2 is ablated."""
+    """Spatial then temporal transformer. Identity passthrough when encoder 2
+    is ablated."""
     if not params.config.use_encoder2:
         return h
     if capture is not None:
@@ -292,10 +266,7 @@ def encoder2(
         capture["spatial2_weights"] = weights.data
     else:
         spatial = spatial_block(h, graphs, params.enc2_spatial, presence)
-    out = _temporal(spatial, params, "enc2", presence)
-    if params.config.use_memory:
-        memory.write(out)
-    return out
+    return _temporal(spatial, params, "enc2", presence)
 
 
 def decode_step(h_last: Tensor, noise: Optional[Tensor], params: StarParams) -> Tensor:
@@ -352,6 +323,10 @@ def rollout(
     pedestrians without a full observation window are zero. When
     truth_positions is given and teacher forcing is on, ground truth (not the
     prediction) is appended to the history during training.
+
+    The graph memory starts empty; with memory and encoder 2 enabled, each
+    step's encoder-2 output replaces it. Raises NonFiniteError at the first
+    step that decodes a non-finite position.
     """
     config = params.config
     if scene.origins is None:
@@ -371,15 +346,9 @@ def rollout(
 
     history = Tensor(scene.positions[:, :obs, :])
     presence = scene.presence[:, :obs].copy()
-    graphs = observed_graphs(
-        TrajectoryScene(
-            ped_ids=scene.ped_ids, positions=scene.positions[:, :obs],
-            presence=presence, obs_len=obs, dataset=scene.dataset,
-            origins=scene.origins, targets=scene.targets,
-        ),
-        scene_ids, config.graph_threshold,
-    )
-    memory = GraphMemory()
+    graphs = observed_graphs(scene, scene_ids, config.graph_threshold)
+    keep_memory = config.use_memory and config.use_encoder2
+    memory: Optional[Tensor] = None
     preds: List[Tensor] = []
 
     for s in range(config.pred_len):
@@ -389,10 +358,14 @@ def rollout(
         h_t = h_t * pmask
         fused = encoder1(h_s, h_t, graphs, memory, params, presence)
         cap = capture if (capture is not None and s == 0) else None
-        enc = encoder2(fused, graphs, memory, params, presence, capture=cap)
+        enc = encoder2(fused, graphs, params, presence, capture=cap)
+        if keep_memory:
+            memory = enc
         h_last = enc[:, -1, :]
         noise = Tensor(rng.standard_normal((n, nd))) if nd > 0 else None
         step = decode_step(h_last, noise, params) * roll_col
+        if not np.all(np.isfinite(step.data)):
+            raise NonFiniteError(f"non-finite predicted position at rollout step {s}")
         preds.append(step)
 
         if config.teacher_forcing and training and truth_positions is not None:
@@ -430,29 +403,49 @@ def save_checkpoint(path: str, params: StarParams) -> None:
         json.dump(payload, fh)
 
 
+def _v2_name(name: str) -> str:
+    for old, new in _V1_RENAMES.items():
+        if name.endswith(old):
+            return name[: -len(old)] + new
+    return name
+
+
 def load_checkpoint(path: str) -> StarParams:
+    """Read a checkpoint written by save_checkpoint (v2) or by a v1 release.
+    Malformed contents raise DataFormatError."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise DataFormatError(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise DataFormatError(f"{path}: unsupported checkpoint version")
-    config = StarConfig.from_dict(payload["config"])
-    params = init_params(config, np.random.default_rng(0))
-    stored = payload["params"]
-    names = {name for name, _ in params.parameters()}
-    if names != set(stored):
-        missing = names - set(stored)
-        extra = set(stored) - names
-        raise DataFormatError(
-            f"{path}: parameter set mismatch (missing={sorted(missing)}, "
-            f"unexpected={sorted(extra)})"
-        )
-    for name, t in params.parameters():
-        entry = stored[name]
-        if list(t.shape) != entry["shape"]:
+    version = payload.get("version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise DataFormatError(f"{path}: unsupported checkpoint version {version!r}")
+    try:
+        config = StarConfig.from_dict(payload["config"])
+        params = init_params(config, np.random.default_rng(0))
+        stored = payload["params"]
+        if version == 1:
+            stored = {_v2_name(name): entry for name, entry in stored.items()}
+        names = {name for name, _ in params.parameters()}
+        if names != set(stored):
+            missing = names - set(stored)
+            extra = set(stored) - names
             raise DataFormatError(
-                f"{path}: shape mismatch for {name}: {entry['shape']} vs {list(t.shape)}"
+                f"{path}: parameter set mismatch (missing={sorted(missing)}, "
+                f"unexpected={sorted(extra)})"
             )
-        t.data = np.asarray(entry["values"], dtype=np.float64).reshape(t.shape)
+        for name, t in params.parameters():
+            entry = stored[name]
+            if list(t.shape) != entry["shape"]:
+                raise DataFormatError(
+                    f"{path}: shape mismatch for {name}: {entry['shape']} vs {list(t.shape)}"
+                )
+            t.data = np.asarray(entry["values"], dtype=np.float64).reshape(t.shape)
+    except DataFormatError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed checkpoint ({exc!r})") from None
     return params

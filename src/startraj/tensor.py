@@ -8,8 +8,7 @@ then frees the graph (rollout lengths vary per scene, so tapes are one-shot).
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,9 +68,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def item(self) -> float:
         return float(self.data)
@@ -184,32 +180,6 @@ class Tensor:
 
         return Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
 
-    def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-
-        def bwd(g):
-            a._accumulate(g * out_data, fresh=True)
-
-        return Tensor(out_data, _parents=(a,), _backward=bwd)
-
-    def log(self):
-        a = self
-
-        def bwd(g):
-            a._accumulate(g / a.data, fresh=True)
-
-        return Tensor(np.log(a.data), _parents=(a,), _backward=bwd)
-
-    def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def bwd(g):
-            a._accumulate(g * 0.5 / out_data, fresh=True)
-
-        return Tensor(out_data, _parents=(a,), _backward=bwd)
-
     def tanh(self):
         a = self
         out_data = np.tanh(a.data)
@@ -272,11 +242,6 @@ class Tensor:
             a._accumulate(np.swapaxes(g, ax1, ax2))
 
         return Tensor(np.swapaxes(a.data, ax1, ax2), _parents=(a,), _backward=bwd)
-
-    def transpose(self):
-        if self.ndim != 2:
-            raise ShapeMismatchError("transpose() is for 2-D tensors; use swapaxes")
-        return self.swapaxes(0, 1)
 
     def __getitem__(self, key):
         a = self

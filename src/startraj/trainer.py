@@ -4,9 +4,8 @@ ablation orchestration."""
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,8 +105,11 @@ class TrainSpec:
     max_steps: Optional[int] = None
 
     def __post_init__(self):
-        if min(self.learning_rate, self.ped_budget, self.scene_batch, self.epochs) <= 0:
+        if min(self.learning_rate, self.ped_budget, self.scene_batch, self.epochs,
+               self.checkpoint_every) <= 0:
             raise ValueError("TrainSpec fields must be positive")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
 
 def scene_loss(
@@ -150,6 +152,7 @@ def train(
     step = 0
     done = False
     for epoch in range(spec.epochs):
+        epoch_start = len(history)
         prepared = []
         for s in scenes:
             if spec.augment:
@@ -170,8 +173,8 @@ def train(
                 done = True
                 break
         if log is not None:
-            recent = [v for _, v in history[-max(1, len(scenes)):]]
-            log(f"epoch {epoch}: mean loss {np.mean(recent):.6f}")
+            epoch_losses = [v for _, v in history[epoch_start:]]
+            log(f"epoch {epoch}: mean loss {np.mean(epoch_losses):.6f}")
         if out_dir and (epoch + 1) % spec.checkpoint_every == 0:
             save_checkpoint(os.path.join(out_dir, f"checkpoint_{epoch + 1}.json"), params)
         if done:

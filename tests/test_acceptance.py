@@ -9,22 +9,22 @@ import time
 import numpy as np
 import pytest
 
+import startraj.model
 from startraj import (
-    InteractionGraph, StarConfig, TGConvParams, Tensor, TrainSpec, ade,
-    build_graph, fde, init_params, preprocess, rollout, run_ablation, tgconv,
+    StarConfig, TGConvParams, Tensor, TrainSpec, ade, build_graph, fde,
+    init_params, preprocess, rollout, run_ablation, spatial_block,
 )
 from startraj.attention import masked_attention
 from startraj.data import merge_scenes, pack_batches
 from startraj.gradcheck import TOLERANCE, run_suite
 from startraj.graph import adjacency_mask
-from startraj.model import GraphMemory, memory_read
 from startraj.synthetic import make_synthetic_scenes, simulate_scene
 from startraj.trainer import _scene_truth_and_mask
 
 
 class TestAcceptance:
     def test_gradient_suite(self):
-        """Analytic vs central finite differences for all primitives, tgconv,
+        """Analytic vs central finite differences for all primitives, TGConv,
         temporal_block, encoder stacks, and the full rollout loss on a
         3-pedestrian 8+2-step scene; max rel err < 1e-4 in < 2 minutes."""
         t0 = time.time()
@@ -63,9 +63,9 @@ class TestAcceptance:
                 params = TGConvParams.init(8, 2, rng)
                 pts = [(i, *rng.uniform(-3, 3, 2)) for i in range(n)]
                 graph = build_graph(pts, d=float(rng.uniform(1.0, 4.0)))
-                h = Tensor(rng.standard_normal((n, 8)))
-                _, wt = tgconv(h, graph, params, return_weights=True)
-                w = wt.numpy()
+                h = Tensor(rng.standard_normal((n, 1, 8)))
+                _, wt = spatial_block(h, [graph], params, return_weights=True)
+                w = wt.numpy()[0]
                 allow = adjacency_mask(graph)
             assert np.all(w[..., ~allow] == 0.0)  # exactly zero, not approximately
             worst = max(worst, float(np.abs(w.sum(axis=-1) - 1.0).max()))
@@ -74,32 +74,34 @@ class TestAcceptance:
               f"{worst:.2e} (< 1e-9), masked entries exactly 0")
 
     def test_tgconv_equivariance_and_locality(self):
-        """200 random trials: permutation equivariance within 1e-9 and
-        bit-identical non-neighbor locality."""
+        """200 random trials of single-step TGConv (spatial_block, t = 1):
+        permutation equivariance within 1e-9 and bit-identical non-neighbor
+        locality."""
+        def tgconv(h, graph, params):
+            return spatial_block(Tensor(h[:, None, :]), [graph], params).numpy()[:, 0]
+
         rng = np.random.default_rng(2)
         worst = 0.0
         for _ in range(200):
             n = int(rng.integers(3, 9))
             params = TGConvParams.init(8, 2, rng)
             pts = [(i, *rng.uniform(-3, 3, 2)) for i in range(n)]
-            graph = build_graph(pts, d=float(rng.uniform(1.0, 3.5)))
+            d = float(rng.uniform(1.0, 3.5))
+            graph = build_graph(pts, d=d)
             h = rng.standard_normal((n, 8))
-            out = tgconv(Tensor(h), graph, params).numpy()
+            out = tgconv(h, graph, params)
 
-            # equivariance under a random relabeling
+            # equivariance under a random relabeling: row r is pedestrian perm[r]
             perm = rng.permutation(n)
-            pgraph = InteractionGraph(
-                node_ids=[graph.node_ids[i] for i in perm],
-                neighbors=graph.neighbors, threshold=graph.threshold,
-            )
-            pout = tgconv(Tensor(h[perm]), pgraph, params).numpy()
+            pgraph = build_graph([(r, *pts[i][1:]) for r, i in enumerate(perm)], d=d)
+            pout = tgconv(h[perm], pgraph, params)
             worst = max(worst, float(np.abs(pout - out[perm]).max()))
 
             # locality: perturb one node, rows outside Nb(j) u {j} unchanged
             j = int(rng.integers(n))
             h2 = h.copy()
             h2[j] += rng.standard_normal(8)
-            out2 = tgconv(Tensor(h2), graph, params).numpy()
+            out2 = tgconv(h2, graph, params)
             affected = {j} | graph.neighbors[j]
             for i in range(n):
                 if i not in affected:
@@ -248,20 +250,42 @@ class TestAcceptance:
               "forwards diverge (shared parameter name set: the memory path "
               "adds inputs along time, not parameters)")
 
-    def test_memory_semantics(self):
-        """Replace-read / replace-write round-trips are bit-exact."""
-        rng = np.random.default_rng(8)
-        mem = GraphMemory()
-        assert memory_read(mem) is None
-        first = Tensor(rng.standard_normal((3, 4, 8)))
-        mem.write(first)
-        got = memory_read(mem)
-        assert got is first
-        assert np.array_equal(got.numpy(), first.numpy())
-        second = Tensor(rng.standard_normal((3, 5, 8)))
-        mem.write(second)
-        assert memory_read(mem) is second  # replace, not append
-        print("\nPASS memory semantics: replace-write/verbatim-read bit-exact")
+    def test_memory_semantics(self, monkeypatch):
+        """Graph memory during rollout: step 0 reads nothing, step s+1 reads
+        step s's encoder-2 output verbatim (replace, not append); it stays
+        empty with memory or encoder 2 switched off."""
+        reads, writes = [], []
+        encoder1, encoder2 = startraj.model.encoder1, startraj.model.encoder2
+
+        def read_spy(h_s, h_t, graphs, memory, params, presence):
+            reads.append(memory)
+            return encoder1(h_s, h_t, graphs, memory, params, presence)
+
+        def write_spy(*args, **kwargs):
+            writes.append(encoder2(*args, **kwargs))
+            return writes[-1]
+
+        monkeypatch.setattr(startraj.model, "encoder1", read_spy)
+        monkeypatch.setattr(startraj.model, "encoder2", write_spy)
+        scene = preprocess(simulate_scene(np.random.default_rng(8), n_peds=3,
+                                          total_len=12))
+        for use_memory, use_encoder2 in ((True, True), (False, True), (True, False)):
+            reads.clear()
+            writes.clear()
+            config = StarConfig(d_model=8, heads=2, obs_len=8, pred_len=4,
+                                deterministic=True, dropout=0.0,
+                                use_memory=use_memory, use_encoder2=use_encoder2)
+            rollout(scene, init_params(config, np.random.default_rng(9)))
+            assert len(reads) == len(writes) == 4
+            if use_memory and use_encoder2:
+                assert reads[0] is None
+                for s in range(3):
+                    assert reads[s + 1] is writes[s]
+                    assert reads[s + 1].shape == (3, 8 + s, 8)
+            else:
+                assert all(r is None for r in reads)
+        print("\nPASS memory semantics: step 0 empty, each step reads the "
+              "previous encoder-2 output verbatim, empty when ablated")
 
     def test_stretch_run_documented_non_gating(self):
         """The benchmark-scale stretch run is documented, never gated on.

@@ -9,10 +9,17 @@ import pytest
 
 from startraj import (
     AttentionParams, TemporalBlockParams, Tensor, multi_head,
-    positional_encoding, scaled_attention, temporal_block,
+    positional_encoding, temporal_block,
 )
 from startraj.attention import MASK_FILL, masked_attention
 from startraj.errors import MaskError, ShapeMismatchError
+
+
+def _unmasked(q, k, v):
+    """Scaled dot-product attention over (t, d_k) arrays with every key usable."""
+    mask = np.ones((q.shape[0], k.shape[0]), dtype=bool)
+    out, _ = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask, q.shape[-1])
+    return out.numpy()
 
 
 def _oracle_attention(q, k, v, mask, d_k):
@@ -30,7 +37,7 @@ class TestScaledAttention:
         # [TRIVIAL] softmax over one logit is 1
         rng = np.random.default_rng(0)
         q, k, v = (rng.standard_normal((1, 4)) for _ in range(3))
-        out = scaled_attention(Tensor(q), Tensor(k), Tensor(v)).numpy()
+        out = _unmasked(q, k, v)
         np.testing.assert_allclose(out, v, atol=1e-12)
 
     def test_equal_logits_average_values(self):
@@ -38,7 +45,7 @@ class TestScaledAttention:
         q = np.zeros((2, 4))  # zero queries make every logit 0
         k = np.random.default_rng(1).standard_normal((2, 4))
         v = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        out = scaled_attention(Tensor(q), Tensor(k), Tensor(v)).numpy()
+        out = _unmasked(q, k, v)
         np.testing.assert_allclose(out, np.tile((v[0] + v[1]) / 2, (2, 1)), atol=1e-12)
 
     def test_random_matches_scalar_oracle(self):
@@ -71,8 +78,8 @@ class TestScaledAttention:
 
 
 class TestMultiHead:
-    def test_single_head_is_fo_of_scaled_attention(self):
-        # [TRIVIAL] k=1 reduces to f_O(scaled_attention(f_Q h, f_K h, f_V h))
+    def test_single_head_is_fo_of_attention(self):
+        # [TRIVIAL] k=1 reduces to f_O(attention(f_Q h, f_K h, f_V h))
         rng = np.random.default_rng(5)
         p = AttentionParams.init(6, 1, rng)
         h = rng.standard_normal((4, 6))

@@ -14,6 +14,22 @@ from startraj.cli import (
 )
 from startraj.data import DATASET_NAMES
 from startraj.errors import DataFormatError
+from startraj.model import StarConfig, init_params, save_checkpoint
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+# checkpoint payload -> malformed file content (text, or a payload to dump)
+MALFORMED_CHECKPOINTS = {
+    "not-json": lambda p: "{ this is not json",
+    "unknown-config-key": lambda p: {**p, "config": {**p["config"], "banana": 1}},
+    "bad-config-value": lambda p: {**p, "config": {**p["config"], "heads": 3}},
+    "missing-params": lambda p: _without(p, "params"),
+    "missing-shape": lambda p: {**p, "params": {
+        **p["params"], "decoder.b": _without(p["params"]["decoder.b"], "shape")}},
+}
 
 
 def _write_dataset(path, seed, n_peds=2, frames=10):
@@ -89,6 +105,43 @@ class TestExitCodes:
         code = main(["train", "--data-dir", str(empty), "--held-out", "ETH"])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_data_error_malformed_checkpoint(self, tmp_path, data_dir, capsys, case):
+        good = tmp_path / "good.json"
+        config = StarConfig(d_model=8, heads=2, pred_len=2)
+        save_checkpoint(str(good), init_params(config, np.random.default_rng(0)))
+        bad = MALFORMED_CHECKPOINTS[case](json.loads(good.read_text()))
+        path = tmp_path / "bad.json"
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        code = main(["predict", "--checkpoint", str(path), "--scene",
+                     str(data_dir / "ZARA1.txt"), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--epochs", "0"], ["--epochs", "-2"],
+                                      ["--max-steps", "0"]])
+    def test_usage_error_bad_train_flag(self, tmp_path, data_dir, config_file, flag):
+        code = main(["train", "--config", str(config_file), "--data-dir",
+                     str(data_dir), "--held-out", "ETH",
+                     "--out", str(tmp_path / "o")] + flag)
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("line", ["epochs = 0", "heads = 5",
+                                      "d_model = 7\nheads = 7",
+                                      "learning_rate = fast"])
+    def test_data_error_bad_config_value(self, tmp_path, data_dir, line):
+        # pred_len 2 fits the 10-frame recordings, so only `line` is at fault
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"pred_len = 2\nmax_steps = 1\n{line}\n")
+        code = main(["train", "--config", str(cfg), "--data-dir", str(data_dir),
+                     "--held-out", "ETH", "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+
+    def test_usage_error_zero_samples(self, tmp_path, data_dir, checkpoint):
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data-dir",
+                     str(data_dir), "-K", "0", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+
     def test_gradcheck_success(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -146,6 +199,15 @@ class TestTrainCommand:
         assert len(lines) >= 2
         step, loss = lines[1].split("\t")
         assert step == "0" and float(loss) > 0
+
+    def test_seed_from_config_file_unless_flag(self, tmp_path, data_dir, config_file):
+        config_file.write_text(config_file.read_text() + "seed = 5\n")
+        args = ["train", "--config", str(config_file), "--data-dir", str(data_dir),
+                "--held-out", "ETH"]
+        for extra, seed in (([], 5), (["--seed", "2"], 2)):
+            out = tmp_path / f"seed_{seed}"
+            assert main(args + ["--out", str(out)] + extra) == EXIT_OK
+            assert json.loads((out / "manifest.json").read_text())["seed"] == seed
 
     def test_variant_flag(self, tmp_path, data_dir, config_file):
         out = tmp_path / "variant_out"
@@ -247,6 +309,18 @@ class TestPredictCommand:
             ]) == EXIT_OK
             outs.append((out / "prediction.txt").read_text())
         assert outs[0] == outs[1]
+
+    def test_non_finite_prediction_is_numeric_failure(self, tmp_path, data_dir,
+                                                      checkpoint, capsys):
+        payload = json.loads(checkpoint.read_text())
+        payload["params"]["decoder.b"]["values"] = [float("nan")] * 2
+        nan_ck = tmp_path / "nan.json"
+        nan_ck.write_text(json.dumps(payload))
+        code = main(["predict", "--checkpoint", str(nan_ck), "--scene",
+                     str(data_dir / "ZARA1.txt"), "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "step 0" in err and "Traceback" not in err
 
     def test_short_observation_rejected(self, tmp_path, checkpoint):
         short = tmp_path / "short.txt"

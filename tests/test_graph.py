@@ -3,27 +3,34 @@
 import numpy as np
 import pytest
 
-from startraj import (
-    InteractionGraph, TGConvParams, Tensor, build_graph, spatial_block, tgconv,
-    tgconv_multihead,
-)
+from startraj import TGConvParams, Tensor, build_graph, spatial_block
 from startraj.errors import DataFormatError, ShapeMismatchError
 from startraj.graph import adjacency_mask
 
 
+def _tgconv(h, graph, params, return_weights=False):
+    """TGConv at one timestep: spatial_block with t = 1 on (N, d) features."""
+    out = spatial_block(Tensor(h[:, None, :]), [graph], params,
+                        return_weights=return_weights)
+    if return_weights:
+        return out[0].numpy()[:, 0], out[1].numpy()[0]
+    return out.numpy()[:, 0]
+
+
 def _oracle_masked_dense(h, allow, p):
-    """Independent numpy oracle for tgconv: dense attention with -inf on
+    """Independent numpy oracle for TGConv: dense attention with -inf on
     non-edges, two skips, layer norm after each."""
     def ln(x, gain, bias, eps=1e-5):
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         return (x - mu) / np.sqrt(var + eps) * gain + bias
 
-    kh = p.head_count
-    d_k = p.d_model // kh
-    q = h @ p.wq.numpy() + p.bq.numpy()
-    k = h @ p.wk.numpy() + p.bk.numpy()
-    v = h @ p.wv.numpy() + p.bv.numpy()
+    a = p.attn
+    kh = a.head_count
+    d_k = a.d_model // kh
+    q = h @ a.wq.numpy() + a.bq.numpy()
+    k = h @ a.wk.numpy() + a.bk.numpy()
+    v = h @ a.wv.numpy() + a.bv.numpy()
     n = h.shape[0]
     att = np.zeros_like(h)
     for head in range(kh):
@@ -34,8 +41,8 @@ def _oracle_masked_dense(h, allow, p):
         w = np.where(allow, w, 0.0)
         w /= w.sum(axis=-1, keepdims=True)
         att[:, sl] = w @ v[:, sl]
-    a = ln(att + h, p.ln1_gain.numpy(), p.ln1_bias.numpy())
-    return ln((a @ p.w_out.numpy() + p.b_out.numpy()) + a,
+    y = ln(att + h, p.ln1_gain.numpy(), p.ln1_bias.numpy())
+    return ln((y @ a.wo.numpy() + a.bo.numpy()) + y,
               p.ln2_gain.numpy(), p.ln2_bias.numpy())
 
 
@@ -95,15 +102,15 @@ class TestTGConv:
         pts = [(i, float(i), 0.0) for i in range(n)]  # path graph under d=1.5
         graph = build_graph(pts, d=threshold)
         h = rng.standard_normal((n, d_model))
-        return h, graph, params
+        return h, pts, graph, params
 
     def test_isolated_node_collapses_to_value(self):
         # [TRIVIAL] Nb(i) empty: attention output is v_i; check via the oracle
         rng = np.random.default_rng(3)
         params = TGConvParams.init(6, 1, rng)
-        graph = build_graph([("a", 0.0, 0.0)], d=1.0)
+        graph = build_graph([(0, 0.0, 0.0)], d=1.0)
         h = rng.standard_normal((1, 6))
-        out = tgconv(Tensor(h), graph, params).numpy()
+        out = _tgconv(h, graph, params)
         expect = _oracle_masked_dense(h, np.eye(1, dtype=bool), params)
         # oracle's attention for the single node IS v_i + skip; equality proves
         # the single-element-softmax collapse
@@ -111,54 +118,52 @@ class TestTGConv:
 
     def test_masked_dense_oracle(self):
         # [DERIVED] 4-node path graph vs dense-masked numpy oracle
-        h, graph, params = self._setup()
+        h, _, graph, params = self._setup()
         allow = adjacency_mask(graph)
-        out = tgconv(Tensor(h), graph, params).numpy()
+        out = _tgconv(h, graph, params)
         np.testing.assert_allclose(out, _oracle_masked_dense(h, allow, params), atol=1e-10)
 
     def test_permutation_equivariance(self):
-        h, graph, params = self._setup()
+        h, pts, graph, params = self._setup()
         rng = np.random.default_rng(4)
-        perm = rng.permutation(len(graph.node_ids))
-        ids = [graph.node_ids[i] for i in perm]
-        pgraph = InteractionGraph(
-            node_ids=ids, neighbors=graph.neighbors, threshold=graph.threshold
-        )
-        out = tgconv(Tensor(h), graph, params).numpy()
-        pout = tgconv(Tensor(h[perm]), pgraph, params).numpy()
+        perm = rng.permutation(len(pts))
+        # row r of the relabeled scene is pedestrian perm[r]
+        pgraph = build_graph([(r, *pts[i][1:]) for r, i in enumerate(perm)], d=1.5)
+        out = _tgconv(h, graph, params)
+        pout = _tgconv(h[perm], pgraph, params)
         np.testing.assert_allclose(pout, out[perm], atol=1e-9)
 
     def test_locality_bit_identical(self):
         # perturbing a non-neighbor leaves a node's row bit-identical
-        h, graph, params = self._setup()
-        out_a = tgconv(Tensor(h), graph, params).numpy()
+        h, _, graph, params = self._setup()
+        out_a = _tgconv(h, graph, params)
         h2 = h.copy()
         h2[3] += 5.0  # node 3 is not adjacent to node 0 nor 1 on the path graph
-        out_b = tgconv(Tensor(h2), graph, params).numpy()
+        out_b = _tgconv(h2, graph, params)
         assert np.array_equal(out_a[0], out_b[0])
         assert np.array_equal(out_a[1], out_b[1])
 
     def test_attention_rows_sum_to_one(self):
-        h, graph, params = self._setup()
-        _, w = tgconv(Tensor(h), graph, params, return_weights=True)
-        w = w.numpy()
+        h, _, graph, params = self._setup()
+        _, w = _tgconv(h, graph, params, return_weights=True)
         allow = adjacency_mask(graph)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
         assert np.all(w[..., ~allow] == 0.0)
 
     def test_row_count_mismatch_rejected(self):
-        h, graph, params = self._setup()
-        with pytest.raises(ShapeMismatchError):
-            tgconv(Tensor(h[:-1]), graph, params)
+        # the graph names node row 3; h has rows 0..2 only
+        h, _, graph, params = self._setup()
+        with pytest.raises(ShapeMismatchError, match="row 3"):
+            _tgconv(h[:-1], graph, params)
 
     def test_multihead_alias_and_single_head_equivalence(self):
-        # [TRIVIAL] k=1 multi-head variant is tgconv itself
-        assert tgconv_multihead is tgconv
+        # [TRIVIAL] one code path serves every head count; k=1 is the
+        # single-head form
         rng = np.random.default_rng(5)
         params = TGConvParams.init(8, 1, rng)
         graph = build_graph([(i, float(i), 0.0) for i in range(3)], d=1.5)
         h = rng.standard_normal((3, 8))
-        out = tgconv(Tensor(h), graph, params).numpy()
+        out = _tgconv(h, graph, params)
         np.testing.assert_allclose(
             out, _oracle_masked_dense(h, adjacency_mask(graph), params), atol=1e-10
         )
@@ -169,7 +174,7 @@ class TestTGConv:
         params = TGConvParams.init(8, 2, rng)
         graph = build_graph([(i, float(i) * 0.9, 0.0) for i in range(5)], d=1.0)
         h = rng.standard_normal((5, 8))
-        out = tgconv(Tensor(h), graph, params).numpy()
+        out = _tgconv(h, graph, params)
         np.testing.assert_allclose(
             out, _oracle_masked_dense(h, adjacency_mask(graph), params), atol=1e-10
         )
@@ -177,14 +182,14 @@ class TestTGConv:
 
 class TestSpatialBlock:
     def test_t1_reduces_to_tgconv(self):
-        # [TRIVIAL]
+        # [TRIVIAL] one step is a single TGConv on the dense-masked oracle
         rng = np.random.default_rng(7)
         params = TGConvParams.init(8, 2, rng)
         graph = build_graph([(i, float(i), 0.0) for i in range(4)], d=1.5)
         h = rng.standard_normal((4, 1, 8))
         out = spatial_block(Tensor(h), [graph], params).numpy()
-        single = tgconv(Tensor(h[:, 0, :]), graph, params).numpy()
-        np.testing.assert_allclose(out[:, 0, :], single, atol=1e-12)
+        single = _oracle_masked_dense(h[:, 0, :], adjacency_mask(graph), params)
+        np.testing.assert_allclose(out[:, 0, :], single, atol=1e-10)
 
     def test_edgeless_graphs_are_per_node_transforms(self):
         # [TRIVIAL] no edges: every node sees only itself at every step
@@ -202,7 +207,7 @@ class TestSpatialBlock:
                 np.testing.assert_allclose(out[i, t], expect[0], atol=1e-10)
 
     def test_loop_over_steps_oracle(self):
-        # [DERIVED] 3 steps x 5 nodes: equals per-step tgconv calls
+        # [DERIVED] 3 steps x 5 nodes: equals per-step single-step calls
         rng = np.random.default_rng(9)
         params = TGConvParams.init(8, 2, rng)
         graphs = []
@@ -212,7 +217,7 @@ class TestSpatialBlock:
         h = rng.standard_normal((5, 3, 8))
         out = spatial_block(Tensor(h), graphs, params).numpy()
         for t in range(3):
-            per_step = tgconv(Tensor(h[:, t, :]), graphs[t], params).numpy()
+            per_step = _tgconv(h[:, t, :], graphs[t], params)
             np.testing.assert_allclose(out[:, t, :], per_step, atol=1e-12)
 
     def test_graph_count_mismatch_rejected(self):

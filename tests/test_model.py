@@ -1,19 +1,26 @@
 """Full model: embeddings, encoders, graph memory, decoder, rollout,
 checkpoints, and the ablation variants."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
+import startraj.model
 from startraj import (
-    GraphMemory, StarConfig, Tensor, config_for_variant, decode_step,
-    embed_inputs, encoder1, init_params, load_checkpoint, memory_read,
-    preprocess, rollout, save_checkpoint,
+    StarConfig, Tensor, config_for_variant, decode_step, embed_inputs,
+    encoder1, init_params, load_checkpoint, preprocess, rollout,
+    save_checkpoint, scene_loss,
 )
-from startraj.errors import DataFormatError, ShapeMismatchError
+from startraj.data import merge_scenes
+from startraj.errors import DataFormatError, NonFiniteError, ShapeMismatchError
 from startraj.model import (
     VARIANT_FLAGS, GruParams, encoder2, observed_graphs, temporal_recurrent,
 )
 from startraj.synthetic import simulate_scene
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def _config(**kw):
@@ -29,6 +36,26 @@ def _scene(n=3, seed=0, total=None, obs=8, config=None):
                                      total_len=total, obs_len=obs))
 
 
+@pytest.fixture
+def memory_trace(monkeypatch):
+    """Record, per rollout step, the graph memory encoder 1 reads and the
+    output encoder 2 returns."""
+    reads, writes = [], []
+    enc1, enc2 = startraj.model.encoder1, startraj.model.encoder2
+
+    def read_spy(h_s, h_t, graphs, memory, params, presence):
+        reads.append(memory)
+        return enc1(h_s, h_t, graphs, memory, params, presence)
+
+    def write_spy(*args, **kwargs):
+        writes.append(enc2(*args, **kwargs))
+        return writes[-1]
+
+    monkeypatch.setattr(startraj.model, "encoder1", read_spy)
+    monkeypatch.setattr(startraj.model, "encoder2", write_spy)
+    return reads, writes
+
+
 class TestConfig:
     def test_defaults_match_hyperparameters(self):
         c = StarConfig()
@@ -41,6 +68,12 @@ class TestConfig:
             StarConfig(obs_len=1)
         with pytest.raises(ValueError):
             StarConfig(temporal_kind="conv")
+        with pytest.raises(ValueError, match="heads"):
+            StarConfig(heads=5)  # 32 is not divisible by 5
+        with pytest.raises(ValueError, match="heads"):
+            StarConfig(d_model=7, heads=1)  # positional encoding needs even d
+        with pytest.raises(ValueError, match="heads"):
+            StarConfig(heads=0)
 
     def test_deterministic_drops_noise_columns(self):
         det = init_params(_config(deterministic=True), np.random.default_rng(0))
@@ -105,28 +138,37 @@ class TestEmbedInputs:
                                   params.embed_temporal_w.numpy())
 
 
-class TestGraphMemory:
-    def test_write_read_round_trip_bit_exact(self):
-        # [TRIVIAL] Eq. 12: identity read
-        mem = GraphMemory()
-        emb = Tensor(np.random.default_rng(0).standard_normal((3, 4, 8)))
-        mem.write(emb)
-        assert memory_read(mem) is emb
+class TestRolloutMemory:
+    def test_write_read_round_trip_bit_exact(self, memory_trace):
+        # [TRIVIAL] Eq. 12: identity read of the previous step's write
+        reads, writes = memory_trace
+        config = _config()
+        rollout(_scene(n=3, seed=0, config=config),
+                init_params(config, np.random.default_rng(0)))
+        for s in range(1, config.pred_len):
+            assert reads[s] is writes[s - 1]
 
-    def test_empty_memory(self):
-        # [TRIVIAL]
-        assert memory_read(GraphMemory()) is None
-        assert GraphMemory().steps == 0
+    def test_empty_memory(self, memory_trace):
+        # [TRIVIAL] nothing to read at step 0, nor ever with memory off
+        reads, _ = memory_trace
+        for use_memory in (True, False):
+            reads.clear()
+            config = _config(use_memory=use_memory)
+            rollout(_scene(n=2, seed=1, config=config),
+                    init_params(config, np.random.default_rng(1)))
+            assert reads[0] is None
+            assert all(r is None for r in reads) == (not use_memory)
 
-    def test_replace_semantics(self):
-        # [TRIVIAL] Eq. 13: second write replaces the first wholesale
-        mem = GraphMemory()
-        first = Tensor(np.zeros((2, 3, 8)))
-        second = Tensor(np.ones((2, 4, 8)))
-        mem.write(first)
-        mem.write(second)
-        assert memory_read(mem) is second
-        assert mem.steps == 4
+    def test_replace_semantics(self, memory_trace):
+        # [TRIVIAL] Eq. 13: each write replaces the memory wholesale, so a
+        # read holds exactly the previous step's L-1 steps, not a history
+        reads, writes = memory_trace
+        config = _config(pred_len=4)
+        rollout(_scene(n=2, seed=2, config=config),
+                init_params(config, np.random.default_rng(2)))
+        for s in range(1, config.pred_len):
+            assert reads[s].shape == (2, config.obs_len + s - 1, config.d_model)
+            assert reads[s] is not reads[s - 1]
 
 
 class TestEncoders:
@@ -142,8 +184,7 @@ class TestEncoders:
 
     def test_memory_step_mismatch_rejected(self):
         config, params, scene, graphs, presence, h_s, h_t = self._setup()
-        mem = GraphMemory()
-        mem.write(Tensor(np.zeros((3, 3, config.d_model))))  # needs obs_len-1 = 7
+        mem = Tensor(np.zeros((3, 3, config.d_model)))  # needs obs_len-1 = 7
         with pytest.raises(ShapeMismatchError):
             encoder1(h_s, h_t, graphs, mem, params, presence)
 
@@ -152,7 +193,7 @@ class TestEncoders:
         config, params, scene, graphs, presence, h_s, h_t = self._setup()
         params.fusion_w.data[:] = 0.0
         params.fusion_b.data[:] = 3.0
-        out = encoder1(h_s, h_t, graphs, GraphMemory(), params, presence).numpy()
+        out = encoder1(h_s, h_t, graphs, None, params, presence).numpy()
         np.testing.assert_array_equal(out[presence], 3.0)
 
     def test_encoder1_compose_oracle(self):
@@ -161,7 +202,7 @@ class TestEncoders:
         from startraj.attention import temporal_block
 
         config, params, scene, graphs, presence, h_s, h_t = self._setup()
-        out = encoder1(h_s, h_t, graphs, GraphMemory(), params, presence).numpy()
+        out = encoder1(h_s, h_t, graphs, None, params, presence).numpy()
         spatial = spatial_block(h_s, graphs, params.enc1_spatial, presence).numpy()
         temporal = temporal_block(h_t, params.enc1_temporal, presence).numpy()
         expect = (np.concatenate([spatial, temporal], axis=-1)
@@ -177,9 +218,7 @@ class TestEncoders:
         config, params, scene, graphs, presence, h_s, h_t = self._setup()
         L = config.obs_len
         mem_content = Tensor(np.random.default_rng(6).standard_normal((3, L - 1, 8)))
-        mem = GraphMemory()
-        mem.write(mem_content)
-        out = encoder1(h_s, h_t, graphs, mem, params, presence).numpy()
+        out = encoder1(h_s, h_t, graphs, mem_content, params, presence).numpy()
         seq = np.concatenate([mem_content.numpy(), h_t.numpy()[:, L - 1 : L]], axis=1)
         from startraj.graph import spatial_block
         spatial = spatial_block(h_s, graphs, params.enc1_spatial, presence).numpy()
@@ -194,15 +233,22 @@ class TestEncoders:
         config = _config(use_encoder2=False)
         params = init_params(config, np.random.default_rng(7))
         h = Tensor(np.random.default_rng(8).standard_normal((2, 4, 8)))
-        out = encoder2(h, [], GraphMemory(), params, np.ones((2, 4), dtype=bool))
+        out = encoder2(h, [], params, np.ones((2, 4), dtype=bool))
         assert out is h
         assert params.enc2_spatial is None and params.enc2_temporal is None
 
-    def test_encoder2_writes_memory(self):
-        config, params, scene, graphs, presence, h_s, h_t = self._setup()
-        mem = GraphMemory()
-        out = encoder2(h_t, graphs, mem, params, presence)
-        assert memory_read(mem) is out
+    def test_encoder2_writes_memory(self, memory_trace):
+        # the memory is encoder 2's output; with encoder 2 ablated nothing is
+        # written even though memory is on
+        reads, writes = memory_trace
+        for use_encoder2 in (True, False):
+            reads.clear()
+            writes.clear()
+            config = _config(use_encoder2=use_encoder2)
+            rollout(_scene(n=2, seed=3, config=config),
+                    init_params(config, np.random.default_rng(3)))
+            expect = writes[:-1] if use_encoder2 else [None] * (len(reads) - 1)
+            assert all(r is w for r, w in zip(reads[1:], expect))
 
     def test_encoder2_compose_oracle(self):
         # [DERIVED] spatial_block then temporal_block
@@ -210,7 +256,7 @@ class TestEncoders:
         from startraj.attention import temporal_block
 
         config, params, scene, graphs, presence, h_s, h_t = self._setup()
-        out = encoder2(h_t, graphs, GraphMemory(), params, presence).numpy()
+        out = encoder2(h_t, graphs, params, presence).numpy()
         spatial = spatial_block(h_t, graphs, params.enc2_spatial, presence)
         expect = temporal_block(spatial, params.enc2_temporal, presence).numpy()
         np.testing.assert_allclose(out, expect, atol=1e-12)
@@ -317,23 +363,33 @@ class TestRollout:
         np.testing.assert_array_equal(out_pair[0], out_moved[0])
         assert np.any(out_pair[1] != out_moved[1])
 
-    def test_memory_replace_semantics_during_rollout(self):
-        # after a pred_len=1 rollout the memory would hold encoder 2 output for
-        # all obs_len steps; verify via a manual encoder pass
-        config = _config(pred_len=1)
+    def test_memory_replace_semantics_during_rollout(self, memory_trace):
+        # the first step's encoder-2 output covers all obs_len steps and is
+        # what the second step reads; a manual encoder pass reproduces it
+        reads, writes = memory_trace
+        config = _config(pred_len=2)
         params = init_params(config, np.random.default_rng(23))
-        scene = _scene(n=2, seed=23, total=9)
-        ids = np.zeros(2, dtype=np.int64)
-        graphs = observed_graphs(scene, ids, config.graph_threshold)
+        scene = _scene(n=2, seed=23, total=10)
+        rollout(scene, params)
+        assert reads[1] is writes[0]
+        assert writes[0].shape == (2, config.obs_len, config.d_model)
+
+        graphs = observed_graphs(scene, np.zeros(2, dtype=np.int64),
+                                 config.graph_threshold)
         presence = scene.presence[:, : config.obs_len]
         h_s, h_t = embed_inputs(Tensor(scene.positions[:, : config.obs_len]), params)
         h_s = h_s * Tensor(presence[:, :, None].astype(float))
         h_t = h_t * Tensor(presence[:, :, None].astype(float))
-        mem = GraphMemory()
-        fused = encoder1(h_s, h_t, graphs, mem, params, presence)
-        enc = encoder2(fused, graphs, mem, params, presence)
-        assert memory_read(mem) is enc
-        assert mem.steps == config.obs_len
+        fused = encoder1(h_s, h_t, graphs, None, params, presence)
+        enc = encoder2(fused, graphs, params, presence)
+        np.testing.assert_array_equal(enc.numpy(), writes[0].numpy())
+
+    def test_non_finite_prediction_names_step(self):
+        config = _config()
+        params = init_params(config, np.random.default_rng(35))
+        params.decoder_b.data[:] = np.nan
+        with pytest.raises(NonFiniteError, match="step 0"):
+            rollout(_scene(n=2, seed=35, config=config), params)
 
     def test_every_parameter_gets_gradient(self):
         # spec invariant: no dead branches for a generic scene + L2 loss
@@ -432,6 +488,35 @@ class TestCheckpoints:
             rollout(scene, params).numpy(), rollout(scene, loaded).numpy()
         )
 
+    def test_v1_fixture_bit_identical(self, tmp_path):
+        # a v1 checkpoint (d_model 8, 2 heads) with the rollout, scene_loss and
+        # every gradient recorded by the v1 code; the loaded model must
+        # reproduce them exactly, before and after a v2 save/load
+        params = load_checkpoint(os.path.join(FIXTURES, "v1_tiny_checkpoint.json"))
+        with open(os.path.join(FIXTURES, "v1_tiny_expected.json")) as fh:
+            expected = json.load(fh)
+        scene = preprocess(simulate_scene(np.random.default_rng(2020), n_peds=3,
+                                          total_len=11, obs_len=8))
+        pred = rollout(scene, params, rng=np.random.default_rng(0)).numpy()
+        np.testing.assert_array_equal(pred, expected["rollout"])
+        loss = scene_loss(merge_scenes([scene]), params, np.random.default_rng(1),
+                          training=True)
+        assert loss.item() == expected["loss"]
+        loss.backward()
+        assert len(params.parameters()) == len(expected["grads"])
+        for (name, p), grad in zip(params.parameters(), expected["grads"]):
+            np.testing.assert_array_equal(p.grad.ravel(), grad, err_msg=name)
+
+        path = str(tmp_path / "v2.json")
+        save_checkpoint(path, params)
+        with open(path) as fh:
+            payload = json.load(fh)
+        assert payload["version"] == 2
+        assert "enc1.spatial.wo" in payload["params"]
+        assert not any("w_out" in name for name in payload["params"])
+        again = rollout(scene, load_checkpoint(path), rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(again.numpy(), expected["rollout"])
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
@@ -439,7 +524,6 @@ class TestCheckpoints:
             load_checkpoint(str(path))
 
     def test_wrong_version_rejected(self, tmp_path):
-        import json
         config = _config()
         params = init_params(config, np.random.default_rng(32))
         path = str(tmp_path / "ck.json")
@@ -451,7 +535,6 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
-        import json
         config = _config()
         params = init_params(config, np.random.default_rng(33))
         path = str(tmp_path / "ck.json")
@@ -463,7 +546,6 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
-        import json
         config = _config()
         params = init_params(config, np.random.default_rng(34))
         path = str(tmp_path / "ck.json")

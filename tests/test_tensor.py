@@ -167,7 +167,7 @@ class TestBackward:
         def loss():
             m = a.matmul(b)
             s = softmax(m + c, axis=-1)
-            e = (m * 0.1).exp() + (m * m + 1.0).log() + (m * m + 0.5).sqrt()
+            e = (m * m + 0.5) ** 0.5 - m
             t = m.tanh() + m.sigmoid() + m.relu()
             return (s * e).sum() + (t ** 2.0).mean()
 

@@ -167,6 +167,10 @@ class TestTrainSpec:
             TrainSpec(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainSpec(epochs=0)
+        with pytest.raises(ValueError):
+            TrainSpec(checkpoint_every=0)
+        with pytest.raises(ValueError):
+            TrainSpec(max_steps=0)
 
 
 class TestTraining:
@@ -191,6 +195,16 @@ class TestTraining:
         _, h1 = train(spec, _config(), scenes)
         _, h2 = train(spec, _config(), scenes)
         assert h1 == h2
+
+    def test_epoch_log_averages_that_epochs_steps(self):
+        # 3 scenes, one per step, 4 steps: epoch 0 holds steps 0-2 and
+        # epoch 1 only step 3
+        lines = []
+        spec = TrainSpec(scene_batch=1, max_steps=4, seed=0, augment=False)
+        _, history = train(spec, _config(), _scenes(count=3, seed=17), log=lines.append)
+        losses = [v for _, v in history]
+        assert lines == [f"epoch 0: mean loss {np.mean(losses[:3]):.6f}",
+                         f"epoch 1: mean loss {losses[3]:.6f}"]
 
     def test_checkpoints_written(self, tmp_path):
         scenes = _scenes(count=1, seed=12)
