@@ -239,6 +239,8 @@ def attention_svg(scene: TrajectoryScene, step: int, weights_row: np.ndarray,
 # commands
 # ----------------------------------------------------------------------
 def cmd_train(args) -> int:
+    if args.stride < 1:
+        raise UsageError(f"--stride must be >= 1, got {args.stride}")
     file_values = load_config_file(args.config) if args.config else {}
     config = _build_config(file_values, args)
     spec = _build_spec(file_values, args)
@@ -270,6 +272,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.stride < 1:
+        raise UsageError(f"--stride must be >= 1, got {args.stride}")
     params = load_checkpoint(args.checkpoint)
     config = params.config
     files = _dataset_files(args.data_dir)

@@ -224,9 +224,9 @@ def leave_one_out_split(datasets: Dict[str, object], held_out: str):
 
 @dataclass
 class Batch:
-    """Scenes packed along the pedestrian axis. Cross-scene attention is
-    forbidden structurally: graphs are built per scene group, and the temporal
-    transformer never mixes pedestrians."""
+    """Scenes packed along the pedestrian axis, each scene's rows contiguous.
+    Spatial attention runs per scene block (graph.scene_layout), so nobody
+    attends across scenes; the temporal transformer never mixes pedestrians."""
 
     scene: TrajectoryScene
     scene_ids: np.ndarray  # (N,) index of the source scene per pedestrian

@@ -11,7 +11,7 @@ import numpy as np
 
 from .attention import AttentionParams, head_projections, masked_attention, merge_heads
 from .errors import DataFormatError, ShapeMismatchError
-from .tensor import Tensor, layer_norm, linear, parameter
+from .tensor import Tensor, concat, layer_norm, linear, parameter
 
 
 @dataclass
@@ -95,20 +95,38 @@ class TGConvParams:
         ]
 
 
+def scene_layout(scene_ids: np.ndarray) -> List[Tuple[int, List[Tuple[int, int]]]]:
+    """Rows packed by merge_scenes as (n, runs) per scene size n, where runs
+    are the row ranges [lo, hi) of adjacent n-pedestrian scenes. Raises
+    DataFormatError unless every scene's rows are contiguous."""
+    ids = np.asarray(scene_ids)
+    cuts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+    if len(np.unique(ids)) != len(cuts) - 1:
+        raise DataFormatError("each scene needs contiguous, non-empty rows")
+    groups: Dict[int, List[Tuple[int, int]]] = {}
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        runs = groups.setdefault(hi - lo, [])  # a scene right after its run extends it
+        runs.append((runs.pop()[0] if runs and runs[-1][1] == lo else lo, hi))
+    return sorted(groups.items())
+
+
 def spatial_block(
     h: Tensor,
     graphs: Sequence[InteractionGraph],
     params: TGConvParams,
     presence: Optional[np.ndarray] = None,
     return_weights: bool = False,
+    layout: Optional[list] = None,
 ):
     """TGConv with shared weights at each timestep: every node attends over
     its graph neighbors plus itself; two skip connections, layer norm after
     each.
 
     h: (N, t, d_model); graphs: one per timestep, node ids are row indices
-    into h. Absent pedestrians (presence False) pass through as zeros. With
-    return_weights, also returns attention weights (t, heads, N, N).
+    into h; layout: scene_layout of the rows (default one scene), a node
+    attends only within its scene. Absent pedestrians (presence False) pass
+    through as zeros. With return_weights, also returns attention weights
+    (t, heads, N, N), zero across scenes.
     """
     n, t, d = h.shape
     if len(graphs) != t:
@@ -118,17 +136,33 @@ def spatial_block(
             raise ShapeMismatchError(
                 f"graph {step} names node row {max(g.node_ids)}; h has {n} rows"
             )
-    rows = list(range(n))
-    allow = np.stack([adjacency_mask(g, order=rows) for g in graphs])  # (t, N, N)
+    allow = np.stack([adjacency_mask(g, order=list(range(n))) for g in graphs])  # (t, N, N)
     x = h.swapaxes(0, 1)  # (t, N, d)
     attn = params.attn
-    q, k, v = head_projections(x, attn)
-    att, weights = masked_attention(q, k, v, allow[:, None, :, :], attn.d_k)
-    a = layer_norm(merge_heads(att, attn) + x, params.ln1_gain, params.ln1_bias)
+    weights = np.zeros((t, attn.head_count, n, n)) if return_weights else None
+    pieces = {}  # first row of a run -> its (t, rows, d) attention output
+    for size, runs in layout or [(n, [(0, n)])]:
+        # (t, S, size, d) blocks by slices and reshapes; a lone scene keeps (t, size, d)
+        starts = [i for lo, hi in runs for i in range(lo, hi, size)]
+        lone = len(starts) == 1
+        rows = [x if hi - lo == n else x[:, lo:hi] for lo, hi in runs]
+        xs = rows[0] if len(rows) == 1 else concat(rows, axis=1)  # (t, S * size, d)
+        q, k, v = head_projections(xs if lone else xs.reshape(t, -1, size, d), attn)
+        mask = np.stack([allow[:, i:i + size, i:i + size] for i in starts], axis=1)
+        att, w = masked_attention(q, k, v, mask if lone else mask[:, :, None], attn.d_k)
+        merged = merge_heads(att, attn)
+        flat = merged if lone else merged.reshape(t, -1, d)  # (t, S * size, d)
+        for lo, hi in runs:
+            off = starts.index(lo) * size
+            pieces[lo] = flat if len(runs) == 1 else flat[:, off:off + hi - lo]
+        for j, i in enumerate(starts if return_weights else []):
+            weights[:, :, i:i + size, i:i + size] = w.data if lone else w.data[:, j]
+    y = concat([pieces[lo] for lo in sorted(pieces)], axis=1) if len(pieces) > 1 else pieces[0]
+    a = layer_norm(y + x, params.ln1_gain, params.ln1_bias)
     out = layer_norm(linear(a, attn.wo, attn.bo) + a, params.ln2_gain, params.ln2_bias)
     out = out.swapaxes(0, 1)
     if presence is not None:
         out = out * Tensor(presence[:, :, None].astype(np.float64))
     if return_weights:
-        return out, weights
+        return out, Tensor(weights)
     return out

@@ -15,7 +15,7 @@ from . import tensor as T
 from .attention import TemporalBlockParams, _xavier, temporal_block
 from .data import TrajectoryScene, preprocess
 from .errors import DataFormatError, NonFiniteError, ShapeMismatchError
-from .graph import InteractionGraph, TGConvParams, build_graph, spatial_block
+from .graph import InteractionGraph, TGConvParams, build_graph, scene_layout, spatial_block
 from .tensor import Tensor, concat, linear, parameter
 
 CHECKPOINT_FORMAT = "startraj-checkpoint"
@@ -227,6 +227,7 @@ def encoder1(
     memory: Optional[Tensor],
     params: StarParams,
     presence: np.ndarray,
+    layout: Optional[list] = None,
 ) -> Tensor:
     """Parallel spatial and temporal branches fused by a linear layer.
 
@@ -234,7 +235,7 @@ def encoder1(
     covers steps 1..L-1), the temporal branch consumes it verbatim,
     concatenated along time with the current embedding at step L."""
     n, L, d = h_temporal.shape
-    spatial = spatial_block(h_spatial, graphs, params.enc1_spatial, presence)
+    spatial = spatial_block(h_spatial, graphs, params.enc1_spatial, presence, layout=layout)
     if memory is not None:
         if memory.shape[1] != L - 1:
             raise ShapeMismatchError(
@@ -254,18 +255,16 @@ def encoder2(
     params: StarParams,
     presence: np.ndarray,
     capture: Optional[dict] = None,
+    layout: Optional[list] = None,
 ) -> Tensor:
     """Spatial then temporal transformer. Identity passthrough when encoder 2
     is ablated."""
     if not params.config.use_encoder2:
         return h
+    spatial = spatial_block(h, graphs, params.enc2_spatial, presence,
+                            return_weights=capture is not None, layout=layout)
     if capture is not None:
-        spatial, weights = spatial_block(
-            h, graphs, params.enc2_spatial, presence, return_weights=True
-        )
-        capture["spatial2_weights"] = weights.data
-    else:
-        spatial = spatial_block(h, graphs, params.enc2_spatial, presence)
+        spatial, capture["spatial2_weights"] = spatial[0], spatial[1].data
     return _temporal(spatial, params, "enc2", presence)
 
 
@@ -318,6 +317,7 @@ def rollout(
 ) -> Tensor:
     """Autoregressive prediction: re-encode the growing history, decode one
     step, append it, rebuild the newest graph from predicted positions.
+    scene_ids (default one scene) must keep each scene's rows contiguous.
 
     Returns (N, pred_len, 2) positions in the origin-shifted frame; rows for
     pedestrians without a full observation window are zero. When
@@ -333,6 +333,7 @@ def rollout(
         scene = preprocess(scene)
     if scene_ids is None:
         scene_ids = np.zeros(scene.n_peds, dtype=np.int64)
+    layout = scene_layout(scene_ids)
     rollers = scene.rollout_mask
     if not rollers[scene.targets].all():
         raise DataFormatError("target pedestrian lacks a full observation window")
@@ -356,9 +357,9 @@ def rollout(
         pmask = Tensor(presence[:, :, None].astype(np.float64))
         h_s = h_s * pmask
         h_t = h_t * pmask
-        fused = encoder1(h_s, h_t, graphs, memory, params, presence)
+        fused = encoder1(h_s, h_t, graphs, memory, params, presence, layout=layout)
         cap = capture if (capture is not None and s == 0) else None
-        enc = encoder2(fused, graphs, params, presence, capture=cap)
+        enc = encoder2(fused, graphs, params, presence, capture=cap, layout=layout)
         if keep_memory:
             memory = enc
         h_last = enc[:, -1, :]

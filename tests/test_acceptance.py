@@ -257,9 +257,9 @@ class TestAcceptance:
         reads, writes = [], []
         encoder1, encoder2 = startraj.model.encoder1, startraj.model.encoder2
 
-        def read_spy(h_s, h_t, graphs, memory, params, presence):
+        def read_spy(h_s, h_t, graphs, memory, params, presence, **kwargs):
             reads.append(memory)
-            return encoder1(h_s, h_t, graphs, memory, params, presence)
+            return encoder1(h_s, h_t, graphs, memory, params, presence, **kwargs)
 
         def write_spy(*args, **kwargs):
             writes.append(encoder2(*args, **kwargs))

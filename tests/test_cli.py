@@ -142,6 +142,23 @@ class TestExitCodes:
                      str(data_dir), "-K", "0", "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_usage_error_bad_train_stride(self, tmp_path, data_dir, config_file,
+                                          capsys, stride):
+        code = main(["train", "--config", str(config_file), "--data-dir",
+                     str(data_dir), "--held-out", "ETH", "--stride", stride,
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "--stride" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_usage_error_bad_eval_stride(self, tmp_path, data_dir, checkpoint,
+                                         capsys, stride):
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data-dir",
+                     str(data_dir), "--stride", stride, "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "--stride" in capsys.readouterr().err
+
     def test_gradcheck_success(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -43,9 +43,9 @@ def memory_trace(monkeypatch):
     reads, writes = [], []
     enc1, enc2 = startraj.model.encoder1, startraj.model.encoder2
 
-    def read_spy(h_s, h_t, graphs, memory, params, presence):
+    def read_spy(h_s, h_t, graphs, memory, params, presence, **kwargs):
         reads.append(memory)
-        return enc1(h_s, h_t, graphs, memory, params, presence)
+        return enc1(h_s, h_t, graphs, memory, params, presence, **kwargs)
 
     def write_spy(*args, **kwargs):
         writes.append(enc2(*args, **kwargs))

@@ -113,7 +113,10 @@ class TestLayerNorm:
         x = np.random.default_rng(seed).standard_normal((4, 6)) * 3.0 + 1.0
         out = layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6))).numpy()
         assert np.all(np.abs(out.mean(axis=-1)) < 1e-9)
-        assert np.all(np.abs(out.var(axis=-1) - 1.0) < 1e-4)  # eps=1e-5 skews variance slightly
+        # eps=1e-5 shrinks the variance exactly: a row of variance v comes
+        # out with v / (v + eps), which is far from 1 for low-variance rows
+        v = x.var(axis=-1)
+        assert np.all(np.abs(out.var(axis=-1) - v / (v + 1e-5)) < 1e-12)
 
 
 # ----------------------------------------------------------------------
