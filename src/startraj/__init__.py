@@ -7,7 +7,7 @@ from .attention import (
     AttentionParams, TemporalBlockParams, multi_head, positional_encoding,
     temporal_block,
 )
-from .graph import InteractionGraph, TGConvParams, build_graph, spatial_block
+from .graph import TGConvParams, build_graph, spatial_block
 from .model import (
     StarConfig, StarParams, config_for_variant, decode_step, embed_inputs,
     encoder1, encoder2, init_params, load_checkpoint, rollout, save_checkpoint,

@@ -158,7 +158,7 @@ def make_scenes(
 ) -> List[TrajectoryScene]:
     """Slide (obs+pred)-frame windows over the recording; keep windows with at
     least one pedestrian observed for the whole window. Co-present pedestrians
-    are carried along as masked neighbors."""
+    are carried along as masked neighbours."""
     if stride < 1:
         raise DataFormatError("stride must be >= 1")
     if not raw.tracklets:
@@ -273,11 +273,6 @@ def pack_batches(
     pending: List[TrajectoryScene] = []
     count = 0
     for s in scenes:
-        if s.n_peds > budget and not pending:
-            b = merge_scenes([s])
-            b.oversized = True
-            batches.append(b)
-            continue
         if pending and (count + s.n_peds > budget or len(pending) >= max_scenes):
             batches.append(merge_scenes(pending))
             pending, count = [], 0

@@ -135,11 +135,12 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> Dict[str, float]:
     # graph convolution on a 4-node path graph, one timestep
     gparams = TGConvParams.init(8, 2, np.random.default_rng(seed + 4))
     _jitter(gparams.parameters("tgconv"), rng)
-    graph = build_graph([(i, float(i), 0.0) for i in range(4)], d=1.5)
+    path = np.stack([np.arange(4.0), np.zeros(4)], axis=-1)[:, None]  # (4, 1, 2)
+    graph = build_graph(path, np.ones((4, 1), dtype=bool), np.zeros(4), d=1.5)
     gh = _leaf(rng, 4, 1, 8)
     gw = Tensor(rng0(seed + 5, (4, 1, 8)))
     report["tgconv"] = check_gradients(
-        lambda: (spatial_block(gh, [graph], gparams) * gw).sum(),
+        lambda: (spatial_block(gh, graph, gparams) * gw).sum(),
         [("h", gh)] + gparams.parameters("tgconv"),
         max_entries_per_tensor=8,
     )
@@ -197,6 +198,15 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> Dict[str, float]:
     report["full_rollout"] = check_gradients(
         model_loss, mparams.parameters(), max_entries_per_tensor=2,
         rng=np.random.default_rng(seed + 10),
+    )
+
+    # indexing: a repeated integer-array row (gradient 2) and a basic slice;
+    # its own generator keeps the draws of the cases above unchanged
+    ix = Tensor(rng0(seed + 13, (4, 3)), requires_grad=True)
+    iw = Tensor(rng0(seed + 14, (3, 3)))
+    report["getitem"] = check_gradients(
+        lambda: (ix[np.array([0, 2, 2])] * iw).sum() + (ix[1:3, None] ** 2.0).sum(),
+        [("x", ix)],
     )
 
     if corrupt:

@@ -5,7 +5,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -14,57 +14,35 @@ from .errors import DataFormatError, ShapeMismatchError
 from .tensor import Tensor, concat, layer_norm, linear, parameter
 
 
-@dataclass
-class InteractionGraph:
-    """Undirected proximity graph over pedestrians at one timestep.
-
-    Neighbor sets exclude self; the convolution adds self back when it
-    aggregates, so no self-loops are stored.
-    """
-
-    node_ids: List[Hashable]
-    neighbors: Dict[Hashable, Set[Hashable]]
-    threshold: float
-
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.neighbors.values()) // 2
-
-
 def build_graph(
-    positions: Sequence[Tuple[Hashable, float, float]], d: float
-) -> InteractionGraph:
-    """Connect every pair with Euclidean distance strictly less than d."""
-    ids = [p[0] for p in positions]
-    if len(set(ids)) != len(ids):
-        raise DataFormatError("duplicate pedestrian ids in graph construction")
-    xy = np.array([[p[1], p[2]] for p in positions], dtype=np.float64).reshape(-1, 2)
-    if xy.size and not np.all(np.isfinite(xy)):
+    world: np.ndarray, present: np.ndarray, scene_ids: np.ndarray, d: float
+) -> np.ndarray:
+    """Interaction graphs of t timesteps as a (t, N, N) bool array: [s, i, j]
+    is True when pedestrians i != j of one scene are both present at step s
+    and closer than d (strict <). No self-loops are stored; the convolution
+    adds self back when it aggregates.
+
+    world: (N, t, 2) positions; present: (N, t); scene_ids: (N,). Positions
+    of absent slots are ignored; a non-finite present one raises
+    DataFormatError.
+    """
+    on = np.asarray(present, dtype=bool).T  # (t, N)
+    xy = np.asarray(world, dtype=np.float64).swapaxes(0, 1)  # (t, N, 2)
+    if not np.all(np.isfinite(xy[on])):
         raise DataFormatError("non-finite position in graph construction")
-    neighbors: Dict[Hashable, Set[Hashable]] = {i: set() for i in ids}
-    n = len(ids)
-    if n > 1:
-        diff = xy[:, None, :] - xy[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        close = dist < d
-        for a in range(n):
-            for b in range(a + 1, n):
-                if close[a, b]:
-                    neighbors[ids[a]].add(ids[b])
-                    neighbors[ids[b]].add(ids[a])
-    return InteractionGraph(node_ids=list(ids), neighbors=neighbors, threshold=d)
+    xy = np.where(on[:, :, None], xy, 0.0)  # absent slots may hold NaN
+    diff = xy[:, :, None, :] - xy[:, None, :, :]  # (t, N, N, 2)
+    ids = np.asarray(scene_ids)
+    pairs = (ids[:, None] == ids[None, :]) & ~np.eye(len(ids), dtype=bool)
+    both = on[:, :, None] & on[:, None, :] & pairs  # (t, N, N)
+    return (np.sqrt((diff * diff).sum(axis=-1)) < d) & both
 
 
-def adjacency_mask(graph: InteractionGraph, order: Optional[List[Hashable]] = None) -> np.ndarray:
-    """Boolean (N, N) mask: self plus graph edges, in the given row order."""
-    ids = list(graph.node_ids) if order is None else list(order)
-    index = {pid: i for i, pid in enumerate(ids)}
-    n = len(ids)
-    allow = np.eye(n, dtype=bool)
-    for pid in graph.node_ids:
-        for nb in graph.neighbors[pid]:
-            if pid in index and nb in index:
-                allow[index[pid], index[nb]] = True
-    return allow
+def adjacency_mask(graphs: np.ndarray, starts: Sequence[int], size: int) -> np.ndarray:
+    """(t, S, size, size) attention masks, self plus graph edges, of the
+    size-pedestrian scenes whose rows start at `starts`."""
+    rows = np.asarray(starts)[:, None] + np.arange(size)  # (S, size)
+    return graphs[:, rows[:, :, None], rows[:, None, :]] | np.eye(size, dtype=bool)
 
 
 @dataclass
@@ -112,31 +90,25 @@ def scene_layout(scene_ids: np.ndarray) -> List[Tuple[int, List[Tuple[int, int]]
 
 def spatial_block(
     h: Tensor,
-    graphs: Sequence[InteractionGraph],
+    graphs: np.ndarray,
     params: TGConvParams,
     presence: Optional[np.ndarray] = None,
     return_weights: bool = False,
     layout: Optional[list] = None,
 ):
     """TGConv with shared weights at each timestep: every node attends over
-    its graph neighbors plus itself; two skip connections, layer norm after
+    its graph neighbours plus itself; two skip connections, layer norm after
     each.
 
-    h: (N, t, d_model); graphs: one per timestep, node ids are row indices
-    into h; layout: scene_layout of the rows (default one scene), a node
+    h: (N, t, d_model); graphs: (t, N, N) build_graph output over the rows
+    of h; layout: scene_layout of the rows (default one scene), a node
     attends only within its scene. Absent pedestrians (presence False) pass
     through as zeros. With return_weights, also returns attention weights
     (t, heads, N, N), zero across scenes.
     """
     n, t, d = h.shape
-    if len(graphs) != t:
-        raise ShapeMismatchError(f"{len(graphs)} graphs for {t} timesteps")
-    for step, g in enumerate(graphs):
-        if g.node_ids and max(g.node_ids) >= n:
-            raise ShapeMismatchError(
-                f"graph {step} names node row {max(g.node_ids)}; h has {n} rows"
-            )
-    allow = np.stack([adjacency_mask(g, order=list(range(n))) for g in graphs])  # (t, N, N)
+    if np.shape(graphs) != (t, n, n):
+        raise ShapeMismatchError(f"graphs {np.shape(graphs)} for h {h.shape}; need (t, N, N)")
     x = h.swapaxes(0, 1)  # (t, N, d)
     attn = params.attn
     weights = np.zeros((t, attn.head_count, n, n)) if return_weights else None
@@ -148,7 +120,7 @@ def spatial_block(
         rows = [x if hi - lo == n else x[:, lo:hi] for lo, hi in runs]
         xs = rows[0] if len(rows) == 1 else concat(rows, axis=1)  # (t, S * size, d)
         q, k, v = head_projections(xs if lone else xs.reshape(t, -1, size, d), attn)
-        mask = np.stack([allow[:, i:i + size, i:i + size] for i in starts], axis=1)
+        mask = adjacency_mask(graphs, starts, size)  # (t, S, size, size)
         att, w = masked_attention(q, k, v, mask if lone else mask[:, :, None], attn.d_k)
         merged = merge_heads(att, attn)
         flat = merged if lone else merged.reshape(t, -1, d)  # (t, S * size, d)

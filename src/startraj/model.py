@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from . import tensor as T
 from .attention import TemporalBlockParams, _xavier, temporal_block
 from .data import TrajectoryScene, preprocess
 from .errors import DataFormatError, NonFiniteError, ShapeMismatchError
-from .graph import InteractionGraph, TGConvParams, build_graph, scene_layout, spatial_block
+from .graph import TGConvParams, build_graph, scene_layout, spatial_block
 from .tensor import Tensor, concat, linear, parameter
 
 CHECKPOINT_FORMAT = "startraj-checkpoint"
@@ -223,7 +223,7 @@ def _temporal(h, params: StarParams, which: str, time_mask: np.ndarray) -> Tenso
 def encoder1(
     h_spatial: Tensor,
     h_temporal: Tensor,
-    graphs: Sequence[InteractionGraph],
+    graphs: np.ndarray,
     memory: Optional[Tensor],
     params: StarParams,
     presence: np.ndarray,
@@ -251,7 +251,7 @@ def encoder1(
 
 def encoder2(
     h: Tensor,
-    graphs: Sequence[InteractionGraph],
+    graphs: np.ndarray,
     params: StarParams,
     presence: np.ndarray,
     capture: Optional[dict] = None,
@@ -276,34 +276,6 @@ def decode_step(h_last: Tensor, noise: Optional[Tensor], params: StarParams) -> 
 
 
 # ----------------------------------------------------------------------
-# graphs over a (possibly packed) scene
-# ----------------------------------------------------------------------
-def _union_graph(
-    world: np.ndarray, present: np.ndarray, scene_ids: np.ndarray, d: float
-) -> InteractionGraph:
-    """One timestep's interaction graph over global row indices, connecting
-    only pedestrians of the same source scene."""
-    node_ids = [int(i) for i in np.flatnonzero(present)]
-    neighbors = {i: set() for i in node_ids}
-    for sid in np.unique(scene_ids[node_ids]) if node_ids else []:
-        rows = [i for i in node_ids if scene_ids[i] == sid]
-        sub = build_graph([(i, world[i, 0], world[i, 1]) for i in rows], d)
-        for i in rows:
-            neighbors[i] |= sub.neighbors[i]
-    return InteractionGraph(node_ids=node_ids, neighbors=neighbors, threshold=d)
-
-
-def observed_graphs(
-    scene: TrajectoryScene, scene_ids: np.ndarray, d: float
-) -> List[InteractionGraph]:
-    world = scene.world_positions()
-    return [
-        _union_graph(world[:, t], scene.presence[:, t], scene_ids, d)
-        for t in range(scene.obs_len)
-    ]
-
-
-# ----------------------------------------------------------------------
 # rollout
 # ----------------------------------------------------------------------
 def rollout(
@@ -316,7 +288,7 @@ def rollout(
     truth_positions: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Autoregressive prediction: re-encode the growing history, decode one
-    step, append it, rebuild the newest graph from predicted positions.
+    step, append it and the newest step's graph from predicted positions.
     scene_ids (default one scene) must keep each scene's rows contiguous.
 
     Returns (N, pred_len, 2) positions in the origin-shifted frame; rows for
@@ -347,7 +319,9 @@ def rollout(
 
     history = Tensor(scene.positions[:, :obs, :])
     presence = scene.presence[:, :obs].copy()
-    graphs = observed_graphs(scene, scene_ids, config.graph_threshold)
+    graphs = build_graph(scene.world_positions()[:, : scene.obs_len],
+                         scene.presence[:, : scene.obs_len], scene_ids,
+                         config.graph_threshold)  # (t, N, N), one slab per step
     keep_memory = config.use_memory and config.use_encoder2
     memory: Optional[Tensor] = None
     preds: List[Tensor] = []
@@ -377,12 +351,10 @@ def rollout(
             appended = step
         history = concat([history, appended.reshape(n, 1, 2)], axis=1)
         presence = np.concatenate([presence, rollers[:, None]], axis=1)
-        world_step = np.where(
-            rollers[:, None], appended.data + scene.origins, 0.0
-        )
-        graphs = list(graphs) + [
-            _union_graph(world_step, rollers, scene_ids, config.graph_threshold)
-        ]
+        world_step = (appended.data + scene.origins)[:, None]  # (N, 1, 2)
+        graphs = np.concatenate([graphs, build_graph(
+            world_step, rollers[:, None], scene_ids, config.graph_threshold
+        )])
 
     return T.stack(preds, axis=1)
 

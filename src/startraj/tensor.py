@@ -246,10 +246,21 @@ class Tensor:
     def __getitem__(self, key):
         a = self
         out_data = a.data[key]
+        # basic indices (ints, slices, None, Ellipsis) select every slot at
+        # most once: adding g into the zero view gives np.add.at's sums, signed
+        # zeros included. Array keys may repeat a slot and scatter.
+        basic = all(
+            k is None or k is Ellipsis or isinstance(k, slice)
+            or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+            for k in (key if isinstance(key, tuple) else (key,))
+        )
 
         def bwd(g):
             full = np.zeros_like(a.data)
-            np.add.at(full, key, g)
+            if basic:
+                full[key] += g
+            else:
+                np.add.at(full, key, g)
             a._accumulate(full, fresh=True)
 
         return Tensor(out_data, _parents=(a,), _backward=bwd)

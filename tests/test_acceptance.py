@@ -17,9 +17,14 @@ from startraj import (
 from startraj.attention import masked_attention
 from startraj.data import merge_scenes, pack_batches
 from startraj.gradcheck import TOLERANCE, run_suite
-from startraj.graph import adjacency_mask
 from startraj.synthetic import make_synthetic_scenes, simulate_scene
 from startraj.trainer import _scene_truth_and_mask
+
+
+def _graph(xy, d):
+    """One-step interaction graph (1, N, N) over N points of one scene."""
+    n = len(xy)
+    return build_graph(xy[:, None], np.ones((n, 1), dtype=bool), np.zeros(n), d)
 
 
 class TestAcceptance:
@@ -34,7 +39,7 @@ class TestAcceptance:
         assert set(report) >= {
             "matmul", "softmax", "layer_norm", "relu", "concat", "linear",
             "dropout_eval", "tgconv", "temporal_block", "encoder_stack",
-            "full_rollout",
+            "full_rollout", "getitem",
         }
         assert worst < TOLERANCE, report
         assert elapsed < 120.0
@@ -61,12 +66,11 @@ class TestAcceptance:
                 # graph attention over a random interaction graph
                 n = int(rng.integers(2, 9))
                 params = TGConvParams.init(8, 2, rng)
-                pts = [(i, *rng.uniform(-3, 3, 2)) for i in range(n)]
-                graph = build_graph(pts, d=float(rng.uniform(1.0, 4.0)))
+                graph = _graph(rng.uniform(-3, 3, (n, 2)), d=float(rng.uniform(1.0, 4.0)))
                 h = Tensor(rng.standard_normal((n, 1, 8)))
-                _, wt = spatial_block(h, [graph], params, return_weights=True)
+                _, wt = spatial_block(h, graph, params, return_weights=True)
                 w = wt.numpy()[0]
-                allow = adjacency_mask(graph)
+                allow = graph[0] | np.eye(n, dtype=bool)
             assert np.all(w[..., ~allow] == 0.0)  # exactly zero, not approximately
             worst = max(worst, float(np.abs(w.sum(axis=-1) - 1.0).max()))
         assert worst < 1e-9
@@ -78,22 +82,22 @@ class TestAcceptance:
         permutation equivariance within 1e-9 and bit-identical non-neighbor
         locality."""
         def tgconv(h, graph, params):
-            return spatial_block(Tensor(h[:, None, :]), [graph], params).numpy()[:, 0]
+            return spatial_block(Tensor(h[:, None, :]), graph, params).numpy()[:, 0]
 
         rng = np.random.default_rng(2)
         worst = 0.0
         for _ in range(200):
             n = int(rng.integers(3, 9))
             params = TGConvParams.init(8, 2, rng)
-            pts = [(i, *rng.uniform(-3, 3, 2)) for i in range(n)]
+            pts = rng.uniform(-3, 3, (n, 2))
             d = float(rng.uniform(1.0, 3.5))
-            graph = build_graph(pts, d=d)
+            graph = _graph(pts, d=d)
             h = rng.standard_normal((n, 8))
             out = tgconv(h, graph, params)
 
             # equivariance under a random relabeling: row r is pedestrian perm[r]
             perm = rng.permutation(n)
-            pgraph = build_graph([(r, *pts[i][1:]) for r, i in enumerate(perm)], d=d)
+            pgraph = _graph(pts[perm], d=d)
             pout = tgconv(h[perm], pgraph, params)
             worst = max(worst, float(np.abs(pout - out[perm]).max()))
 
@@ -102,7 +106,7 @@ class TestAcceptance:
             h2 = h.copy()
             h2[j] += rng.standard_normal(8)
             out2 = tgconv(h2, graph, params)
-            affected = {j} | graph.neighbors[j]
+            affected = {j} | set(np.flatnonzero(graph[0, j]))
             for i in range(n):
                 if i not in affected:
                     assert np.array_equal(out[i], out2[i])

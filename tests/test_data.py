@@ -234,6 +234,23 @@ class TestPacking:
         batches = pack_batches([big], budget=256)
         assert len(batches) == 1 and batches[0].oversized
 
+    def test_oversized_scene_after_pending_scenes(self):
+        # the pending scenes go out first, the oversized one alone and
+        # flagged, then packing resumes with the scenes after it
+        base = _scene(n=2, seed=9)
+        big = TrajectoryScene(
+            ped_ids=[f"p{i}" for i in range(300)],
+            positions=np.tile(base.positions, (150, 1, 1)),
+            presence=np.tile(base.presence, (150, 1)),
+            obs_len=base.obs_len,
+        )
+        small = [_scene(n=2, seed=s) for s in range(4)]
+        batches = pack_batches(small[:2] + [big] + small[2:], budget=256)
+        assert [b.n_peds for b in batches] == [4, 300, 4]
+        assert [b.n_scenes for b in batches] == [2, 1, 2]
+        assert [b.oversized for b in batches] == [False, True, False]
+        assert batches[1].scene.ped_ids == big.ped_ids
+
     def test_max_scenes_cap(self):
         scenes = [_scene(n=2, seed=s) for s in range(5)]
         batches = pack_batches(scenes, budget=256, max_scenes=2)

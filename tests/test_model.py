@@ -9,14 +9,14 @@ import pytest
 
 import startraj.model
 from startraj import (
-    StarConfig, Tensor, config_for_variant, decode_step, embed_inputs,
+    StarConfig, Tensor, build_graph, config_for_variant, decode_step, embed_inputs,
     encoder1, init_params, load_checkpoint, preprocess, rollout,
     save_checkpoint, scene_loss,
 )
 from startraj.data import merge_scenes
 from startraj.errors import DataFormatError, NonFiniteError, ShapeMismatchError
 from startraj.model import (
-    VARIANT_FLAGS, GruParams, encoder2, observed_graphs, temporal_recurrent,
+    VARIANT_FLAGS, GruParams, encoder2, temporal_recurrent,
 )
 from startraj.synthetic import simulate_scene
 
@@ -34,6 +34,13 @@ def _scene(n=3, seed=0, total=None, obs=8, config=None):
     total = total if total is not None else obs + (config.pred_len if config else 3)
     return preprocess(simulate_scene(np.random.default_rng(seed), n_peds=n,
                                      total_len=total, obs_len=obs))
+
+
+def _observed_graphs(scene, config):
+    """(obs_len, N, N) graphs of a one-scene window, as rollout builds them."""
+    obs = config.obs_len
+    return build_graph(scene.world_positions()[:, :obs], scene.presence[:, :obs],
+                       np.zeros(scene.n_peds), config.graph_threshold)
 
 
 @pytest.fixture
@@ -176,9 +183,8 @@ class TestEncoders:
         config = config or _config()
         params = init_params(config, np.random.default_rng(seed))
         scene = _scene(n=3, seed=seed, config=config)
-        ids = np.zeros(3, dtype=np.int64)
-        graphs = observed_graphs(scene, ids, config.graph_threshold)
         presence = scene.presence[:, : config.obs_len]
+        graphs = _observed_graphs(scene, config)
         h_s, h_t = embed_inputs(Tensor(scene.positions[:, : config.obs_len]), params)
         return config, params, scene, graphs, presence, h_s, h_t
 
@@ -374,8 +380,7 @@ class TestRollout:
         assert reads[1] is writes[0]
         assert writes[0].shape == (2, config.obs_len, config.d_model)
 
-        graphs = observed_graphs(scene, np.zeros(2, dtype=np.int64),
-                                 config.graph_threshold)
+        graphs = _observed_graphs(scene, config)
         presence = scene.presence[:, : config.obs_len]
         h_s, h_t = embed_inputs(Tensor(scene.positions[:, : config.obs_len]), params)
         h_s = h_s * Tensor(presence[:, :, None].astype(float))

@@ -16,7 +16,7 @@ from startraj import scene_loss, spatial_block
 from startraj.attention import head_projections, masked_attention, merge_heads
 from startraj.data import TrajectoryScene, merge_scenes
 from startraj.errors import DataFormatError
-from startraj.graph import InteractionGraph, adjacency_mask, build_graph, scene_layout
+from startraj.graph import build_graph, scene_layout
 from startraj.synthetic import simulate_scene
 from startraj.tensor import layer_norm, linear
 
@@ -29,33 +29,25 @@ def _ids(sizes):
 
 
 def _allow(graph, ids):
-    """Brute-force (N, N) key mask: self, graph neighbors, same scene only."""
+    """Brute-force (N, N) key mask of one step's graph: self, graph edges,
+    same scene only."""
     n = len(ids)
     allow = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(n):
-            edge = i in graph.neighbors and j in graph.neighbors[i]
-            allow[i, j] = (i == j or edge) and ids[i] == ids[j]
+            allow[i, j] = (i == j or graph[i, j]) and ids[i] == ids[j]
     return allow
 
 
 def _packed_graphs(rng, sizes, t, d=2.5, cross_scene=False):
-    """Per-step graphs over packed rows from random positions, with about one
+    """(t, N, N) graphs over packed rows from random positions, with about one
     node in six absent. Edges join only pedestrians of one scene unless
     cross_scene."""
     ids = _ids(sizes)
     n = len(ids)
     presence = rng.random((n, t)) > 0.15
-    graphs = []
-    for s in range(t):
-        xy = rng.uniform(-3.0, 3.0, (n, 2))
-        rows = [i for i in range(n) if presence[i, s]]
-        groups = [rows] if cross_scene else [[i for i in rows if ids[i] == k]
-                                             for k in range(len(sizes))]
-        neighbors = {}
-        for group in groups:
-            neighbors.update(build_graph([(i, *xy[i]) for i in group], d).neighbors)
-        graphs.append(InteractionGraph(node_ids=rows, neighbors=neighbors, threshold=d))
+    world = np.stack([rng.uniform(-3.0, 3.0, (n, 2)) for _ in range(t)], axis=1)
+    graphs = build_graph(world, presence, np.zeros(n) if cross_scene else ids, d)
     return graphs, presence
 
 
@@ -98,8 +90,7 @@ def _dense_spatial_block(ids):
     same_scene = ids[:, None] == ids[None, :]
 
     def block(h, graphs, params, presence=None, return_weights=False, layout=None):
-        n = h.shape[0]
-        allow = np.stack([adjacency_mask(g, order=list(range(n))) for g in graphs]) & same_scene
+        allow = (graphs | np.eye(h.shape[0], dtype=bool)) & same_scene
         x = h.swapaxes(0, 1)
         attn = params.attn
         q, k, v = head_projections(x, attn)
@@ -179,7 +170,7 @@ class TestBlockVsDense:
         params = TGConvParams.init(8, 2, rng)
         ids = _ids(sizes)
         graphs, presence = _packed_graphs(rng, sizes, t=2, d=4.0, cross_scene=True)
-        assert any(ids[i] != ids[j] for g in graphs for i in g.node_ids for j in g.neighbors[i])
+        assert (graphs & (ids[:, None] != ids[None, :])).any()
         h = rng.standard_normal((len(ids), 2, 8))
         out = spatial_block(Tensor(h), graphs, params, presence, layout=scene_layout(ids))
         expect, _ = _oracle(h, graphs, params, ids, presence)

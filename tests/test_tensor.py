@@ -192,6 +192,33 @@ class TestBackward:
         err = check_gradients(loss, [("a", a), ("b", b)])
         assert err < 1e-6
 
+    def test_repeated_index_gradient(self):
+        # [TRIVIAL] a row picked twice by an integer array gets gradient 2
+        x = parameter(np.random.default_rng(6).standard_normal((4, 3)))
+        x[np.array([0, 2, 2])].sum().backward()
+        np.testing.assert_array_equal(x.grad, np.array([[1.0], [0.0], [2.0], [0.0]])
+                                      * np.ones((1, 3)))
+        err = check_gradients(lambda: (x[np.array([3, 1, 3, 3])] ** 2.0).sum(), [("x", x)])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("key", [
+        1, np.int64(2), slice(1, 3), (slice(None), 0), (Ellipsis, slice(0, 2)),
+        (None, slice(None, None, 2)), (slice(None), None, -1), -1,
+        np.array([0, 2, 2]), [3, 3], (np.array([1, 1]), slice(0, 2)),
+        np.array([True, False, True, True]), (np.array([0, 0]), np.array([1, 1])),
+    ])
+    def test_getitem_backward_matches_add_at(self, key):
+        # [DERIVED] basic keys write into a view, array keys scatter; both
+        # equal an np.add.at scatter of the same upstream gradient
+        rng = np.random.default_rng(7)
+        x = parameter(rng.standard_normal((4, 3)))
+        out = x[key]
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        expect = np.zeros((4, 3))
+        np.add.at(expect, key, g)
+        np.testing.assert_array_equal(x.grad, expect)
+
 
 # ----------------------------------------------------------------------
 # dropout
