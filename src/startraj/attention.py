@@ -8,7 +8,7 @@ of autodiff tensors so they can be shared across concurrent forward passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -24,8 +24,26 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+class Params:
+    """Base of the weight containers. parameters() walks the dataclass fields
+    in declaration order: a Tensor field is named by its path of field names,
+    a nested Params is walked under its field's name, and anything else (None,
+    ints, the config) holds no weights."""
+
+    def parameters(self, prefix: str = "") -> List[Tuple[str, Tensor]]:
+        out: List[Tuple[str, Tensor]] = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            name = f"{prefix}.{f.name}" if prefix else f.name
+            if isinstance(value, Tensor):
+                out.append((name, value))
+            elif isinstance(value, Params):
+                out += value.parameters(name)
+        return out
+
+
 @dataclass
-class AttentionParams:
+class AttentionParams(Params):
     """Projections for one multi-head attention layer (all d_model -> d_model)."""
 
     wq: Tensor
@@ -43,26 +61,20 @@ class AttentionParams:
     def d_k(self) -> int:
         return self.d_model // self.head_count
 
-    @staticmethod
-    def init(d_model: int, head_count: int, rng: np.random.Generator) -> "AttentionParams":
+    @classmethod
+    def init(cls, d_model: int, head_count: int, rng: np.random.Generator, **extra):
+        """Xavier projections and zero biases; `extra` fills the fields a
+        subclass adds."""
         if d_model % head_count != 0:
             raise ShapeMismatchError(
                 f"d_model {d_model} not divisible by head count {head_count}"
             )
         mk = lambda: parameter(_xavier(rng, d_model, d_model))
         zb = lambda: parameter(np.zeros(d_model))
-        return AttentionParams(
+        return cls(
             wq=mk(), bq=zb(), wk=mk(), bk=zb(), wv=mk(), bv=zb(),
-            wo=mk(), bo=zb(), head_count=head_count, d_model=d_model,
+            wo=mk(), bo=zb(), head_count=head_count, d_model=d_model, **extra,
         )
-
-    def parameters(self, prefix: str) -> List[Tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.wq", self.wq), (f"{prefix}.bq", self.bq),
-            (f"{prefix}.wk", self.wk), (f"{prefix}.bk", self.bk),
-            (f"{prefix}.wv", self.wv), (f"{prefix}.bv", self.bv),
-            (f"{prefix}.wo", self.wo), (f"{prefix}.bo", self.bo),
-        ]
 
 
 def masked_attention(
@@ -143,7 +155,7 @@ def positional_encoding(t_max: int, d_model: int) -> np.ndarray:
 
 
 @dataclass
-class TemporalBlockParams:
+class TemporalBlockParams(Params):
     """Temporal transformer block: attention, feed-forward, two layer norms."""
 
     attn: AttentionParams
@@ -173,28 +185,16 @@ class TemporalBlockParams:
             ln2_bias=parameter(np.zeros(d_model)),
         )
 
-    def parameters(self, prefix: str) -> List[Tuple[str, Tensor]]:
-        out = self.attn.parameters(f"{prefix}.attn")
-        out += [
-            (f"{prefix}.w_ff1", self.w_ff1), (f"{prefix}.b_ff1", self.b_ff1),
-            (f"{prefix}.w_ff2", self.w_ff2), (f"{prefix}.b_ff2", self.b_ff2),
-            (f"{prefix}.ln1_gain", self.ln1_gain), (f"{prefix}.ln1_bias", self.ln1_bias),
-            (f"{prefix}.ln2_gain", self.ln2_gain), (f"{prefix}.ln2_bias", self.ln2_bias),
-        ]
-        return out
-
 
 def temporal_block(
     h: Tensor,
     params: TemporalBlockParams,
     time_mask: Optional[np.ndarray] = None,
-    attn_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Per-pedestrian temporal transformer over (N, t, d_model) sequences.
 
     time_mask (N, t): which steps exist per pedestrian; absent steps are
     neither attended to nor emitted (their output rows are zeroed).
-    attn_mask (t, t): optional extra structural mask (e.g. causal), ANDed in.
     """
     n, t, d = h.shape
     if time_mask is None:
@@ -203,9 +203,7 @@ def temporal_block(
         bad = int(np.flatnonzero(~time_mask.any(axis=1))[0])
         raise MaskError(f"pedestrian {bad} has no valid timesteps")
     x = h + Tensor(positional_encoding(t, d))
-    allow = np.broadcast_to(time_mask[:, None, None, :], (n, 1, t, t)).copy()
-    if attn_mask is not None:
-        allow = allow & attn_mask[None, None, :, :]
+    allow = np.broadcast_to(time_mask[:, None, None, :], (n, 1, t, t))
     # queries at absent steps still need a key; their rows are zeroed below
     att = multi_head(x, params.attn, allow)
     y = layer_norm(x + att, params.ln1_gain, params.ln1_bias)

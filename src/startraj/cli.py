@@ -37,6 +37,14 @@ class UsageError(Exception):
     pass
 
 
+def seed_value(raw: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; we document 1
         raise UsageError(message)
@@ -383,7 +391,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out_default):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=seed_value, default=0)
         p.add_argument("--out", default=out_default)
 
     p = sub.add_parser("train", help="train on a leave-one-out split")
@@ -425,8 +433,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    common(p, None)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

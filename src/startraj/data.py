@@ -94,7 +94,7 @@ def load_dataset(path: str) -> RawTrajectories:
                 frame = int(float(parts[0]))
                 ped = parts[1]
                 x, y = float(parts[2]), float(parts[3])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # int(inf) overflows
                 raise DataFormatError(f"{path}:{lineno}: {exc}") from None
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise DataFormatError(f"{path}:{lineno}: non-finite coordinate")
@@ -287,12 +287,3 @@ def pack_batches(
         batches.append(merge_scenes(pending))
     return batches
 
-
-def dump_scene(scene: TrajectoryScene, fh) -> None:
-    """Line-oriented debug dump: `ped_id step present x y` per slot."""
-    fh.write(f"# scene dataset={scene.dataset} obs={scene.obs_len} "
-             f"total={scene.total_len} peds={scene.n_peds}\n")
-    for i, pid in enumerate(scene.ped_ids):
-        for t in range(scene.total_len):
-            p = scene.positions[i, t]
-            fh.write(f"{pid} {t} {int(scene.presence[i, t])} {p[0]:.6f} {p[1]:.6f}\n")

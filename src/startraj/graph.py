@@ -46,31 +46,20 @@ def adjacency_mask(graphs: np.ndarray, starts: Sequence[int], size: int) -> np.n
 
 
 @dataclass
-class TGConvParams:
+class TGConvParams(AttentionParams):
     """TGConv weights: one multi-head attention layer, whose output
     projection (wo, bo) serves as the feed-forward f_out, and two layer norms."""
 
-    attn: AttentionParams
     ln1_gain: Tensor
     ln1_bias: Tensor
     ln2_gain: Tensor
     ln2_bias: Tensor
 
-    @staticmethod
-    def init(d_model: int, head_count: int, rng: np.random.Generator) -> "TGConvParams":
-        return TGConvParams(
-            attn=AttentionParams.init(d_model, head_count, rng),
-            ln1_gain=parameter(np.ones(d_model)),
-            ln1_bias=parameter(np.zeros(d_model)),
-            ln2_gain=parameter(np.ones(d_model)),
-            ln2_bias=parameter(np.zeros(d_model)),
-        )
-
-    def parameters(self, prefix: str) -> List[Tuple[str, Tensor]]:
-        return self.attn.parameters(prefix) + [
-            (f"{prefix}.ln1_gain", self.ln1_gain), (f"{prefix}.ln1_bias", self.ln1_bias),
-            (f"{prefix}.ln2_gain", self.ln2_gain), (f"{prefix}.ln2_bias", self.ln2_bias),
-        ]
+    @classmethod
+    def init(cls, d_model: int, head_count: int, rng: np.random.Generator) -> "TGConvParams":
+        norm = lambda fill: parameter(np.full(d_model, fill))
+        return super().init(d_model, head_count, rng, ln1_gain=norm(1.0), ln1_bias=norm(0.0),
+                            ln2_gain=norm(1.0), ln2_bias=norm(0.0))
 
 
 def scene_layout(scene_ids: np.ndarray) -> List[Tuple[int, List[Tuple[int, int]]]]:
@@ -110,8 +99,7 @@ def spatial_block(
     if np.shape(graphs) != (t, n, n):
         raise ShapeMismatchError(f"graphs {np.shape(graphs)} for h {h.shape}; need (t, N, N)")
     x = h.swapaxes(0, 1)  # (t, N, d)
-    attn = params.attn
-    weights = np.zeros((t, attn.head_count, n, n)) if return_weights else None
+    weights = np.zeros((t, params.head_count, n, n)) if return_weights else None
     pieces = {}  # first row of a run -> its (t, rows, d) attention output
     for size, runs in layout or [(n, [(0, n)])]:
         # (t, S, size, d) blocks by slices and reshapes; a lone scene keeps (t, size, d)
@@ -119,10 +107,10 @@ def spatial_block(
         lone = len(starts) == 1
         rows = [x if hi - lo == n else x[:, lo:hi] for lo, hi in runs]
         xs = rows[0] if len(rows) == 1 else concat(rows, axis=1)  # (t, S * size, d)
-        q, k, v = head_projections(xs if lone else xs.reshape(t, -1, size, d), attn)
+        q, k, v = head_projections(xs if lone else xs.reshape(t, -1, size, d), params)
         mask = adjacency_mask(graphs, starts, size)  # (t, S, size, size)
-        att, w = masked_attention(q, k, v, mask if lone else mask[:, :, None], attn.d_k)
-        merged = merge_heads(att, attn)
+        att, w = masked_attention(q, k, v, mask if lone else mask[:, :, None], params.d_k)
+        merged = merge_heads(att, params)
         flat = merged if lone else merged.reshape(t, -1, d)  # (t, S * size, d)
         for lo, hi in runs:
             off = starts.index(lo) * size
@@ -131,7 +119,7 @@ def spatial_block(
             weights[:, :, i:i + size, i:i + size] = w.data if lone else w.data[:, j]
     y = concat([pieces[lo] for lo in sorted(pieces)], axis=1) if len(pieces) > 1 else pieces[0]
     a = layer_norm(y + x, params.ln1_gain, params.ln1_bias)
-    out = layer_norm(linear(a, attn.wo, attn.bo) + a, params.ln2_gain, params.ln2_bias)
+    out = layer_norm(linear(a, params.wo, params.bo) + a, params.ln2_gain, params.ln2_bias)
     out = out.swapaxes(0, 1)
     if presence is not None:
         out = out * Tensor(presence[:, :, None].astype(np.float64))

@@ -6,13 +6,15 @@ rollout loop, which carries the graph memory from one step to the next.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .attention import TemporalBlockParams, _xavier, temporal_block
+from .attention import Params, TemporalBlockParams, _xavier, temporal_block
 from .data import TrajectoryScene, preprocess
 from .errors import DataFormatError, NonFiniteError, ShapeMismatchError
 from .graph import TGConvParams, build_graph, scene_layout, spatial_block
@@ -23,6 +25,18 @@ CHECKPOINT_VERSION = 2
 # v1 named the TGConv output layer w_out/b_out; v2 stores it as the attention
 # output projection wo/bo
 _V1_RENAMES = {".spatial.w_out": ".spatial.wo", ".spatial.b_out": ".spatial.bo"}
+
+
+def require_int(name: str, value, low: int) -> None:
+    """Raise ValueError unless value is an integer (not a bool) >= low."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_positive(name: str, value) -> None:
+    """Raise ValueError unless value is a finite real number > 0."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass
@@ -42,11 +56,17 @@ class StarConfig:
     ff_dim: Optional[int] = None
 
     def __post_init__(self):
-        if self.pred_len < 1 or self.obs_len < 2:
-            raise ValueError("need pred_len >= 1 and obs_len >= 2")
+        for name, low in (("d_model", 1), ("heads", 1), ("noise_dim", 0),
+                          ("obs_len", 2), ("pred_len", 1)):
+            require_int(name, getattr(self, name), low)
+        if self.ff_dim is not None:
+            require_int("ff_dim", self.ff_dim, 1)
+        require_positive("graph_threshold", self.graph_threshold)
+        if not (isinstance(self.dropout, Real) and 0 <= self.dropout < 1):
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if self.temporal_kind not in ("transformer", "recurrent"):
             raise ValueError(f"unknown temporal_kind {self.temporal_kind!r}")
-        if self.heads < 1 or self.d_model % self.heads or self.d_model % 2:
+        if self.d_model % self.heads or self.d_model % 2:
             raise ValueError(
                 f"need an even d_model divisible by heads; got d_model "
                 f"{self.d_model}, heads {self.heads}"
@@ -84,7 +104,7 @@ def config_for_variant(variant: str, base: Optional[StarConfig] = None) -> StarC
 
 
 @dataclass
-class GruParams:
+class GruParams(Params):
     """Single-layer gated recurrent encoder, hidden size d_model."""
 
     wz: Tensor; uz: Tensor; bz: Tensor
@@ -101,78 +121,59 @@ class GruParams:
             wn=mk(), un=mk(), bn=zb(),
         )
 
-    def parameters(self, prefix: str) -> List[Tuple[str, Tensor]]:
-        return [(f"{prefix}.{n}", getattr(self, n))
-                for n in ("wz", "uz", "bz", "wr", "ur", "br", "wn", "un", "bn")]
+
+@dataclass
+class Linear(Params):
+    """One dense layer: inputs @ w + b."""
+
+    w: Tensor
+    b: Tensor
+
+    @staticmethod
+    def init(fan_in: int, fan_out: int, rng: np.random.Generator) -> "Linear":
+        return Linear(w=parameter(_xavier(rng, fan_in, fan_out)), b=parameter(np.zeros(fan_out)))
 
 
 @dataclass
-class StarParams:
-    config: StarConfig
-    embed_spatial_w: Tensor
-    embed_spatial_b: Tensor
-    embed_temporal_w: Tensor
-    embed_temporal_b: Tensor
-    enc1_spatial: TGConvParams
-    fusion_w: Tensor
-    fusion_b: Tensor
-    decoder_w: Tensor
-    decoder_b: Tensor
-    enc1_temporal: Optional[TemporalBlockParams] = None
-    enc2_spatial: Optional[TGConvParams] = None
-    enc2_temporal: Optional[TemporalBlockParams] = None
-    enc1_gru: Optional[GruParams] = None
-    enc2_gru: Optional[GruParams] = None
+class Encoder(Params):
+    """A spatial TGConv and a temporal block: the transformer (`temporal`)
+    or, in the recurrent ablation, the GRU (`gru`); the other is None."""
 
-    def parameters(self) -> List[Tuple[str, Tensor]]:
-        out = [
-            ("embed_spatial.w", self.embed_spatial_w),
-            ("embed_spatial.b", self.embed_spatial_b),
-            ("embed_temporal.w", self.embed_temporal_w),
-            ("embed_temporal.b", self.embed_temporal_b),
-        ]
-        out += self.enc1_spatial.parameters("enc1.spatial")
-        if self.enc1_temporal is not None:
-            out += self.enc1_temporal.parameters("enc1.temporal")
-        if self.enc1_gru is not None:
-            out += self.enc1_gru.parameters("enc1.gru")
-        out += [("fusion.w", self.fusion_w), ("fusion.b", self.fusion_b)]
-        if self.enc2_spatial is not None:
-            out += self.enc2_spatial.parameters("enc2.spatial")
-        if self.enc2_temporal is not None:
-            out += self.enc2_temporal.parameters("enc2.temporal")
-        if self.enc2_gru is not None:
-            out += self.enc2_gru.parameters("enc2.gru")
-        out += [("decoder.w", self.decoder_w), ("decoder.b", self.decoder_b)]
-        return out
+    spatial: TGConvParams
+    temporal: Optional[TemporalBlockParams] = None
+    gru: Optional[GruParams] = None
+
+
+@dataclass
+class StarParams(Params):
+    config: StarConfig
+    embed_spatial: Linear
+    embed_temporal: Linear
+    enc1: Encoder
+    fusion: Linear
+    enc2: Optional[Encoder]  # None when encoder 2 is ablated
+    decoder: Linear
 
 
 def init_params(config: StarConfig, rng: np.random.Generator) -> StarParams:
     d = config.d_model
-    transformer = config.temporal_kind == "transformer"
-    p = StarParams(
-        config=config,
-        embed_spatial_w=parameter(_xavier(rng, 2, d)),
-        embed_spatial_b=parameter(np.zeros(d)),
-        embed_temporal_w=parameter(_xavier(rng, 2, d)),
-        embed_temporal_b=parameter(np.zeros(d)),
-        enc1_spatial=TGConvParams.init(d, config.heads, rng),
-        fusion_w=parameter(_xavier(rng, 2 * d, d)),
-        fusion_b=parameter(np.zeros(d)),
-        decoder_w=parameter(_xavier(rng, d + config.effective_noise_dim, 2)),
-        decoder_b=parameter(np.zeros(2)),
-    )
-    if transformer:
-        p.enc1_temporal = TemporalBlockParams.init(d, config.heads, rng, config.ff_dim)
-    else:
-        p.enc1_gru = GruParams.init(d, rng)
-    if config.use_encoder2:
-        p.enc2_spatial = TGConvParams.init(d, config.heads, rng)
-        if transformer:
-            p.enc2_temporal = TemporalBlockParams.init(d, config.heads, rng, config.ff_dim)
-        else:
-            p.enc2_gru = GruParams.init(d, rng)
-    return p
+
+    def encoder(spatial: TGConvParams) -> Encoder:
+        if config.temporal_kind == "transformer":
+            return Encoder(spatial, temporal=TemporalBlockParams.init(d, config.heads, rng,
+                                                                      config.ff_dim))
+        return Encoder(spatial, gru=GruParams.init(d, rng))
+
+    # The draws run in the order of the flat v1 layout, not in field order, so
+    # that a seed gives the same weights as every earlier release.
+    embed_spatial = Linear.init(2, d, rng)
+    embed_temporal = Linear.init(2, d, rng)
+    enc1_spatial = TGConvParams.init(d, config.heads, rng)
+    fusion = Linear.init(2 * d, d, rng)
+    decoder = Linear.init(d + config.effective_noise_dim, 2, rng)
+    enc1 = encoder(enc1_spatial)
+    enc2 = encoder(TGConvParams.init(d, config.heads, rng)) if config.use_encoder2 else None
+    return StarParams(config, embed_spatial, embed_temporal, enc1, fusion, enc2, decoder)
 
 
 # ----------------------------------------------------------------------
@@ -187,8 +188,8 @@ def embed_inputs(
     """Two separate linear+ReLU position embeddings (N, t, 2) -> (N, t, d),
     one feeding the spatial branch, one the temporal branch."""
     rate = params.config.dropout
-    h_s = linear(positions, params.embed_spatial_w, params.embed_spatial_b).relu()
-    h_t = linear(positions, params.embed_temporal_w, params.embed_temporal_b).relu()
+    h_s = linear(positions, params.embed_spatial.w, params.embed_spatial.b).relu()
+    h_t = linear(positions, params.embed_temporal.w, params.embed_temporal.b).relu()
     if training and rng is not None:
         h_s = T.dropout(h_s, rate, rng, training=True)
         h_t = T.dropout(h_t, rate, rng, training=True)
@@ -212,12 +213,10 @@ def temporal_recurrent(h: Tensor, params: GruParams, time_mask: np.ndarray) -> T
     return out * Tensor(time_mask[:, :, None].astype(np.float64))
 
 
-def _temporal(h, params: StarParams, which: str, time_mask: np.ndarray) -> Tensor:
-    if params.config.temporal_kind == "transformer":
-        block = params.enc1_temporal if which == "enc1" else params.enc2_temporal
-        return temporal_block(h, block, time_mask)
-    gru = params.enc1_gru if which == "enc1" else params.enc2_gru
-    return temporal_recurrent(h, gru, time_mask)
+def _temporal(h, enc: Encoder, time_mask: np.ndarray) -> Tensor:
+    if enc.temporal is not None:
+        return temporal_block(h, enc.temporal, time_mask)
+    return temporal_recurrent(h, enc.gru, time_mask)
 
 
 def encoder1(
@@ -235,7 +234,7 @@ def encoder1(
     covers steps 1..L-1), the temporal branch consumes it verbatim,
     concatenated along time with the current embedding at step L."""
     n, L, d = h_temporal.shape
-    spatial = spatial_block(h_spatial, graphs, params.enc1_spatial, presence, layout=layout)
+    spatial = spatial_block(h_spatial, graphs, params.enc1.spatial, presence, layout=layout)
     if memory is not None:
         if memory.shape[1] != L - 1:
             raise ShapeMismatchError(
@@ -244,8 +243,8 @@ def encoder1(
         seq = concat([memory, h_temporal[:, L - 1 : L, :]], axis=1)
     else:
         seq = h_temporal
-    temporal = _temporal(seq, params, "enc1", presence)
-    fused = linear(concat([spatial, temporal], axis=-1), params.fusion_w, params.fusion_b)
+    temporal = _temporal(seq, params.enc1, presence)
+    fused = linear(concat([spatial, temporal], axis=-1), params.fusion.w, params.fusion.b)
     return fused * Tensor(presence[:, :, None].astype(np.float64))
 
 
@@ -259,20 +258,20 @@ def encoder2(
 ) -> Tensor:
     """Spatial then temporal transformer. Identity passthrough when encoder 2
     is ablated."""
-    if not params.config.use_encoder2:
+    if params.enc2 is None:
         return h
-    spatial = spatial_block(h, graphs, params.enc2_spatial, presence,
+    spatial = spatial_block(h, graphs, params.enc2.spatial, presence,
                             return_weights=capture is not None, layout=layout)
     if capture is not None:
         spatial, capture["spatial2_weights"] = spatial[0], spatial[1].data
-    return _temporal(spatial, params, "enc2", presence)
+    return _temporal(spatial, params.enc2, presence)
 
 
 def decode_step(h_last: Tensor, noise: Optional[Tensor], params: StarParams) -> Tensor:
     """Linear map of concat(embedding, noise) to an (x, y) position in the
     origin-shifted frame."""
     inp = h_last if noise is None else concat([h_last, noise], axis=-1)
-    return linear(inp, params.decoder_w, params.decoder_b)
+    return linear(inp, params.decoder.w, params.decoder.b)
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +415,10 @@ def load_checkpoint(path: str) -> StarParams:
                 raise DataFormatError(
                     f"{path}: shape mismatch for {name}: {entry['shape']} vs {list(t.shape)}"
                 )
-            t.data = np.asarray(entry["values"], dtype=np.float64).reshape(t.shape)
+            values = np.asarray(entry["values"], dtype=np.float64).reshape(t.shape)
+            if not np.all(np.isfinite(values)):
+                raise DataFormatError(f"{path}: non-finite value in parameter {name}")
+            t.data = values
     except DataFormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

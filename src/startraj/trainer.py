@@ -12,8 +12,8 @@ import numpy as np
 from .data import Batch, TrajectoryScene, augment_rotation, pack_batches, preprocess
 from .errors import DataFormatError, NonFiniteError
 from .model import (
-    StarConfig, StarParams, config_for_variant, init_params, rollout,
-    save_checkpoint,
+    StarConfig, StarParams, config_for_variant, init_params, require_int,
+    require_positive, rollout, save_checkpoint,
 )
 from .optim import AdamState, adam_step, zero_grads
 from .tensor import Tensor
@@ -22,11 +22,8 @@ from .tensor import Tensor
 # ----------------------------------------------------------------------
 # metrics
 # ----------------------------------------------------------------------
-def ade(
-    pred: np.ndarray, truth: np.ndarray, mask: np.ndarray, mse: bool = False
-) -> float:
-    """Mean displacement over valid (pedestrian, step) slots. `mse` averages
-    squared distances instead of distances."""
+def ade(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
+    """Mean displacement over valid (pedestrian, step) slots."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     mask = np.asarray(mask, dtype=bool)
@@ -38,8 +35,7 @@ def ade(
     if not mask.any():
         raise DataFormatError("ade over an empty mask")
     d2 = ((pred - truth) ** 2).sum(axis=-1)
-    vals = d2[mask] if mse else np.sqrt(d2[mask])
-    return float(vals.mean())
+    return float(np.sqrt(d2[mask]).mean())
 
 
 def fde(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
@@ -105,11 +101,12 @@ class TrainSpec:
     max_steps: Optional[int] = None
 
     def __post_init__(self):
-        if min(self.learning_rate, self.ped_budget, self.scene_batch, self.epochs,
-               self.checkpoint_every) <= 0:
-            raise ValueError("TrainSpec fields must be positive")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        require_positive("learning_rate", self.learning_rate)
+        for name in ("ped_budget", "scene_batch", "epochs", "checkpoint_every"):
+            require_int(name, getattr(self, name), 1)
+        require_int("seed", self.seed, 0)
+        if self.max_steps is not None:
+            require_int("max_steps", self.max_steps, 1)
 
 
 def scene_loss(

@@ -29,7 +29,22 @@ MALFORMED_CHECKPOINTS = {
     "missing-params": lambda p: _without(p, "params"),
     "missing-shape": lambda p: {**p, "params": {
         **p["params"], "decoder.b": _without(p["params"]["decoder.b"], "shape")}},
+    "nan-weight": lambda p: {**p, "params": {
+        **p["params"], "decoder.b": {"shape": [2], "values": [float("nan"), 0.0]}}},
+    "inf-weight": lambda p: {**p, "params": {
+        **p["params"], "decoder.b": {"shape": [2], "values": [0.0, float("inf")]}}},
 }
+
+# config-file lines that name a bad value for one run setting; each exits 2
+BAD_CONFIG_LINES = [
+    "epochs = 0", "heads = 5", "d_model = 7\nheads = 7", "learning_rate = fast",
+    "noise_dim = -40", "d_model = -8", "d_model = 0", "ff_dim = -3", "ff_dim = 0",
+    "obs_len = 2.5", "pred_len = 2.5", "noise_dim = 2.5", "epochs = 2.5",
+    "seed = -1", "seed = 2.5", "dropout = 2", "dropout = 1.0",
+    "graph_threshold = nan", "graph_threshold = -1", "learning_rate = nan",
+    "max_steps = nan", "ped_budget = inf", "scene_batch = 2.5",
+    "checkpoint_every = 2.5",
+]
 
 
 def _write_dataset(path, seed, n_peds=2, frames=10):
@@ -126,16 +141,39 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")] + flag)
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("line", ["epochs = 0", "heads = 5",
-                                      "d_model = 7\nheads = 7",
-                                      "learning_rate = fast"])
-    def test_data_error_bad_config_value(self, tmp_path, data_dir, line):
+    @pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+    def test_data_error_bad_config_value(self, tmp_path, data_dir, capsys, line):
         # pred_len 2 fits the 10-frame recordings, so only `line` is at fault
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"pred_len = 2\nmax_steps = 1\n{line}\n")
         code = main(["train", "--config", str(cfg), "--data-dir", str(data_dir),
                      "--held-out", "ETH", "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
+        assert line.split()[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--data-dir", "d", "--held-out", "ETH"],
+        ["eval", "--checkpoint", "c.json", "--data-dir", "d"],
+        ["predict", "--checkpoint", "c.json", "--scene", "s.txt"],
+        ["attention", "--checkpoint", "c.json", "--scene", "s.txt"],
+        ["gradcheck"],
+    ], ids=lambda c: c[0])
+    def test_usage_error_negative_seed(self, capsys, command):
+        assert main(command + ["--seed", "-1"]) == EXIT_USAGE
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("frame", ["inf", "1e400"])
+    def test_data_error_overflowing_frame_id(self, tmp_path, capsys, frame):
+        ckpt = tmp_path / "c.json"
+        config = StarConfig(d_model=8, heads=2, pred_len=2)
+        save_checkpoint(str(ckpt), init_params(config, np.random.default_rng(0)))
+        scene = tmp_path / "scene.txt"
+        scene.write_text(f"0 a 0.0 0.0\n{frame} a 1.0 1.0\n")
+        code = main(["predict", "--checkpoint", str(ckpt), "--scene", str(scene),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{scene}:2" in err and "Traceback" not in err
 
     def test_usage_error_zero_samples(self, tmp_path, data_dir, checkpoint):
         code = main(["eval", "--checkpoint", str(checkpoint), "--data-dir",
@@ -327,13 +365,19 @@ class TestPredictCommand:
             outs.append((out / "prediction.txt").read_text())
         assert outs[0] == outs[1]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate overflow
     def test_non_finite_prediction_is_numeric_failure(self, tmp_path, data_dir,
                                                       checkpoint, capsys):
+        # finite weights whose decoder output overflows: encoder 2 emits all
+        # ones (zero gain, unit bias) and each decoder weight is 1e308
         payload = json.loads(checkpoint.read_text())
-        payload["params"]["decoder.b"]["values"] = [float("nan")] * 2
-        nan_ck = tmp_path / "nan.json"
-        nan_ck.write_text(json.dumps(payload))
-        code = main(["predict", "--checkpoint", str(nan_ck), "--scene",
+        for name, value in (("enc2.temporal.ln2_gain", 0.0), ("enc2.temporal.ln2_bias", 1.0),
+                            ("decoder.w", 1e308)):
+            entry = payload["params"][name]
+            entry["values"] = [value] * len(entry["values"])
+        huge_ck = tmp_path / "huge.json"
+        huge_ck.write_text(json.dumps(payload))
+        code = main(["predict", "--checkpoint", str(huge_ck), "--scene",
                      str(data_dir / "ZARA1.txt"), "--out", str(tmp_path / "o")])
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err

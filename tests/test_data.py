@@ -1,8 +1,6 @@
 """Data pipeline: parsing, windowing, preprocessing, augmentation, splits,
 and batch packing."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from startraj import (
     TrajectoryScene, augment_rotation, leave_one_out_split, load_dataset,
     make_scenes, merge_scenes, pack_batches, preprocess,
 )
-from startraj.data import DATASET_NAMES, dump_scene
+from startraj.data import DATASET_NAMES
 from startraj.errors import DataFormatError
 from startraj.synthetic import simulate_scene
 
@@ -267,15 +265,3 @@ class TestPacking:
             merge_scenes([_scene(total=20), _scene(total=21)])
         with pytest.raises(DataFormatError):
             merge_scenes([])
-
-
-class TestDumpScene:
-    def test_schema(self):
-        scene = _scene(n=2, seed=10)
-        buf = io.StringIO()
-        dump_scene(scene, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0].startswith("# scene")
-        assert len(lines) == 1 + 2 * scene.total_len
-        parts = lines[1].split()
-        assert len(parts) == 5

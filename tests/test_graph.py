@@ -38,12 +38,11 @@ def _oracle_masked_dense(h, allow, p):
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         return (x - mu) / np.sqrt(var + eps) * gain + bias
 
-    a = p.attn
-    kh = a.head_count
-    d_k = a.d_model // kh
-    q = h @ a.wq.numpy() + a.bq.numpy()
-    k = h @ a.wk.numpy() + a.bk.numpy()
-    v = h @ a.wv.numpy() + a.bv.numpy()
+    kh = p.head_count
+    d_k = p.d_model // kh
+    q = h @ p.wq.numpy() + p.bq.numpy()
+    k = h @ p.wk.numpy() + p.bk.numpy()
+    v = h @ p.wv.numpy() + p.bv.numpy()
     n = h.shape[0]
     att = np.zeros_like(h)
     for head in range(kh):
@@ -55,7 +54,7 @@ def _oracle_masked_dense(h, allow, p):
         w /= w.sum(axis=-1, keepdims=True)
         att[:, sl] = w @ v[:, sl]
     y = ln(att + h, p.ln1_gain.numpy(), p.ln1_bias.numpy())
-    return ln((y @ a.wo.numpy() + a.bo.numpy()) + y,
+    return ln((y @ p.wo.numpy() + p.bo.numpy()) + y,
               p.ln2_gain.numpy(), p.ln2_bias.numpy())
 
 

@@ -1,6 +1,7 @@
 """Full model: embeddings, encoders, graph memory, decoder, rollout,
 checkpoints, and the ablation variants."""
 
+import hashlib
 import json
 import os
 
@@ -86,8 +87,8 @@ class TestConfig:
         det = init_params(_config(deterministic=True), np.random.default_rng(0))
         sto = init_params(_config(deterministic=False, noise_dim=16),
                           np.random.default_rng(0))
-        assert det.decoder_w.shape == (8, 2)
-        assert sto.decoder_w.shape == (8 + 16, 2)
+        assert det.decoder.w.shape == (8, 2)
+        assert sto.decoder.w.shape == (8 + 16, 2)
 
     def test_recurrent_forces_memory_off(self):
         c = StarConfig(temporal_kind="recurrent", use_memory=True)
@@ -112,8 +113,8 @@ class TestEmbedInputs:
     def test_zero_weights_give_relu_bias(self):
         # [TRIVIAL]
         params = init_params(_config(), np.random.default_rng(0))
-        params.embed_spatial_w.data[:] = 0.0
-        params.embed_spatial_b.data[:] = np.linspace(-1, 1, 8)
+        params.embed_spatial.w.data[:] = 0.0
+        params.embed_spatial.b.data[:] = np.linspace(-1, 1, 8)
         h_s, _ = embed_inputs(Tensor(np.ones((2, 4, 2))), params)
         expect = np.maximum(np.linspace(-1, 1, 8), 0.0)
         np.testing.assert_array_equal(h_s.numpy(), np.tile(expect, (2, 4, 1)))
@@ -132,17 +133,17 @@ class TestEmbedInputs:
         params = init_params(_config(), np.random.default_rng(2))
         pos = np.random.default_rng(3).standard_normal((2, 5, 2))
         h_s, h_t = embed_inputs(Tensor(pos), params)
-        exp_s = np.maximum(pos @ params.embed_spatial_w.numpy()
-                           + params.embed_spatial_b.numpy(), 0.0)
-        exp_t = np.maximum(pos @ params.embed_temporal_w.numpy()
-                           + params.embed_temporal_b.numpy(), 0.0)
+        exp_s = np.maximum(pos @ params.embed_spatial.w.numpy()
+                           + params.embed_spatial.b.numpy(), 0.0)
+        exp_t = np.maximum(pos @ params.embed_temporal.w.numpy()
+                           + params.embed_temporal.b.numpy(), 0.0)
         np.testing.assert_allclose(h_s.numpy(), exp_s, atol=1e-12)
         np.testing.assert_allclose(h_t.numpy(), exp_t, atol=1e-12)
 
     def test_embeddings_are_separate_layers(self):
         params = init_params(_config(), np.random.default_rng(4))
-        assert not np.array_equal(params.embed_spatial_w.numpy(),
-                                  params.embed_temporal_w.numpy())
+        assert not np.array_equal(params.embed_spatial.w.numpy(),
+                                  params.embed_temporal.w.numpy())
 
 
 class TestRolloutMemory:
@@ -197,8 +198,8 @@ class TestEncoders:
     def test_zero_fusion_weights_constant_output(self):
         # [TRIVIAL]
         config, params, scene, graphs, presence, h_s, h_t = self._setup()
-        params.fusion_w.data[:] = 0.0
-        params.fusion_b.data[:] = 3.0
+        params.fusion.w.data[:] = 0.0
+        params.fusion.b.data[:] = 3.0
         out = encoder1(h_s, h_t, graphs, None, params, presence).numpy()
         np.testing.assert_array_equal(out[presence], 3.0)
 
@@ -209,10 +210,10 @@ class TestEncoders:
 
         config, params, scene, graphs, presence, h_s, h_t = self._setup()
         out = encoder1(h_s, h_t, graphs, None, params, presence).numpy()
-        spatial = spatial_block(h_s, graphs, params.enc1_spatial, presence).numpy()
-        temporal = temporal_block(h_t, params.enc1_temporal, presence).numpy()
+        spatial = spatial_block(h_s, graphs, params.enc1.spatial, presence).numpy()
+        temporal = temporal_block(h_t, params.enc1.temporal, presence).numpy()
         expect = (np.concatenate([spatial, temporal], axis=-1)
-                  @ params.fusion_w.numpy() + params.fusion_b.numpy())
+                  @ params.fusion.w.numpy() + params.fusion.b.numpy())
         expect *= presence[:, :, None]
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
@@ -227,10 +228,10 @@ class TestEncoders:
         out = encoder1(h_s, h_t, graphs, mem_content, params, presence).numpy()
         seq = np.concatenate([mem_content.numpy(), h_t.numpy()[:, L - 1 : L]], axis=1)
         from startraj.graph import spatial_block
-        spatial = spatial_block(h_s, graphs, params.enc1_spatial, presence).numpy()
-        temporal = temporal_block(Tensor(seq), params.enc1_temporal, presence).numpy()
+        spatial = spatial_block(h_s, graphs, params.enc1.spatial, presence).numpy()
+        temporal = temporal_block(Tensor(seq), params.enc1.temporal, presence).numpy()
         expect = (np.concatenate([spatial, temporal], axis=-1)
-                  @ params.fusion_w.numpy() + params.fusion_b.numpy())
+                  @ params.fusion.w.numpy() + params.fusion.b.numpy())
         expect *= presence[:, :, None]
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
@@ -241,7 +242,7 @@ class TestEncoders:
         h = Tensor(np.random.default_rng(8).standard_normal((2, 4, 8)))
         out = encoder2(h, [], params, np.ones((2, 4), dtype=bool))
         assert out is h
-        assert params.enc2_spatial is None and params.enc2_temporal is None
+        assert params.enc2 is None
 
     def test_encoder2_writes_memory(self, memory_trace):
         # the memory is encoder 2's output; with encoder 2 ablated nothing is
@@ -263,8 +264,8 @@ class TestEncoders:
 
         config, params, scene, graphs, presence, h_s, h_t = self._setup()
         out = encoder2(h_t, graphs, params, presence).numpy()
-        spatial = spatial_block(h_t, graphs, params.enc2_spatial, presence)
-        expect = temporal_block(spatial, params.enc2_temporal, presence).numpy()
+        spatial = spatial_block(h_t, graphs, params.enc2.spatial, presence)
+        expect = temporal_block(spatial, params.enc2.temporal, presence).numpy()
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
@@ -272,8 +273,8 @@ class TestDecodeStep:
     def test_zero_weights_bias_prediction(self):
         # [TRIVIAL]
         params = init_params(_config(), np.random.default_rng(9))
-        params.decoder_w.data[:] = 0.0
-        params.decoder_b.data[:] = [0.5, -0.5]
+        params.decoder.w.data[:] = 0.0
+        params.decoder.b.data[:] = [0.5, -0.5]
         out = decode_step(Tensor(np.random.default_rng(10).standard_normal((4, 8))),
                           None, params)
         np.testing.assert_array_equal(out.numpy(), np.tile([0.5, -0.5], (4, 1)))
@@ -296,7 +297,7 @@ class TestDecodeStep:
         b = decode_step(h, Tensor(rng.standard_normal((3, 4))), params).numpy()
         assert np.any(a != b)
         # ... unless the noise columns are zeroed
-        params.decoder_w.data[8:] = 0.0
+        params.decoder.w.data[8:] = 0.0
         a = decode_step(h, Tensor(rng.standard_normal((3, 4))), params).numpy()
         b = decode_step(h, Tensor(rng.standard_normal((3, 4))), params).numpy()
         np.testing.assert_array_equal(a, b)
@@ -392,7 +393,7 @@ class TestRollout:
     def test_non_finite_prediction_names_step(self):
         config = _config()
         params = init_params(config, np.random.default_rng(35))
-        params.decoder_b.data[:] = np.nan
+        params.decoder.b.data[:] = np.nan
         with pytest.raises(NonFiniteError, match="step 0"):
             rollout(_scene(n=2, seed=35, config=config), params)
 
@@ -467,7 +468,7 @@ class TestRecurrentVariant:
         params = init_params(config, np.random.default_rng(29))
         out = rollout(_scene(n=2, seed=29, config=config), params)
         assert out.shape == (2, 3, 2)
-        assert params.enc1_gru is not None and params.enc1_temporal is None
+        assert params.enc1.gru is not None and params.enc1.temporal is None
 
 
 class TestCheckpoints:
@@ -561,3 +562,64 @@ class TestCheckpoints:
         open(path, "w").write(json.dumps(payload))
         with pytest.raises(DataFormatError, match="shape"):
             load_checkpoint(path)
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        params = init_params(_config(), np.random.default_rng(35))
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(path, params)
+        payload = json.loads(open(path).read())
+        payload["params"]["enc1.spatial.wq"]["values"][3] = float("nan")
+        open(path, "w").write(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="enc1.spatial.wq"):
+            load_checkpoint(path)
+
+
+def _reachable_tensors(obj, seen):
+    """Brute-force scan: every Tensor reachable from obj through object
+    attributes, lists, tuples and dicts, each once."""
+    if isinstance(obj, Tensor):
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            yield obj
+        return
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+    else:
+        return
+    for child in children:
+        yield from _reachable_tensors(child, seen)
+
+
+class TestParameterLayout:
+    """parameters() against the v2 layout recorded from the flat containers
+    that preceded the field walk, and against a scan of the containers."""
+
+    with open(os.path.join(FIXTURES, "v2_param_layout.json")) as fh:
+        LAYOUT = json.load(fh)
+
+    @staticmethod
+    def _params(key, seed):
+        variant, mode = key.split("/")
+        base = StarConfig(deterministic=mode == "deterministic")
+        return init_params(config_for_variant(variant, base), np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("key", sorted(LAYOUT["layouts"]))
+    def test_names_order_shapes_and_init_bytes_pinned(self, key):
+        expected = self.LAYOUT["layouts"][key]
+        named = self._params(key, self.LAYOUT["seed"]).parameters()
+        assert [[n, list(t.shape)] for n, t in named] == expected["params"]
+        digest = hashlib.sha256()
+        for _, t in named:
+            digest.update(t.data.tobytes())
+        assert digest.hexdigest() == expected["sha256"]
+
+    @pytest.mark.parametrize("key", sorted(LAYOUT["layouts"]))
+    def test_every_reachable_tensor_listed_once(self, key):
+        params = self._params(key, 0)
+        listed = [id(t) for _, t in params.parameters()]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == {id(t) for t in _reachable_tensors(params, set())}

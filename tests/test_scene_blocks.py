@@ -59,18 +59,18 @@ def _oracle(h, graphs, params, ids, presence):
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         return (x - mu) / np.sqrt(var + eps) * gain + bias
 
-    a = params.attn
     n, t, d = h.shape
-    d_k = d // a.head_count
+    d_k = d // params.head_count
     out = np.zeros_like(h)
-    weights = np.zeros((t, a.head_count, n, n))
+    weights = np.zeros((t, params.head_count, n, n))
     for s in range(t):
         x = h[:, s]
         allow = _allow(graphs[s], ids)
         q, k, v = (x @ w.numpy() + b.numpy()
-                   for w, b in ((a.wq, a.bq), (a.wk, a.bk), (a.wv, a.bv)))
+                   for w, b in ((params.wq, params.bq), (params.wk, params.bk),
+                                (params.wv, params.bv)))
         att = np.zeros_like(x)
-        for head in range(a.head_count):
+        for head in range(params.head_count):
             sl = slice(head * d_k, (head + 1) * d_k)
             logits = np.where(allow, q[:, sl] @ k[:, sl].T / np.sqrt(d_k), -np.inf)
             w = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -78,7 +78,7 @@ def _oracle(h, graphs, params, ids, presence):
             weights[s, head] = w
             att[:, sl] = w @ v[:, sl]
         y = ln(att + x, params.ln1_gain.numpy(), params.ln1_bias.numpy())
-        out[:, s] = ln(y @ a.wo.numpy() + a.bo.numpy() + y,
+        out[:, s] = ln(y @ params.wo.numpy() + params.bo.numpy() + y,
                        params.ln2_gain.numpy(), params.ln2_bias.numpy())
     return out * presence[:, :, None], weights
 
@@ -92,11 +92,10 @@ def _dense_spatial_block(ids):
     def block(h, graphs, params, presence=None, return_weights=False, layout=None):
         allow = (graphs | np.eye(h.shape[0], dtype=bool)) & same_scene
         x = h.swapaxes(0, 1)
-        attn = params.attn
-        q, k, v = head_projections(x, attn)
-        att, weights = masked_attention(q, k, v, allow[:, None], attn.d_k)
-        a = layer_norm(merge_heads(att, attn) + x, params.ln1_gain, params.ln1_bias)
-        out = layer_norm(linear(a, attn.wo, attn.bo) + a, params.ln2_gain, params.ln2_bias)
+        q, k, v = head_projections(x, params)
+        att, weights = masked_attention(q, k, v, allow[:, None], params.d_k)
+        a = layer_norm(merge_heads(att, params) + x, params.ln1_gain, params.ln1_bias)
+        out = layer_norm(linear(a, params.wo, params.bo) + a, params.ln2_gain, params.ln2_bias)
         out = out.swapaxes(0, 1)
         if presence is not None:
             out = out * Tensor(presence[:, :, None].astype(np.float64))

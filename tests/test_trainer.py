@@ -82,14 +82,6 @@ class TestMetrics:
             if mask[:, -1].any():
                 assert abs(fde(pred, truth, mask) - _oracle_fde(pred, truth, mask)) < 1e-12
 
-    def test_mse_flag(self):
-        truth = np.zeros((1, 2, 2))
-        pred = truth.copy()
-        pred[0, :, 0] = 2.0  # distance 2, squared 4
-        mask = np.ones((1, 2), dtype=bool)
-        assert ade(pred, truth, mask) == 2.0
-        assert ade(pred, truth, mask, mse=True) == 4.0
-
     def test_empty_mask_rejected(self):
         z = np.zeros((1, 3, 2))
         with pytest.raises(DataFormatError):
@@ -220,7 +212,7 @@ class TestTraining:
         config = _config(pred_len=1)
         params = init_params(config, np.random.default_rng(14))
         # finite but enormous predictions overflow the squared-error loss
-        params.decoder_b.data[:] = 1e200
+        params.decoder.b.data[:] = 1e200
         spec = TrainSpec(epochs=1, seed=0, augment=False)
         with pytest.raises(NonFiniteError):
             train(spec, config, scenes, params=params)
