@@ -22,7 +22,7 @@ from .data import (
     make_scenes, preprocess, scene_window,
 )
 from .errors import DataFormatError, MaskError, NonFiniteError
-from .model import StarConfig, config_for_variant, load_checkpoint, rollout
+from .model import StarConfig, config_for_variant, encoder2_attention, load_checkpoint, rollout
 from .trainer import (
     EvalReport, TrainSpec, evaluate, train, write_reports,
 )
@@ -334,8 +334,6 @@ def cmd_predict(args) -> int:
 def cmd_attention(args) -> int:
     params = load_checkpoint(args.checkpoint)
     config = params.config
-    if not config.use_encoder2:
-        raise DataFormatError("checkpoint has no encoder-2 spatial transformer")
     scene = preprocess(scene_from_file(args.scene, config))
     step = args.timestep
     if not (0 <= step < config.obs_len):
@@ -345,9 +343,7 @@ def cmd_attention(args) -> int:
         raise UsageError(f"pedestrian index must be in [0, {scene.n_peds})")
     if not scene.presence[focus, step]:
         raise DataFormatError(f"pedestrian {focus} absent at timestep {step}")
-    capture: dict = {}
-    rollout(scene, params, rng=np.random.default_rng(args.seed), capture=capture)
-    weights = capture["spatial2_weights"][step].mean(axis=0)  # (N, N), head-avg
+    weights = encoder2_attention(scene, params)[step].mean(axis=0)  # (N, N), head-avg
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "attention.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:

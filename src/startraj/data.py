@@ -230,12 +230,6 @@ class Batch:
 
     scene: TrajectoryScene
     scene_ids: np.ndarray  # (N,) index of the source scene per pedestrian
-    n_scenes: int
-    oversized: bool = False
-
-    @property
-    def n_peds(self) -> int:
-        return self.scene.n_peds
 
 
 def merge_scenes(scenes: Sequence[TrajectoryScene]) -> Batch:
@@ -259,7 +253,7 @@ def merge_scenes(scenes: Sequence[TrajectoryScene]) -> Batch:
     scene_ids = np.concatenate(
         [np.full(s.n_peds, i, dtype=np.int64) for i, s in enumerate(scenes)]
     )
-    return Batch(scene=merged, scene_ids=scene_ids, n_scenes=len(scenes))
+    return Batch(scene=merged, scene_ids=scene_ids)
 
 
 def pack_batches(
@@ -268,7 +262,7 @@ def pack_batches(
     max_scenes: int = 16,
 ) -> List[Batch]:
     """Greedy packing up to ~budget pedestrians (and max_scenes scenes) per
-    batch. A single scene over budget is emitted alone and flagged."""
+    batch. A single scene over budget is emitted alone."""
     batches: List[Batch] = []
     pending: List[TrajectoryScene] = []
     count = 0
@@ -277,9 +271,7 @@ def pack_batches(
             batches.append(merge_scenes(pending))
             pending, count = [], 0
         if s.n_peds > budget:
-            b = merge_scenes([s])
-            b.oversized = True
-            batches.append(b)
+            batches.append(merge_scenes([s]))
             continue
         pending.append(s)
         count += s.n_peds

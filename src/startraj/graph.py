@@ -82,9 +82,8 @@ def spatial_block(
     graphs: np.ndarray,
     params: TGConvParams,
     presence: Optional[np.ndarray] = None,
-    return_weights: bool = False,
     layout: Optional[list] = None,
-):
+) -> Tensor:
     """TGConv with shared weights at each timestep: every node attends over
     its graph neighbours plus itself; two skip connections, layer norm after
     each.
@@ -92,14 +91,12 @@ def spatial_block(
     h: (N, t, d_model); graphs: (t, N, N) build_graph output over the rows
     of h; layout: scene_layout of the rows (default one scene), a node
     attends only within its scene. Absent pedestrians (presence False) pass
-    through as zeros. With return_weights, also returns attention weights
-    (t, heads, N, N), zero across scenes.
+    through as zeros.
     """
     n, t, d = h.shape
     if np.shape(graphs) != (t, n, n):
         raise ShapeMismatchError(f"graphs {np.shape(graphs)} for h {h.shape}; need (t, N, N)")
     x = h.swapaxes(0, 1)  # (t, N, d)
-    weights = np.zeros((t, params.head_count, n, n)) if return_weights else None
     pieces = {}  # first row of a run -> its (t, rows, d) attention output
     for size, runs in layout or [(n, [(0, n)])]:
         # (t, S, size, d) blocks by slices and reshapes; a lone scene keeps (t, size, d)
@@ -109,20 +106,14 @@ def spatial_block(
         xs = rows[0] if len(rows) == 1 else concat(rows, axis=1)  # (t, S * size, d)
         q, k, v = head_projections(xs if lone else xs.reshape(t, -1, size, d), params)
         mask = adjacency_mask(graphs, starts, size)  # (t, S, size, size)
-        att, w = masked_attention(q, k, v, mask if lone else mask[:, :, None], params.d_k)
+        att, _ = masked_attention(q, k, v, mask if lone else mask[:, :, None], params.d_k)
         merged = merge_heads(att, params)
         flat = merged if lone else merged.reshape(t, -1, d)  # (t, S * size, d)
         for lo, hi in runs:
             off = starts.index(lo) * size
             pieces[lo] = flat if len(runs) == 1 else flat[:, off:off + hi - lo]
-        for j, i in enumerate(starts if return_weights else []):
-            weights[:, :, i:i + size, i:i + size] = w.data if lone else w.data[:, j]
     y = concat([pieces[lo] for lo in sorted(pieces)], axis=1) if len(pieces) > 1 else pieces[0]
     a = layer_norm(y + x, params.ln1_gain, params.ln1_bias)
     out = layer_norm(linear(a, params.wo, params.bo) + a, params.ln2_gain, params.ln2_bias)
     out = out.swapaxes(0, 1)
-    if presence is not None:
-        out = out * Tensor(presence[:, :, None].astype(np.float64))
-    if return_weights:
-        return out, Tensor(weights)
-    return out
+    return out if presence is None else out * Tensor(presence[:, :, None].astype(np.float64))

@@ -14,10 +14,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import tensor as T
-from .attention import Params, TemporalBlockParams, _xavier, temporal_block
+from .attention import (
+    Params, TemporalBlockParams, _xavier, head_projections, masked_attention, temporal_block,
+)
 from .data import TrajectoryScene, preprocess
 from .errors import DataFormatError, NonFiniteError, ShapeMismatchError
-from .graph import TGConvParams, build_graph, scene_layout, spatial_block
+from .graph import TGConvParams, adjacency_mask, build_graph, scene_layout, spatial_block
 from .tensor import Tensor, concat, linear, parameter
 
 CHECKPOINT_FORMAT = "startraj-checkpoint"
@@ -31,6 +33,12 @@ def require_int(name: str, value, low: int) -> None:
     """Raise ValueError unless value is an integer (not a bool) >= low."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_bool(name: str, value) -> None:
+    """Raise ValueError unless value is True or False."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 def require_positive(name: str, value) -> None:
@@ -59,6 +67,8 @@ class StarConfig:
         for name, low in (("d_model", 1), ("heads", 1), ("noise_dim", 0),
                           ("obs_len", 2), ("pred_len", 1)):
             require_int(name, getattr(self, name), low)
+        for name in ("use_memory", "use_encoder2", "deterministic", "teacher_forcing"):
+            require_bool(name, getattr(self, name))
         if self.ff_dim is not None:
             require_int("ff_dim", self.ff_dim, 1)
         require_positive("graph_threshold", self.graph_threshold)
@@ -253,17 +263,13 @@ def encoder2(
     graphs: np.ndarray,
     params: StarParams,
     presence: np.ndarray,
-    capture: Optional[dict] = None,
     layout: Optional[list] = None,
 ) -> Tensor:
     """Spatial then temporal transformer. Identity passthrough when encoder 2
     is ablated."""
     if params.enc2 is None:
         return h
-    spatial = spatial_block(h, graphs, params.enc2.spatial, presence,
-                            return_weights=capture is not None, layout=layout)
-    if capture is not None:
-        spatial, capture["spatial2_weights"] = spatial[0], spatial[1].data
+    spatial = spatial_block(h, graphs, params.enc2.spatial, presence, layout=layout)
     return _temporal(spatial, params.enc2, presence)
 
 
@@ -277,13 +283,26 @@ def decode_step(h_last: Tensor, noise: Optional[Tensor], params: StarParams) -> 
 # ----------------------------------------------------------------------
 # rollout
 # ----------------------------------------------------------------------
+def _observed(scene: TrajectoryScene, config: StarConfig, scene_ids: np.ndarray):
+    """The preprocessed scene, its observed history (N, obs_len, 2), presence
+    (N, obs_len) and graphs (obs_len, N, N)."""
+    if scene.obs_len != config.obs_len:
+        raise DataFormatError(
+            f"scene observes {scene.obs_len} steps; the model needs {config.obs_len}")
+    scene = preprocess(scene)  # a no-op on a preprocessed scene
+    obs = config.obs_len
+    presence = scene.presence[:, :obs]
+    graphs = build_graph(scene.world_positions()[:, :obs], presence, scene_ids,
+                         config.graph_threshold)
+    return scene, Tensor(scene.positions[:, :obs]), presence, graphs
+
+
 def rollout(
     scene: TrajectoryScene,
     params: StarParams,
     rng: Optional[np.random.Generator] = None,
     scene_ids: Optional[np.ndarray] = None,
     training: bool = False,
-    capture: Optional[dict] = None,
     truth_positions: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Autoregressive prediction: re-encode the growing history, decode one
@@ -292,47 +311,36 @@ def rollout(
 
     Returns (N, pred_len, 2) positions in the origin-shifted frame; rows for
     pedestrians without a full observation window are zero. When
-    truth_positions is given and teacher forcing is on, ground truth (not the
-    prediction) is appended to the history during training.
+    truth_positions (N, T, 2) is given, ground truth, not the prediction, is
+    appended to the history (teacher forcing).
 
     The graph memory starts empty; with memory and encoder 2 enabled, each
     step's encoder-2 output replaces it. Raises NonFiniteError at the first
     step that decodes a non-finite position.
     """
     config = params.config
-    if scene.origins is None:
-        scene = preprocess(scene)
     if scene_ids is None:
         scene_ids = np.zeros(scene.n_peds, dtype=np.int64)
     layout = scene_layout(scene_ids)
+    scene, history, presence, graphs = _observed(scene, config, scene_ids)
     rollers = scene.rollout_mask
     if not rollers[scene.targets].all():
         raise DataFormatError("target pedestrian lacks a full observation window")
     if rng is None:
         rng = np.random.default_rng(0)
 
-    obs = config.obs_len
     n = scene.n_peds
     nd = config.effective_noise_dim
     roll_col = Tensor(rollers[:, None].astype(np.float64))
-
-    history = Tensor(scene.positions[:, :obs, :])
-    presence = scene.presence[:, :obs].copy()
-    graphs = build_graph(scene.world_positions()[:, : scene.obs_len],
-                         scene.presence[:, : scene.obs_len], scene_ids,
-                         config.graph_threshold)  # (t, N, N), one slab per step
     keep_memory = config.use_memory and config.use_encoder2
     memory: Optional[Tensor] = None
     preds: List[Tensor] = []
 
     for s in range(config.pred_len):
         h_s, h_t = embed_inputs(history, params, rng, training)
-        pmask = Tensor(presence[:, :, None].astype(np.float64))
-        h_s = h_s * pmask
-        h_t = h_t * pmask
-        fused = encoder1(h_s, h_t, graphs, memory, params, presence, layout=layout)
-        cap = capture if (capture is not None and s == 0) else None
-        enc = encoder2(fused, graphs, params, presence, capture=cap, layout=layout)
+        pmask = Tensor(presence[:, :, None].astype(np.float64))  # zero at absent slots
+        fused = encoder1(h_s * pmask, h_t * pmask, graphs, memory, params, presence, layout=layout)
+        enc = encoder2(fused, graphs, params, presence, layout=layout)
         if keep_memory:
             memory = enc
         h_last = enc[:, -1, :]
@@ -342,12 +350,8 @@ def rollout(
             raise NonFiniteError(f"non-finite predicted position at rollout step {s}")
         preds.append(step)
 
-        if config.teacher_forcing and training and truth_positions is not None:
-            appended = Tensor(
-                np.where(rollers[:, None], truth_positions[:, obs + s, :], 0.0)
-            )
-        else:
-            appended = step
+        appended = step if truth_positions is None else Tensor(
+            np.where(rollers[:, None], truth_positions[:, config.obs_len + s], 0.0))
         history = concat([history, appended.reshape(n, 1, 2)], axis=1)
         presence = np.concatenate([presence, rollers[:, None]], axis=1)
         world_step = (appended.data + scene.origins)[:, None]  # (N, 1, 2)
@@ -356,6 +360,22 @@ def rollout(
         )])
 
     return T.stack(preds, axis=1)
+
+
+def encoder2_attention(scene: TrajectoryScene, params: StarParams) -> np.ndarray:
+    """Encoder-2 spatial attention weights (obs_len, heads, N, N) over one
+    scene's observed window, as the first rollout step computes them. Noise
+    enters only at the decoder, so no seed reaches them."""
+    if params.enc2 is None:
+        raise DataFormatError("model has no encoder-2 spatial transformer")
+    n = scene.n_peds
+    _, history, presence, graphs = _observed(scene, params.config, np.zeros(n, dtype=np.int64))
+    h_s, h_t = embed_inputs(history, params)
+    pmask = Tensor(presence[:, :, None].astype(np.float64))
+    fused = encoder1(h_s * pmask, h_t * pmask, graphs, None, params, presence)
+    q, k, v = head_projections(fused.swapaxes(0, 1), params.enc2.spatial)  # (t, heads, N, d_k)
+    mask = adjacency_mask(graphs, [0], n)  # (t, 1, N, N): one mask for every head
+    return masked_attention(q, k, v, mask, params.enc2.spatial.d_k)[1].data
 
 
 # ----------------------------------------------------------------------

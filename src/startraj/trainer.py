@@ -12,7 +12,7 @@ import numpy as np
 from .data import Batch, TrajectoryScene, augment_rotation, pack_batches, preprocess
 from .errors import DataFormatError, NonFiniteError
 from .model import (
-    StarConfig, StarParams, config_for_variant, init_params, require_int,
+    StarConfig, StarParams, config_for_variant, init_params, require_bool, require_int,
     require_positive, rollout, save_checkpoint,
 )
 from .optim import AdamState, adam_step, zero_grads
@@ -105,6 +105,7 @@ class TrainSpec:
         for name in ("ped_budget", "scene_batch", "epochs", "checkpoint_every"):
             require_int(name, getattr(self, name), 1)
         require_int("seed", self.seed, 0)
+        require_bool("augment", self.augment)
         if self.max_steps is not None:
             require_int("max_steps", self.max_steps, 1)
 
@@ -116,13 +117,16 @@ def scene_loss(
     training: bool = True,
 ) -> Tensor:
     """Mean squared error over all predicted steps of the target pedestrians,
-    from a full autoregressive rollout."""
-    scene = batch.scene
+    from a full autoregressive rollout, teacher-forced when the config asks
+    for it and training is on."""
+    scene, config = batch.scene, params.config
+    if scene.pred_len != config.pred_len:
+        raise DataFormatError(
+            f"scene has {scene.pred_len} future steps; the model needs {config.pred_len}")
     truth, mask = _scene_truth_and_mask(scene)
-    pred = rollout(
-        scene, params, rng=rng, scene_ids=batch.scene_ids, training=training,
-        truth_positions=scene.positions if params.config.teacher_forcing else None,
-    )
+    forced = scene.positions if config.teacher_forcing and training else None
+    pred = rollout(scene, params, rng=rng, scene_ids=batch.scene_ids, training=training,
+                   truth_positions=forced)
     w = mask[:, :, None].astype(np.float64)
     diff = (pred - Tensor(truth)) * Tensor(w)
     return (diff * diff).sum() * (1.0 / max(w.sum() * 2.0, 1.0))

@@ -26,6 +26,8 @@ MALFORMED_CHECKPOINTS = {
     "not-json": lambda p: "{ this is not json",
     "unknown-config-key": lambda p: {**p, "config": {**p["config"], "banana": 1}},
     "bad-config-value": lambda p: {**p, "config": {**p["config"], "heads": 3}},
+    "int-bool-setting": lambda p: {**p, "config": {**p["config"], "deterministic": 3}},
+    "text-bool-setting": lambda p: {**p, "config": {**p["config"], "use_memory": "maybe"}},
     "missing-params": lambda p: _without(p, "params"),
     "missing-shape": lambda p: {**p, "params": {
         **p["params"], "decoder.b": _without(p["params"]["decoder.b"], "shape")}},
@@ -43,7 +45,8 @@ BAD_CONFIG_LINES = [
     "seed = -1", "seed = 2.5", "dropout = 2", "dropout = 1.0",
     "graph_threshold = nan", "graph_threshold = -1", "learning_rate = nan",
     "max_steps = nan", "ped_budget = inf", "scene_batch = 2.5",
-    "checkpoint_every = 2.5",
+    "checkpoint_every = 2.5", "use_memory = maybe", "deterministic = 3",
+    "use_encoder2 = 1", "teacher_forcing = yes", "augment = no",
 ]
 
 
@@ -439,3 +442,11 @@ class TestAttentionCommand:
                 str(data_dir / "HOTEL.txt"), "--out", str(tmp_path / "x")]
         assert main(args + ["--timestep", "99"]) == EXIT_USAGE
         assert main(args + ["--ped", "99"]) == EXIT_USAGE
+
+    def test_ablated_encoder2_is_data_error(self, tmp_path, data_dir, capsys):
+        path = tmp_path / "single.json"
+        config = StarConfig(d_model=8, heads=2, pred_len=2, use_encoder2=False)
+        save_checkpoint(str(path), init_params(config, np.random.default_rng(0)))
+        assert main(["attention", "--checkpoint", str(path), "--scene",
+                     str(data_dir / "HOTEL.txt"), "--out", str(tmp_path / "x")]) == EXIT_DATA
+        assert "encoder-2" in capsys.readouterr().err

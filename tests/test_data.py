@@ -24,6 +24,13 @@ def _scene(n=3, total=20, obs=8, seed=0):
                           total_len=total, obs_len=obs)
 
 
+def _scene_count(batch):
+    """Scenes in a packed batch, from its contiguous per-row scene ids."""
+    ids = batch.scene_ids
+    np.testing.assert_array_equal(ids, np.sort(ids))
+    return len(np.unique(ids))
+
+
 class TestLoadDataset:
     def test_empty_file(self, tmp_path):
         # [TRIVIAL]
@@ -218,8 +225,8 @@ class TestPacking:
                 obs_len=base.obs_len,
             ))
         batches = pack_batches(fakes, budget=256)
-        assert [b.n_peds for b in batches] == [200, 100]
-        assert [b.n_scenes for b in batches] == [2, 1]
+        assert [b.scene.n_peds for b in batches] == [200, 100]
+        assert [_scene_count(b) for b in batches] == [2, 1]
 
     def test_oversized_scene_flagged(self):
         base = _scene(n=2, seed=9)
@@ -229,12 +236,14 @@ class TestPacking:
             presence=np.tile(base.presence, (150, 1)),
             obs_len=base.obs_len,
         )
+        # a scene over budget is emitted alone
         batches = pack_batches([big], budget=256)
-        assert len(batches) == 1 and batches[0].oversized
+        assert len(batches) == 1 and batches[0].scene.n_peds == 300
+        assert _scene_count(batches[0]) == 1
 
     def test_oversized_scene_after_pending_scenes(self):
-        # the pending scenes go out first, the oversized one alone and
-        # flagged, then packing resumes with the scenes after it
+        # the pending scenes go out first, the oversized one alone, then
+        # packing resumes with the scenes after it
         base = _scene(n=2, seed=9)
         big = TrajectoryScene(
             ped_ids=[f"p{i}" for i in range(300)],
@@ -244,15 +253,14 @@ class TestPacking:
         )
         small = [_scene(n=2, seed=s) for s in range(4)]
         batches = pack_batches(small[:2] + [big] + small[2:], budget=256)
-        assert [b.n_peds for b in batches] == [4, 300, 4]
-        assert [b.n_scenes for b in batches] == [2, 1, 2]
-        assert [b.oversized for b in batches] == [False, True, False]
+        assert [b.scene.n_peds for b in batches] == [4, 300, 4]
+        assert [_scene_count(b) for b in batches] == [2, 1, 2]
         assert batches[1].scene.ped_ids == big.ped_ids
 
     def test_max_scenes_cap(self):
         scenes = [_scene(n=2, seed=s) for s in range(5)]
         batches = pack_batches(scenes, budget=256, max_scenes=2)
-        assert [b.n_scenes for b in batches] == [2, 2, 1]
+        assert [_scene_count(b) for b in batches] == [2, 2, 1]
 
     def test_scene_ids_partition(self):
         scenes = [_scene(n=2, seed=s) for s in range(3)]

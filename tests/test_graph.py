@@ -21,13 +21,9 @@ def _allow(graph):
     return graph[0] | np.eye(graph.shape[-1], dtype=bool)
 
 
-def _tgconv(h, graph, params, return_weights=False):
+def _tgconv(h, graph, params):
     """TGConv at one timestep: spatial_block with t = 1 on (N, d) features."""
-    out = spatial_block(Tensor(h[:, None, :]), graph, params,
-                        return_weights=return_weights)
-    if return_weights:
-        return out[0].numpy()[:, 0], out[1].numpy()[0]
-    return out.numpy()[:, 0]
+    return spatial_block(Tensor(h[:, None, :]), graph, params).numpy()[:, 0]
 
 
 def _oracle_masked_dense(h, allow, p):
@@ -194,9 +190,11 @@ class TestTGConv:
         assert np.array_equal(out_a[0], out_b[0])
         assert np.array_equal(out_a[1], out_b[1])
 
-    def test_attention_rows_sum_to_one(self):
+    def test_attention_rows_sum_to_one(self, spatial_weights):
         h, _, graph, params = self._setup()
-        _, w = _tgconv(h, graph, params, return_weights=True)
+        _tgconv(h, graph, params)
+        [(_, w)] = spatial_weights  # one scene: one attention call, (1, heads, N, N)
+        w = w[0]
         allow = _allow(graph)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
         assert np.all(w[..., ~allow] == 0.0)

@@ -17,7 +17,7 @@ from startraj import (
 from startraj.data import merge_scenes
 from startraj.errors import DataFormatError, NonFiniteError, ShapeMismatchError
 from startraj.model import (
-    VARIANT_FLAGS, GruParams, encoder2, temporal_recurrent,
+    VARIANT_FLAGS, GruParams, encoder2, encoder2_attention, temporal_recurrent,
 )
 from startraj.synthetic import simulate_scene
 
@@ -82,6 +82,14 @@ class TestConfig:
             StarConfig(d_model=7, heads=1)  # positional encoding needs even d
         with pytest.raises(ValueError, match="heads"):
             StarConfig(heads=0)
+
+    @pytest.mark.parametrize("setting", [
+        dict(use_memory="maybe"), dict(deterministic=3), dict(use_encoder2=1),
+        dict(teacher_forcing="no"),
+    ])
+    def test_boolean_settings_must_be_bool(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            StarConfig(**setting)
 
     def test_deterministic_drops_noise_columns(self):
         det = init_params(_config(deterministic=True), np.random.default_rng(0))
@@ -407,6 +415,16 @@ class TestRollout:
         for name, p in params.parameters():
             assert p.grad is not None and np.any(p.grad != 0.0), name
 
+    @pytest.mark.parametrize("obs_len", [6, 10])
+    def test_observed_window_mismatch_rejected(self, obs_len):
+        # an 8-step observed window under a model that observes 6 or 10
+        params = init_params(_config(obs_len=obs_len), np.random.default_rng(37))
+        scene = _scene(n=3, seed=37, obs=8, total=11)
+        with pytest.raises(DataFormatError, match=f"observes 8 steps.*needs {obs_len}"):
+            rollout(scene, params)
+        with pytest.raises(DataFormatError, match="observes 8 steps"):
+            encoder2_attention(scene, params)
+
     def test_target_without_full_window_rejected(self):
         config = _config()
         params = init_params(config, np.random.default_rng(25))
@@ -415,6 +433,37 @@ class TestRollout:
         scene.targets = np.array([True, True])
         with pytest.raises(DataFormatError):
             rollout(preprocess(scene), params)
+
+
+class TestEncoder2Attention:
+    def _scene_with_absences(self, config, seed):
+        """Five pedestrians, one arriving at step 2 and one leaving after
+        step 4, so that absent slots sit in the observed window."""
+        sim = simulate_scene(np.random.default_rng(seed), n_peds=5,
+                             total_len=config.obs_len + config.pred_len)
+        sim.presence[3, :2] = False
+        sim.presence[4, 5:] = False
+        sim.positions[~sim.presence] = 0.0
+        sim.targets = sim.presence.all(axis=1)
+        return preprocess(sim)
+
+    @pytest.mark.parametrize("kw", [
+        dict(),
+        dict(temporal_kind="recurrent"),
+        # heads == obs_len: a (t, N, N) mask would broadcast t against heads
+        dict(d_model=16, heads=8, deterministic=False, noise_dim=4),
+    ], ids=["transformer", "recurrent", "heads-equal-steps"])
+    def test_equals_step0_weights_of_rollout(self, kw, spatial_weights):
+        config = _config(**kw)
+        params = init_params(config, np.random.default_rng(38))
+        scene = self._scene_with_absences(config, seed=38)
+        assert not scene.presence[:, :config.obs_len].all()
+        rollout(scene, params, rng=np.random.default_rng(7))
+        # one scene: encoder 1's spatial call, then encoder 2's, per step
+        _, step0 = spatial_weights[1]
+        weights = encoder2_attention(scene, params)
+        assert weights.shape == (config.obs_len, config.heads, 5, 5)
+        assert np.array_equal(weights, step0)
 
 
 class TestRecurrentVariant:

@@ -83,23 +83,40 @@ def _oracle(h, graphs, params, ids, presence):
     return out * presence[:, :, None], weights
 
 
+def _block_weights(calls, ids):
+    """(first row, size, (t, heads, size, size) weights) of every scene, from
+    the spied attention calls of one blocked spatial_block: one call per scene
+    size in scene_layout order, its scenes in row order."""
+    blocks = []
+    for (size, runs), (_, w) in zip(scene_layout(ids), calls, strict=True):
+        starts = [i for lo, hi in runs for i in range(lo, hi, size)]
+        w = w.reshape(w.shape[0], len(starts), -1, size, size)  # a lone scene has no S axis
+        blocks += [(i, size, w[:, j]) for j, i in enumerate(starts)]
+    return blocks
+
+
+def _scene_rows(sizes):
+    """(first row, size) of each packed scene."""
+    return list(zip(np.cumsum((0,) + tuple(sizes[:-1])).tolist(), sizes))
+
+
 def _dense_spatial_block(ids):
     """The dense path: one (t, heads, N, N) attention over all packed rows,
     cross-scene keys masked, built from the library's primitives. Takes
     spatial_block's arguments and ignores the layout."""
     same_scene = ids[:, None] == ids[None, :]
 
-    def block(h, graphs, params, presence=None, return_weights=False, layout=None):
+    def block(h, graphs, params, presence=None, layout=None):
         allow = (graphs | np.eye(h.shape[0], dtype=bool)) & same_scene
         x = h.swapaxes(0, 1)
         q, k, v = head_projections(x, params)
-        att, weights = masked_attention(q, k, v, allow[:, None], params.d_k)
+        att, _ = startraj.graph.masked_attention(q, k, v, allow[:, None], params.d_k)
         a = layer_norm(merge_heads(att, params) + x, params.ln1_gain, params.ln1_bias)
         out = layer_norm(linear(a, params.wo, params.bo) + a, params.ln2_gain, params.ln2_bias)
         out = out.swapaxes(0, 1)
         if presence is not None:
             out = out * Tensor(presence[:, :, None].astype(np.float64))
-        return (out, weights) if return_weights else out
+        return out
 
     return block
 
@@ -147,19 +164,22 @@ class TestSceneLayout:
 
 class TestBlockVsDense:
     @pytest.mark.parametrize("sizes", MIXED_SIZES)
-    def test_forward_and_weights_match_oracle(self, sizes):
+    def test_forward_and_weights_match_oracle(self, sizes, spatial_weights):
         rng = np.random.default_rng(sum(sizes))
         params = TGConvParams.init(8, 2, rng)
         ids = _ids(sizes)
         graphs, presence = _packed_graphs(rng, sizes, t=3)
         h = rng.standard_normal((len(ids), 3, 8))
-        out, w = spatial_block(Tensor(h), graphs, params, presence, return_weights=True,
-                               layout=scene_layout(ids))
+        out = spatial_block(Tensor(h), graphs, params, presence, layout=scene_layout(ids))
         expect, expect_w = _oracle(h, graphs, params, ids, presence)
         np.testing.assert_allclose(out.numpy(), expect, rtol=0, atol=1e-12)
-        assert w.shape == (3, 2, len(ids), len(ids))
-        np.testing.assert_allclose(w.numpy(), expect_w, rtol=0, atol=1e-12)
-        assert np.all(w.numpy()[:, :, ids[:, None] != ids[None, :]] == 0.0)
+        blocks = _block_weights(spatial_weights, ids)
+        # every scene's block once, and no weight across scenes computed at all
+        assert sorted((i, size) for i, size, _ in blocks) == _scene_rows(sizes)
+        for i, size, w in blocks:
+            assert w.shape == (3, 2, size, size)
+            np.testing.assert_allclose(w, expect_w[:, :, i:i + size, i:i + size],
+                                       rtol=0, atol=1e-12)
 
     def test_cross_scene_edges_ignored(self):
         # a graph joining every close pair across scenes: the blocks drop
@@ -186,27 +206,35 @@ class TestBlockVsDense:
         assert np.array_equal(spatial_block(h, graphs, params, presence).numpy(), one.numpy())
 
     @pytest.mark.parametrize("sizes", [(3, 8, 5, 8, 2, 5), (1, 4, 1, 4)])
-    def test_rollout_and_gradients_match_dense(self, sizes, monkeypatch):
+    def test_rollout_and_gradients_match_dense(self, sizes, monkeypatch, spatial_weights):
         batch = _batch(sizes, seed=50)
         config = StarConfig(d_model=8, heads=2, pred_len=3, deterministic=True,
                             dropout=0.0, graph_threshold=3.0)
         params = init_params(config, np.random.default_rng(5))
         named = params.parameters()
 
-        def run():
-            capture = {}
+        def run(calls_per_block):
+            # step 0 runs encoder 1's spatial block, then encoder 2's
+            spatial_weights.clear()
             pred = rollout(batch.scene, params, rng=np.random.default_rng(0),
-                           scene_ids=batch.scene_ids, capture=capture).numpy()
+                           scene_ids=batch.scene_ids).numpy()
+            enc2 = spatial_weights[calls_per_block:2 * calls_per_block]
             for _, p in named:
                 p.grad = None
             scene_loss(batch, params, np.random.default_rng(0)).backward()
-            return pred, capture["spatial2_weights"], [p.grad.copy() for _, p in named]
+            return pred, enc2, [p.grad.copy() for _, p in named]
 
-        pred, weights, grads = run()
+        pred, blocks, grads = run(len(scene_layout(batch.scene_ids)))
         monkeypatch.setattr(startraj.model, "spatial_block", _dense_spatial_block(batch.scene_ids))
-        dense_pred, dense_weights, dense_grads = run()
+        dense_pred, [(_, dense_weights)], dense_grads = run(1)
         np.testing.assert_allclose(pred, dense_pred, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(weights, dense_weights, rtol=0, atol=1e-12)
+        ids = batch.scene_ids
+        assert np.all(dense_weights[:, :, ids[:, None] != ids[None, :]] == 0.0)
+        blocks = _block_weights(blocks, ids)
+        assert sorted((i, size) for i, size, _ in blocks) == _scene_rows(sizes)
+        for i, size, w in blocks:
+            np.testing.assert_allclose(w, dense_weights[:, :, i:i + size, i:i + size],
+                                       rtol=0, atol=1e-12)
         for (name, _), g, dg in zip(named, grads, dense_grads):
             np.testing.assert_allclose(g, dg, rtol=0, atol=1e-9, err_msg=name)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import startraj.model
 from startraj import (
     StarConfig, TrainSpec, ade, best_of_k, evaluate, fde, init_params,
     preprocess, run_ablation, scene_loss, train, write_reports,
@@ -164,6 +165,11 @@ class TestTrainSpec:
         with pytest.raises(ValueError):
             TrainSpec(max_steps=0)
 
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_augment_must_be_bool(self, value):
+        with pytest.raises(ValueError, match="augment"):
+            TrainSpec(augment=value)
+
 
 class TestTraining:
     def test_empty_training_set_rejected(self):
@@ -230,6 +236,41 @@ class TestTraining:
         truth = batch.scene.positions[:, config.obs_len:]
         expect = ((pred - truth) ** 2).mean()
         np.testing.assert_allclose(loss.item(), expect, atol=1e-12)
+
+    def test_scene_loss_rejects_mismatched_future(self):
+        # a 12-step future under a model that predicts 5
+        batch = merge_scenes([preprocess(s) for s in _scenes(count=1, seed=19, pred=12)])
+        params = init_params(_config(pred_len=5), np.random.default_rng(19))
+        with pytest.raises(DataFormatError, match="12 future steps.*needs 5"):
+            scene_loss(batch, params, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("forcing, training, fed", [
+        (True, True, "truth"), (True, False, "prediction"), (False, True, "prediction"),
+    ])
+    def test_teacher_forcing_only_in_training(self, monkeypatch, forcing, training, fed):
+        # the history each rollout step embeds: steps past the observed window
+        # hold ground truth only under teacher forcing while training
+        config = _config(teacher_forcing=forcing)
+        params = init_params(config, np.random.default_rng(20))
+        batch = merge_scenes([preprocess(s) for s in _scenes(count=1, n=3, seed=20)])
+        histories = []
+        embed = startraj.model.embed_inputs
+
+        def spy(positions, *args, **kwargs):
+            histories.append(positions.numpy())
+            return embed(positions, *args, **kwargs)
+
+        monkeypatch.setattr(startraj.model, "embed_inputs", spy)
+        scene_loss(batch, params, np.random.default_rng(0), training=training)
+        monkeypatch.undo()
+        obs = config.obs_len
+        assert [h.shape[1] for h in histories] == [obs, obs + 1, obs + 2]
+        truth = batch.scene.positions[:, obs:obs + 2]
+        # deterministic and without dropout, a plain rollout predicts the same steps
+        pred = startraj.model.rollout(batch.scene, params).numpy()[:, :2]
+        assert not np.allclose(pred, truth)
+        np.testing.assert_array_equal(histories[-1][:, obs:],
+                                      truth if fed == "truth" else pred)
 
 
 class TestEvaluationReports:
