@@ -1,7 +1,7 @@
 """Spatio-temporal graph transformer for pedestrian trajectory prediction,
 built on a small numpy reverse-mode autodiff core."""
 
-from .tensor import Tensor, concat, dropout, layer_norm, linear, parameter, softmax, stack
+from .tensor import Tensor, concat, dropout, layer_norm, linear, parameter, stack
 from .optim import AdamState, adam_step, zero_grads
 from .attention import (
     AttentionParams, TemporalBlockParams, multi_head, positional_encoding,

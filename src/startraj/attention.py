@@ -14,9 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import MaskError, ShapeMismatchError
-from .tensor import Tensor, layer_norm, linear, parameter, softmax
-
-MASK_FILL = -1e9
+from .tensor import Tensor, _unbroadcast, layer_norm, linear, parameter
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -80,26 +78,40 @@ class AttentionParams(Params):
 def masked_attention(
     q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray, d_k: int
 ) -> Tuple[Tensor, Tensor]:
-    """Attention core shared by the temporal block and TGConv.
+    """Attention core shared by the temporal block and TGConv, one tape node.
 
     q, k, v: (..., t, d_k). allow: boolean, broadcastable to the logit shape
-    (..., t_q, t_k); True marks usable keys. Logits are scaled by 1/sqrt(d_k)
-    before the softmax; blocked entries get MASK_FILL added, which underflows
-    to an exactly-zero weight after max subtraction.
-
-    Returns (output, weights).
+    (..., t_q, t_k); True marks usable keys. Logits are scaled by 1/sqrt(d_k);
+    blocked ones are set to -inf, so their weights are exactly zero. Returns
+    (output, weights); the weights carry no gradient. The backward pass keeps
+    the expressions of the scale, QK^T, normalise and AV composite, bit for bit.
     """
-    # scaling q by 1/sqrt(d_k) scales every logit before the softmax while
-    # touching the small (t, d_k) side instead of the (t_q, t_k) logit matrix
-    logits = (q * (1.0 / math.sqrt(d_k))).matmul(k.swapaxes(-1, -2))
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeMismatchError(f"masked_attention: q, k, v of {q.shape}, {k.shape}, {v.shape}")
     allow = np.asarray(allow, dtype=bool)
     dead = ~allow.any(axis=-1)
     if dead.any():
         row = np.argwhere(dead)[0]
         raise MaskError(f"attention query row {tuple(row)} has every key masked")
-    fill = np.where(allow, 0.0, MASK_FILL)  # broadcasts against the logits
-    weights = softmax(logits + Tensor(fill), axis=-1)
-    return weights.matmul(v), weights
+    # scaling q by 1/sqrt(d_k) scales every logit before normalising while
+    # touching the small (t, d_k) side instead of the (t_q, t_k) logit matrix
+    scale = 1.0 / math.sqrt(d_k)
+    qs = q.data * scale
+    w = np.matmul(qs, np.swapaxes(k.data, -1, -2))  # logits, then weights in place
+    np.copyto(w, -np.inf, where=~allow)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gw = _unbroadcast(np.matmul(g, np.swapaxes(v.data, -1, -2)), w.shape)
+        v._accumulate(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape), fresh=True)
+        gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))  # logit gradient
+        q._accumulate(_unbroadcast(np.matmul(gl, k.data), q.shape) * scale, fresh=True)
+        gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)  # (qs^T gl)^T
+        k._accumulate(_unbroadcast(gk, k.shape), fresh=True)
+
+    return Tensor(np.matmul(w, v.data), _parents=(q, k, v), _backward=bwd), Tensor(w)
 
 
 def head_projections(

@@ -22,20 +22,27 @@ def build_graph(
     and closer than d (strict <). No self-loops are stored; the convolution
     adds self back when it aggregates.
 
-    world: (N, t, 2) positions; present: (N, t); scene_ids: (N,). Positions
-    of absent slots are ignored; a non-finite present one raises
-    DataFormatError.
+    world: (N, t, 2) positions; present: (N, t); scene_ids: (N,), a scene's
+    rows in any order. Positions of absent slots are ignored; a non-finite
+    present one raises DataFormatError.
     """
     on = np.asarray(present, dtype=bool).T  # (t, N)
     xy = np.asarray(world, dtype=np.float64).swapaxes(0, 1)  # (t, N, 2)
     if not np.all(np.isfinite(xy[on])):
         raise DataFormatError("non-finite position in graph construction")
     xy = np.where(on[:, :, None], xy, 0.0)  # absent slots may hold NaN
-    diff = xy[:, :, None, :] - xy[:, None, :, :]  # (t, N, N, 2)
+    graphs = np.zeros(on.shape + on.shape[-1:], dtype=bool)
     ids = np.asarray(scene_ids)
-    pairs = (ids[:, None] == ids[None, :]) & ~np.eye(len(ids), dtype=bool)
-    both = on[:, :, None] & on[:, None, :] & pairs  # (t, N, N)
-    return (np.sqrt((diff * diff).sum(axis=-1)) < d) & both
+    order = np.argsort(ids, kind="stable")  # each scene's rows, in row order
+    members = np.split(order, np.flatnonzero(np.diff(ids[order])) + 1)
+    for size in {len(m) for m in members}:
+        rows = np.stack([m for m in members if len(m) == size])  # all S scenes of this size
+        x, y, here = (np.take(a, rows, axis=1) for a in (xy[..., 0], xy[..., 1], on))
+        dx, dy = x[..., :, None] - x[..., None, :], y[..., :, None] - y[..., None, :]
+        near = np.sqrt(dx * dx + dy * dy) < d  # (t, S, size, size)
+        both = here[..., :, None] & here[..., None, :] & ~np.eye(size, dtype=bool)
+        graphs[:, rows[:, :, None], rows[:, None, :]] = near & both
+    return graphs
 
 
 def adjacency_mask(graphs: np.ndarray, starts: Sequence[int], size: int) -> np.ndarray:

@@ -135,8 +135,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        return self * other ** -1.0
+        return self * self._lift(other) ** -1.0
 
     def __rtruediv__(self, other):
         return self._lift(other) * self ** -1.0
@@ -205,23 +204,15 @@ class Tensor:
         a = self
 
         def bwd(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.shape).copy(), fresh=True)
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                a._accumulate(np.broadcast_to(gg, a.shape).copy(), fresh=True)
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+            a._accumulate(np.broadcast_to(gg, a.shape).copy(), fresh=True)
 
         return Tensor(
             a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,), _backward=bwd
         )
 
     def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.size
-        elif isinstance(axis, tuple):
-            n = int(np.prod([self.shape[ax] for ax in axis]))
-        else:
-            n = self.shape[axis]
+        n = self.size if axis is None else int(np.prod(np.take(self.shape, axis)))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def reshape(self, *shape):
@@ -334,19 +325,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     )
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax; stable for logits up to ~1e300."""
-    if x.shape[axis] == 0:
-        raise ShapeMismatchError("softmax over an empty axis")
-    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        x._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)), fresh=True)
-
-    return Tensor(y, _parents=(x,), _backward=bwd)
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     n = x.shape[-1]
@@ -372,8 +350,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map on the last axis: x @ weight + bias, weight is (in, out)."""
-    return x.matmul(weight) + bias
+    """Affine map on the last axis: x @ weight + bias, weight is (in, out), as
+    one tape node with the matmul-then-add composite's gradients, bit for bit."""
+    if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
+        raise ShapeMismatchError(f"linear: incompatible shapes {x.shape} x {weight.shape}")
+    out = np.matmul(x.data, weight.data) + bias.data
+
+    def bwd(g):
+        gb = _unbroadcast(g, bias.shape)
+        bias._accumulate(gb, fresh=gb is not g)
+        if x.requires_grad:
+            x._accumulate(_unbroadcast(np.matmul(g, weight.data.T), x.shape), fresh=True)
+        gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
+        weight._accumulate(_unbroadcast(gw, weight.shape), fresh=True)
+
+    return Tensor(out, _parents=(x, weight, bias), _backward=bwd)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

@@ -37,7 +37,7 @@ class TestAcceptance:
         elapsed = time.time() - t0
         worst = max(report.values())
         assert set(report) >= {
-            "matmul", "softmax", "layer_norm", "relu", "concat", "linear",
+            "matmul", "masked_attention", "layer_norm", "relu", "concat", "linear",
             "dropout_eval", "tgconv", "temporal_block", "encoder_stack",
             "full_rollout", "getitem",
         }

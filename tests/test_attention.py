@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from startraj import (
-    AttentionParams, TemporalBlockParams, Tensor, multi_head,
+    AttentionParams, TemporalBlockParams, Tensor, multi_head, parameter,
     positional_encoding, temporal_block,
 )
-from startraj.attention import MASK_FILL, masked_attention
+from startraj.attention import masked_attention
 from startraj.errors import MaskError, ShapeMismatchError
 
 
@@ -225,5 +225,53 @@ class TestAttentionNormalizationProperty:
             assert np.all(w[~mask] == 0.0)
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
 
-    def test_mask_fill_constant(self):
-        assert MASK_FILL == -1e9
+    def test_blocked_weight_zero_beyond_1e9_logits(self):
+        # [TRIVIAL] a blocked key gets weight exactly 0 even when its logit
+        # tops an allowed one by more than 1e9 (a finite -1e9 fill would hand
+        # it all the weight); d_k = 1 and q = 1 make the keys the logits
+        q, v = Tensor(np.ones((1, 1))), Tensor(np.array([[1.0], [2.0]]))
+        allow = np.array([[True, False]])
+        for allowed, blocked in ((-2e9, 0.0), (0.0, 2e9)):
+            out, w = masked_attention(q, Tensor([[allowed], [blocked]]), v, allow, 1)
+            np.testing.assert_array_equal(w.numpy(), [[1.0, 0.0]])
+            np.testing.assert_array_equal(out.numpy(), [[1.0]])
+
+
+def _oracle_grads(q, k, v, allow, g):
+    """Gradients of sum(g * attention(q, k, v)) for (..., t, d) arrays, one
+    query row at a time through the softmax Jacobian diag(w) - w w^T."""
+    d_k = q.shape[-1]
+    allow = np.broadcast_to(allow, q.shape[:-1] + k.shape[-2:-1])
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for idx in np.ndindex(q.shape[:-2]):
+        for r in range(q.shape[-2]):
+            cols = np.flatnonzero(allow[idx][r])
+            logits = k[idx][cols] @ q[idx][r] / np.sqrt(d_k)
+            e = np.exp(logits - logits.max())
+            w = e / e.sum()
+            dv[idx][cols] += np.outer(w, g[idx][r])
+            dlogits = (np.diag(w) - np.outer(w, w)) @ (v[idx][cols] @ g[idx][r])
+            dq[idx][r] += dlogits @ k[idx][cols] / np.sqrt(d_k)
+            dk[idx][cols] += np.outer(dlogits, q[idx][r]) / np.sqrt(d_k)
+    return dq, dk, dv
+
+
+class TestMaskedAttentionBackward:
+    @pytest.mark.parametrize("lead, mask_lead", [
+        ((3, 2), (3, 1)),  # (t, heads) with a (t, 1, n, n) mask
+        ((2, 3, 2), (2, 3, 1)),  # (t, S, heads) with a (t, S, 1, n, n) mask
+        ((4,), ()),  # one (n, n) mask for every batch row
+    ])
+    def test_gradients_match_jacobian_oracle(self, lead, mask_lead):
+        # [DERIVED] partial masks broadcast over heads, against _oracle_grads
+        rng = np.random.default_rng(sum(lead))
+        n, d_k = 4, 3
+        q, k, v = (parameter(rng.standard_normal(lead + (n, d_k))) for _ in range(3))
+        allow = rng.random(mask_lead + (n, n)) < 0.5
+        allow[..., np.arange(n), np.arange(n)] = True  # every row keeps a key
+        g = rng.standard_normal(lead + (n, d_k))
+        out, _ = masked_attention(q, k, v, allow, d_k)
+        (out * Tensor(g)).sum().backward()
+        for got, expect in zip((q.grad, k.grad, v.grad),
+                               _oracle_grads(q.data, k.data, v.data, allow, g)):
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)

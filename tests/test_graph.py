@@ -116,6 +116,20 @@ class TestBuildGraph:
                     assert g[s, i, j] == expect, (s, i, j)
         assert g.any() and not g.all()
 
+    def test_interleaved_scene_ids_match_oracle(self):
+        # [DERIVED] scenes whose rows are not contiguous, two of one size:
+        # pairs are still formed within each scene only
+        rng = np.random.default_rng(4)
+        ids = np.array([2, 0, 2, 1, 0, 2, 1, 1, 0, 2])
+        world = rng.uniform(-2.0, 2.0, (10, 3, 2))
+        present = rng.random((10, 3)) > 0.2
+        g = build_graph(world, present, ids, 2.5)
+        for s, i, j in np.ndindex(g.shape):
+            expect = (i != j and ids[i] == ids[j] and present[i, s] and present[j, s]
+                      and np.hypot(*(world[i, s] - world[j, s])) < 2.5)
+            assert g[s, i, j] == expect, (s, i, j)
+        assert g.any()
+
     def test_steps_stack_single_step_calls(self):
         # t > 1 is the stack of t = 1 calls
         rng = np.random.default_rng(3)

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from startraj import Tensor, adam_step, layer_norm, linear, parameter, softmax, zero_grads
+from startraj import Tensor, adam_step, layer_norm, linear, parameter, zero_grads
 from startraj import AdamState
-from startraj.errors import NonFiniteError, ShapeMismatchError
-from startraj.gradcheck import check_gradients
+from startraj.attention import masked_attention
+from startraj.errors import MaskError, NonFiniteError, ShapeMismatchError
+from startraj.gradcheck import TOLERANCE, check_gradients, run_suite
 from startraj.tensor import concat, dropout, stack
 
 
@@ -58,15 +59,28 @@ class TestMatmul:
             np.testing.assert_allclose(out[i], a[i] @ b[i], rtol=0, atol=0)
 
 
+def _softmax(logits) -> np.ndarray:
+    """Softmax of a 1-D logit list, read off masked_attention: one query of
+    width 1 against keys holding the logits, so that each logit reaches the
+    exp-normalise unscaled (1/sqrt(1) = 1)."""
+    x = np.asarray(logits, dtype=np.float64)
+    allow = np.ones((1, x.size), dtype=bool)
+    _, w = masked_attention(Tensor(np.ones((1, 1))), Tensor(x[:, None]),
+                            Tensor(np.zeros((x.size, 1))), allow, 1)
+    return w.numpy()[0]
+
+
 class TestSoftmax:
+    """The exp-normalise inside masked_attention, the only softmax."""
+
     def test_uniform(self):
         # [TRIVIAL] equal logits -> uniform
-        out = softmax(Tensor([0.0, 0.0, 0.0])).numpy()
+        out = _softmax([0.0, 0.0, 0.0])
         np.testing.assert_allclose(out, [1 / 3] * 3, atol=1e-15)
 
     def test_dominance_no_overflow(self):
         # [TRIVIAL] large logit dominates without overflow
-        out = softmax(Tensor([1000.0, 0.0, 0.0])).numpy()
+        out = _softmax([1000.0, 0.0, 0.0])
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-300)
 
@@ -75,17 +89,19 @@ class TestSoftmax:
         x = [1.0, 2.0, 3.0]
         exps = [np.exp(v) for v in x]
         expect = [e / sum(exps) for e in exps]
-        out = softmax(Tensor(x)).numpy()
+        out = _softmax(x)
         np.testing.assert_allclose(out, expect, atol=1e-15)
 
     def test_empty_axis_error(self):
-        with pytest.raises(ShapeMismatchError):
-            softmax(Tensor(np.zeros((3, 0))))
+        # no key at all leaves every query row without a usable key
+        with pytest.raises(MaskError):
+            masked_attention(Tensor(np.ones((3, 1))), Tensor(np.zeros((0, 1))),
+                             Tensor(np.zeros((0, 2))), np.ones((3, 0), dtype=bool), 1)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=8))
     def test_rows_sum_to_one(self, logits):
-        out = softmax(Tensor(logits)).numpy()
+        out = _softmax(logits)
         assert abs(out.sum() - 1.0) < 1e-9
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
@@ -167,11 +183,13 @@ class TestBackward:
         b = parameter(rng.standard_normal((4, 3)))
         c = parameter(rng.standard_normal((3, 3)))
 
+        allow = np.array([[True, False, True], [False, True, False], [True, True, True]])
+
         def loss():
             m = a.matmul(b)
-            s = softmax(m + c, axis=-1)
+            s, _ = masked_attention(m, c, m + c, allow, 3)
             e = (m * m + 0.5) ** 0.5 - m
-            t = m.tanh() + m.sigmoid() + m.relu()
+            t = m.tanh() + m.sigmoid() + linear(m, c, b[0]).relu()
             return (s * e).sum() + (t ** 2.0).mean()
 
         err = check_gradients(loss, [("a", a), ("b", b), ("c", c)])
@@ -305,3 +323,57 @@ class TestLinearHelper:
         x, w, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)
         out = linear(Tensor(x), Tensor(w), Tensor(b)).numpy()
         np.testing.assert_allclose(out, x @ w + b, atol=1e-15)
+
+    def test_shape_error_names_both_shapes(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+
+    def test_batched_gradients_match_oracle(self):
+        # [DERIVED] (N, t, in) inputs: dx = g W^T, dW = sum_n x_n^T g_n, db = sum g
+        rng = np.random.default_rng(8)
+        x = parameter(rng.standard_normal((2, 3, 4)))
+        w, b = parameter(rng.standard_normal((4, 5))), parameter(rng.standard_normal(5))
+        g = rng.standard_normal((2, 3, 5))
+        (linear(x, w, b) * Tensor(g)).sum().backward()
+        np.testing.assert_allclose(x.grad, g @ w.data.T, atol=1e-12)
+        np.testing.assert_allclose(w.grad, sum(x.data[n].T @ g[n] for n in range(2)),
+                                   atol=1e-12)
+        np.testing.assert_allclose(b.grad, g.sum(axis=(0, 1)), atol=1e-12)
+
+
+def _tape_nodes(root: Tensor) -> int:
+    """Tensors reachable from root through _parents, root included."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+class TestTapeNodes:
+    """The attention core and the linear layer each record one tape node."""
+
+    def test_linear_adds_one_node(self):
+        rng = np.random.default_rng(9)
+        x, w, b = (parameter(rng.standard_normal(s)) for s in ((3, 4), (4, 2), (2,)))
+        assert _tape_nodes(linear(x, w, b)) == 3 + 1
+
+    def test_masked_attention_adds_one_node(self):
+        rng = np.random.default_rng(10)
+        q, k, v = (parameter(rng.standard_normal((2, 3, 4))) for _ in range(3))
+        allow = np.array([[True, False, True]] * 3)  # (3, 3), broadcast over 2
+        out, weights = masked_attention(q, k, v, allow, 4)
+        assert _tape_nodes(out) == 3 + 1
+        assert not weights.requires_grad and weights._parents == ()
+
+
+class TestGradcheckCorrupt:
+    def test_corrupt_skews_only_the_masked_attention_entry(self):
+        # a 1.01 skew of the analytic q-gradient gives a relative error near
+        # 0.01 / 2.01; every other entry keeps its honest gradients
+        report = run_suite(seed=0, corrupt=True)
+        assert 1e-3 <= report["masked_attention"] <= 1e-1, report
+        others = {k: v for k, v in report.items() if k != "masked_attention"}
+        assert max(others.values()) < TOLERANCE, report
