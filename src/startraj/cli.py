@@ -445,6 +445,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DataFormatError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # a model or data set too large for this host
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (NonFiniteError, MaskError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

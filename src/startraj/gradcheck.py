@@ -144,7 +144,7 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> Dict[str, float]:
     gparams = TGConvParams.init(8, 2, np.random.default_rng(seed + 4))
     _jitter(gparams.parameters("tgconv"), rng)
     path = np.stack([np.arange(4.0), np.zeros(4)], axis=-1)[:, None]  # (4, 1, 2)
-    graph = build_graph(path, np.ones((4, 1), dtype=bool), np.zeros(4), d=1.5)
+    graph = build_graph(path, np.ones((4, 1), dtype=bool), [(4, [(0, 4)])], d=1.5)
     gh = _leaf(rng, 4, 1, 8)
     gw = Tensor(rng0(seed + 5, (4, 1, 8)))
     report["tgconv"] = check_gradients(

@@ -5,7 +5,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -13,18 +13,39 @@ from .attention import AttentionParams, head_projections, masked_attention, merg
 from .errors import DataFormatError, ShapeMismatchError
 from .tensor import Tensor, concat, layer_norm, linear, parameter
 
+Layout = List[Tuple[int, List[Tuple[int, int]]]]  # scene_layout's (n, runs) per scene size
 
-def build_graph(
-    world: np.ndarray, present: np.ndarray, scene_ids: np.ndarray, d: float
-) -> np.ndarray:
+
+def scene_layout(scene_ids: np.ndarray) -> Layout:
+    """Rows packed by merge_scenes as (n, runs) per scene size n, where runs
+    are the row ranges [lo, hi) of adjacent n-pedestrian scenes: the one
+    grouping that build_graph and spatial_block read, made once per rollout.
+    Raises DataFormatError unless every scene's rows are contiguous."""
+    ids = np.asarray(scene_ids)
+    cuts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+    if len(np.unique(ids)) != len(cuts) - 1:
+        raise DataFormatError("each scene needs contiguous, non-empty rows")
+    groups: Dict[int, List[Tuple[int, int]]] = {}
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        runs = groups.setdefault(hi - lo, [])  # a scene right after its run extends it
+        runs.append((runs.pop()[0] if runs and runs[-1][1] == lo else lo, hi))
+    return sorted(groups.items())
+
+
+def scene_rows(size: int, runs: List[Tuple[int, int]]) -> np.ndarray:
+    """(S, size) row index of the scenes of one scene_layout entry, in row order."""
+    return np.concatenate([np.arange(lo, hi) for lo, hi in runs]).reshape(-1, size)
+
+
+def build_graph(world: np.ndarray, present: np.ndarray, layout: Layout, d: float) -> np.ndarray:
     """Interaction graphs of t timesteps as a (t, N, N) bool array: [s, i, j]
     is True when pedestrians i != j of one scene are both present at step s
     and closer than d (strict <). No self-loops are stored; the convolution
     adds self back when it aggregates.
 
-    world: (N, t, 2) positions; present: (N, t); scene_ids: (N,), a scene's
-    rows in any order. Positions of absent slots are ignored; a non-finite
-    present one raises DataFormatError.
+    world: (N, t, 2) positions; present: (N, t); layout: scene_layout of the
+    N rows, whose scenes of one size are handled together. Positions of
+    absent slots are ignored; a non-finite present one raises DataFormatError.
     """
     on = np.asarray(present, dtype=bool).T  # (t, N)
     xy = np.asarray(world, dtype=np.float64).swapaxes(0, 1)  # (t, N, 2)
@@ -32,11 +53,8 @@ def build_graph(
         raise DataFormatError("non-finite position in graph construction")
     xy = np.where(on[:, :, None], xy, 0.0)  # absent slots may hold NaN
     graphs = np.zeros(on.shape + on.shape[-1:], dtype=bool)
-    ids = np.asarray(scene_ids)
-    order = np.argsort(ids, kind="stable")  # each scene's rows, in row order
-    members = np.split(order, np.flatnonzero(np.diff(ids[order])) + 1)
-    for size in {len(m) for m in members}:
-        rows = np.stack([m for m in members if len(m) == size])  # all S scenes of this size
+    for size, runs in layout:
+        rows = scene_rows(size, runs)  # all S scenes of this size
         x, y, here = (np.take(a, rows, axis=1) for a in (xy[..., 0], xy[..., 1], on))
         dx, dy = x[..., :, None] - x[..., None, :], y[..., :, None] - y[..., None, :]
         near = np.sqrt(dx * dx + dy * dy) < d  # (t, S, size, size)
@@ -45,11 +63,10 @@ def build_graph(
     return graphs
 
 
-def adjacency_mask(graphs: np.ndarray, starts: Sequence[int], size: int) -> np.ndarray:
-    """(t, S, size, size) attention masks, self plus graph edges, of the
-    size-pedestrian scenes whose rows start at `starts`."""
-    rows = np.asarray(starts)[:, None] + np.arange(size)  # (S, size)
-    return graphs[:, rows[:, :, None], rows[:, None, :]] | np.eye(size, dtype=bool)
+def adjacency_mask(graphs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(t, S, size, size) attention masks, self plus graph edges, of the S
+    scenes whose (S, size) row index scene_rows gives."""
+    return graphs[:, rows[:, :, None], rows[:, None, :]] | np.eye(rows.shape[1], dtype=bool)
 
 
 @dataclass
@@ -69,36 +86,21 @@ class TGConvParams(AttentionParams):
                             ln2_gain=norm(1.0), ln2_bias=norm(0.0))
 
 
-def scene_layout(scene_ids: np.ndarray) -> List[Tuple[int, List[Tuple[int, int]]]]:
-    """Rows packed by merge_scenes as (n, runs) per scene size n, where runs
-    are the row ranges [lo, hi) of adjacent n-pedestrian scenes. Raises
-    DataFormatError unless every scene's rows are contiguous."""
-    ids = np.asarray(scene_ids)
-    cuts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
-    if len(np.unique(ids)) != len(cuts) - 1:
-        raise DataFormatError("each scene needs contiguous, non-empty rows")
-    groups: Dict[int, List[Tuple[int, int]]] = {}
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        runs = groups.setdefault(hi - lo, [])  # a scene right after its run extends it
-        runs.append((runs.pop()[0] if runs and runs[-1][1] == lo else lo, hi))
-    return sorted(groups.items())
-
-
 def spatial_block(
     h: Tensor,
     graphs: np.ndarray,
     params: TGConvParams,
     presence: Optional[np.ndarray] = None,
-    layout: Optional[list] = None,
+    layout: Optional[Layout] = None,
 ) -> Tensor:
     """TGConv with shared weights at each timestep: every node attends over
     its graph neighbours plus itself; two skip connections, layer norm after
     each.
 
     h: (N, t, d_model); graphs: (t, N, N) build_graph output over the rows
-    of h; layout: scene_layout of the rows (default one scene), a node
-    attends only within its scene. Absent pedestrians (presence False) pass
-    through as zeros.
+    of h; layout: scene_layout of the rows (default one scene). A node
+    attends only within its scene, all scenes of one size in one attention
+    call. Absent pedestrians (presence False) pass through as zeros.
     """
     n, t, d = h.shape
     if np.shape(graphs) != (t, n, n):
@@ -107,18 +109,19 @@ def spatial_block(
     pieces = {}  # first row of a run -> its (t, rows, d) attention output
     for size, runs in layout or [(n, [(0, n)])]:
         # (t, S, size, d) blocks by slices and reshapes; a lone scene keeps (t, size, d)
-        starts = [i for lo, hi in runs for i in range(lo, hi, size)]
-        lone = len(starts) == 1
-        rows = [x if hi - lo == n else x[:, lo:hi] for lo, hi in runs]
-        xs = rows[0] if len(rows) == 1 else concat(rows, axis=1)  # (t, S * size, d)
+        rows = scene_rows(size, runs)
+        lone = len(rows) == 1
+        parts = [x if hi - lo == n else x[:, lo:hi] for lo, hi in runs]
+        xs = parts[0] if len(parts) == 1 else concat(parts, axis=1)  # (t, S * size, d)
         q, k, v = head_projections(xs if lone else xs.reshape(t, -1, size, d), params)
-        mask = adjacency_mask(graphs, starts, size)  # (t, S, size, size)
+        mask = adjacency_mask(graphs, rows)  # (t, S, size, size)
         att, _ = masked_attention(q, k, v, mask if lone else mask[:, :, None], params.d_k)
         merged = merge_heads(att, params)
         flat = merged if lone else merged.reshape(t, -1, d)  # (t, S * size, d)
+        off = 0  # first row of the run within flat
         for lo, hi in runs:
-            off = starts.index(lo) * size
             pieces[lo] = flat if len(runs) == 1 else flat[:, off:off + hi - lo]
+            off += hi - lo
     y = concat([pieces[lo] for lo in sorted(pieces)], axis=1) if len(pieces) > 1 else pieces[0]
     a = layer_norm(y + x, params.ln1_gain, params.ln1_bias)
     out = layer_norm(linear(a, params.wo, params.bo) + a, params.ln2_gain, params.ln2_bias)

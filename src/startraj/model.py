@@ -19,7 +19,8 @@ from .attention import (
 )
 from .data import TrajectoryScene, preprocess
 from .errors import DataFormatError, NonFiniteError, ShapeMismatchError
-from .graph import TGConvParams, adjacency_mask, build_graph, scene_layout, spatial_block
+from .graph import Layout, TGConvParams, adjacency_mask, build_graph, scene_layout, scene_rows
+from .graph import spatial_block
 from .tensor import Tensor, concat, linear, parameter
 
 CHECKPOINT_FORMAT = "startraj-checkpoint"
@@ -236,7 +237,7 @@ def encoder1(
     memory: Optional[Tensor],
     params: StarParams,
     presence: np.ndarray,
-    layout: Optional[list] = None,
+    layout: Optional[Layout] = None,
 ) -> Tensor:
     """Parallel spatial and temporal branches fused by a linear layer.
 
@@ -263,7 +264,7 @@ def encoder2(
     graphs: np.ndarray,
     params: StarParams,
     presence: np.ndarray,
-    layout: Optional[list] = None,
+    layout: Optional[Layout] = None,
 ) -> Tensor:
     """Spatial then temporal transformer. Identity passthrough when encoder 2
     is ablated."""
@@ -283,7 +284,7 @@ def decode_step(h_last: Tensor, noise: Optional[Tensor], params: StarParams) -> 
 # ----------------------------------------------------------------------
 # rollout
 # ----------------------------------------------------------------------
-def _observed(scene: TrajectoryScene, config: StarConfig, scene_ids: np.ndarray):
+def _observed(scene: TrajectoryScene, config: StarConfig, layout: Layout):
     """The preprocessed scene, its observed history (N, obs_len, 2), presence
     (N, obs_len) and graphs (obs_len, N, N)."""
     if scene.obs_len != config.obs_len:
@@ -292,7 +293,7 @@ def _observed(scene: TrajectoryScene, config: StarConfig, scene_ids: np.ndarray)
     scene = preprocess(scene)  # a no-op on a preprocessed scene
     obs = config.obs_len
     presence = scene.presence[:, :obs]
-    graphs = build_graph(scene.world_positions()[:, :obs], presence, scene_ids,
+    graphs = build_graph(scene.world_positions()[:, :obs], presence, layout,
                          config.graph_threshold)
     return scene, Tensor(scene.positions[:, :obs]), presence, graphs
 
@@ -319,10 +320,9 @@ def rollout(
     step that decodes a non-finite position.
     """
     config = params.config
-    if scene_ids is None:
-        scene_ids = np.zeros(scene.n_peds, dtype=np.int64)
-    layout = scene_layout(scene_ids)
-    scene, history, presence, graphs = _observed(scene, config, scene_ids)
+    layout = scene_layout(np.zeros(scene.n_peds, dtype=np.int64) if scene_ids is None
+                          else scene_ids)
+    scene, history, presence, graphs = _observed(scene, config, layout)
     rollers = scene.rollout_mask
     if not rollers[scene.targets].all():
         raise DataFormatError("target pedestrian lacks a full observation window")
@@ -355,9 +355,8 @@ def rollout(
         history = concat([history, appended.reshape(n, 1, 2)], axis=1)
         presence = np.concatenate([presence, rollers[:, None]], axis=1)
         world_step = (appended.data + scene.origins)[:, None]  # (N, 1, 2)
-        graphs = np.concatenate([graphs, build_graph(
-            world_step, rollers[:, None], scene_ids, config.graph_threshold
-        )])
+        step_graph = build_graph(world_step, rollers[:, None], layout, config.graph_threshold)
+        graphs = np.concatenate([graphs, step_graph])
 
     return T.stack(preds, axis=1)
 
@@ -369,12 +368,13 @@ def encoder2_attention(scene: TrajectoryScene, params: StarParams) -> np.ndarray
     if params.enc2 is None:
         raise DataFormatError("model has no encoder-2 spatial transformer")
     n = scene.n_peds
-    _, history, presence, graphs = _observed(scene, params.config, np.zeros(n, dtype=np.int64))
+    layout = [(n, [(0, n)])]
+    _, history, presence, graphs = _observed(scene, params.config, layout)
     h_s, h_t = embed_inputs(history, params)
     pmask = Tensor(presence[:, :, None].astype(np.float64))
     fused = encoder1(h_s * pmask, h_t * pmask, graphs, None, params, presence)
     q, k, v = head_projections(fused.swapaxes(0, 1), params.enc2.spatial)  # (t, heads, N, d_k)
-    mask = adjacency_mask(graphs, [0], n)  # (t, 1, N, N): one mask for every head
+    mask = adjacency_mask(graphs, scene_rows(*layout[0]))  # (t, 1, N, N): one for every head
     return masked_attention(q, k, v, mask, params.enc2.spatial.d_k)[1].data
 
 

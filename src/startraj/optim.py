@@ -9,29 +9,19 @@ import numpy as np
 from .errors import NonFiniteError
 from .tensor import Tensor
 
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPSILON = 1e-8
+
 
 class AdamState:
     """Per-parameter first/second moment estimates plus the shared step count."""
 
-    def __init__(
-        self,
-        params: List[Tuple[str, Tensor]],
-        learning_rate: float = 0.0015,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, params: List[Tuple[str, Tensor]], learning_rate: float = 0.0015):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
-        self.first_moment: Dict[str, np.ndarray] = {
-            name: np.zeros_like(t.data) for name, t in params
-        }
-        self.second_moment: Dict[str, np.ndarray] = {
-            name: np.zeros_like(t.data) for name, t in params
-        }
+        self.first_moment: Dict[str, np.ndarray] = {n: np.zeros_like(t.data) for n, t in params}
+        self.second_moment: Dict[str, np.ndarray] = {n: np.zeros_like(t.data) for n, t in params}
 
 
 def adam_step(params: List[Tuple[str, Tensor]], state: AdamState) -> None:
@@ -39,9 +29,8 @@ def adam_step(params: List[Tuple[str, Tensor]], state: AdamState) -> None:
     (grad is None) are skipped; non-finite gradients are an error."""
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params:
         g = p.grad
         if g is None:
@@ -50,11 +39,11 @@ def adam_step(params: List[Tuple[str, Tensor]], state: AdamState) -> None:
             raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
 
 
 def zero_grads(params: List[Tuple[str, Tensor]]) -> None:

@@ -22,16 +22,20 @@ from .tensor import Tensor
 # ----------------------------------------------------------------------
 # metrics
 # ----------------------------------------------------------------------
-def ade(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
-    """Mean displacement over valid (pedestrian, step) slots."""
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    mask = np.asarray(mask, dtype=bool)
+def _metric_inputs(pred, truth, mask) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ade's and fde's inputs as arrays; DataFormatError unless shapes agree."""
+    pred, truth, mask = np.asarray(pred), np.asarray(truth), np.asarray(mask, dtype=bool)
     if pred.shape != truth.shape or mask.shape != pred.shape[:2]:
         raise DataFormatError(
             f"metric shapes disagree: pred {pred.shape}, truth {truth.shape}, "
             f"mask {mask.shape}"
         )
+    return pred, truth, mask
+
+
+def ade(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
+    """Mean displacement over valid (pedestrian, step) slots."""
+    pred, truth, mask = _metric_inputs(pred, truth, mask)
     if not mask.any():
         raise DataFormatError("ade over an empty mask")
     d2 = ((pred - truth) ** 2).sum(axis=-1)
@@ -41,9 +45,7 @@ def ade(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
 def fde(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
     """Euclidean distance at the final predicted step, averaged over
     pedestrians valid at that step."""
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    mask = np.asarray(mask, dtype=bool)
+    pred, truth, mask = _metric_inputs(pred, truth, mask)
     final = mask[:, -1]
     if not final.any():
         raise DataFormatError("fde over an empty mask")
@@ -62,7 +64,6 @@ def best_of_k(
     params: StarParams,
     K: int = 20,
     rng: Optional[np.random.Generator] = None,
-    scene_ids: Optional[np.ndarray] = None,
     independent_minima: bool = False,
 ) -> Tuple[float, float]:
     """Sample K rollouts and report the best one. By default the FDE comes
@@ -77,7 +78,7 @@ def best_of_k(
     truth, mask = _scene_truth_and_mask(scene)
     ades, fdes = [], []
     for _ in range(K):
-        pred = rollout(scene, params, rng=rng, scene_ids=scene_ids).numpy()
+        pred = rollout(scene, params, rng=rng).numpy()
         ades.append(ade(pred, truth, mask))
         fdes.append(fde(pred, truth, mask))
     if independent_minima:

@@ -24,7 +24,7 @@ from startraj.trainer import _scene_truth_and_mask
 def _graph(xy, d):
     """One-step interaction graph (1, N, N) over N points of one scene."""
     n = len(xy)
-    return build_graph(xy[:, None], np.ones((n, 1), dtype=bool), np.zeros(n), d)
+    return build_graph(xy[:, None], np.ones((n, 1), dtype=bool), [(n, [(0, n)])], d)
 
 
 class TestAcceptance:

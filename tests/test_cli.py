@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+import startraj.cli
 from startraj.cli import (
     EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_config_file, main,
 )
@@ -266,6 +267,22 @@ class TestTrainCommand:
             out = tmp_path / f"seed_{seed}"
             assert main(args + ["--out", str(out)] + extra) == EXIT_OK
             assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+
+    def test_out_of_memory_is_data_error(self, tmp_path, data_dir, config_file, monkeypatch,
+                                         capsys):
+        # a model too large for the host (say d_model = 1000000) fails in
+        # train with numpy's MemoryError; raised here without allocating
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000, 1000000) and data type float64")
+
+        monkeypatch.setattr(startraj.cli, "train", too_large)
+        code = main(["train", "--config", str(config_file), "--data-dir", str(data_dir),
+                     "--held-out", "ETH", "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: out of memory") and "7.28 TiB" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_variant_flag(self, tmp_path, data_dir, config_file):
         out = tmp_path / "variant_out"

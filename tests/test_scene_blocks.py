@@ -6,6 +6,9 @@ heads on the full N x N matrix, and the dense path rebuilt from the
 library's autodiff primitives, so that gradients can be compared too.
 """
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from startraj.tensor import layer_norm, linear
 
 # 1-ped scenes, equal sizes that are not next to each other, equal sizes that are
 MIXED_SIZES = [(3, 8, 5, 8, 2, 5, 1), (1, 1, 1), (4, 4, 2, 4)]
+PACKED_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "packed_mixed_expected.json")
 
 
 def _ids(sizes):
@@ -47,7 +51,8 @@ def _packed_graphs(rng, sizes, t, d=2.5, cross_scene=False):
     n = len(ids)
     presence = rng.random((n, t)) > 0.15
     world = np.stack([rng.uniform(-3.0, 3.0, (n, 2)) for _ in range(t)], axis=1)
-    graphs = build_graph(world, presence, np.zeros(n) if cross_scene else ids, d)
+    layout = [(n, [(0, n)])] if cross_scene else scene_layout(ids)
+    graphs = build_graph(world, presence, layout, d)
     return graphs, presence
 
 
@@ -162,6 +167,39 @@ class TestSceneLayout:
                     scene_ids=np.array([0, 1, 0, 1]))
 
 
+    def test_rollout_groups_rows_once(self, monkeypatch):
+        # one scene_layout call per rollout, and that very object reaches the
+        # observed window's and every predicted step's build_graph call and
+        # both encoders' spatial_block calls at every step
+        batch = _batch((3, 2, 3), seed=41)
+        config = StarConfig(d_model=8, heads=2, pred_len=3, deterministic=True, dropout=0.0)
+        layouts, seen = [], {"build_graph": [], "spatial_block": []}
+        real_layout = startraj.model.scene_layout
+        real_build, real_block = startraj.model.build_graph, startraj.model.spatial_block
+
+        def layout_spy(ids):
+            layouts.append(real_layout(ids))
+            return layouts[-1]
+
+        def build_spy(world, present, layout, d):
+            seen["build_graph"].append(layout)
+            return real_build(world, present, layout, d)
+
+        def block_spy(*args, layout=None, **kwargs):
+            seen["spatial_block"].append(layout)
+            return real_block(*args, layout=layout, **kwargs)
+
+        monkeypatch.setattr(startraj.model, "scene_layout", layout_spy)
+        monkeypatch.setattr(startraj.model, "build_graph", build_spy)
+        monkeypatch.setattr(startraj.model, "spatial_block", block_spy)
+        rollout(batch.scene, init_params(config, np.random.default_rng(0)),
+                scene_ids=batch.scene_ids)
+        assert len(layouts) == 1 and layouts[0] == [(2, [(3, 5)]), (3, [(0, 3), (5, 8)])]
+        assert len(seen["build_graph"]) == config.pred_len + 1
+        assert len(seen["spatial_block"]) == 2 * config.pred_len
+        assert all(layout is layouts[0] for calls in seen.values() for layout in calls)
+
+
 class TestBlockVsDense:
     @pytest.mark.parametrize("sizes", MIXED_SIZES)
     def test_forward_and_weights_match_oracle(self, sizes, spatial_weights):
@@ -237,6 +275,42 @@ class TestBlockVsDense:
                                        rtol=0, atol=1e-12)
         for (name, _), g, dg in zip(named, grads, dense_grads):
             np.testing.assert_allclose(g, dg, rtol=0, atol=1e-9, err_msg=name)
+
+
+def _packed_fixture_case():
+    """The inputs of the packed fixture: six scenes of mixed sizes, equal
+    sizes not adjacent, with absent slots, and a tiny deterministic model."""
+    batch = _batch((3, 8, 5, 8, 2, 5), seed=60)
+    config = StarConfig(d_model=8, heads=2, pred_len=3, deterministic=True,
+                        dropout=0.0, graph_threshold=3.0)
+    return batch, init_params(config, np.random.default_rng(61))
+
+
+def _packed_fixture_values(batch, params):
+    """The rollout, scene_loss and every gradient (by name, flattened) that
+    the packed fixture pins."""
+    pred = rollout(batch.scene, params, rng=np.random.default_rng(0),
+                   scene_ids=batch.scene_ids).numpy()
+    for _, p in params.parameters():
+        p.grad = None
+    loss = scene_loss(batch, params, np.random.default_rng(1))
+    loss.backward()
+    grads = {name: p.grad.ravel().tolist() for name, p in params.parameters()}
+    return {"rollout": pred.tolist(), "loss": loss.item(), "grads": grads}
+
+
+class TestPackedFixture:
+    def test_packed_fixture_bit_identical(self):
+        # a packed batch's rollout, loss and gradients, recorded before scene
+        # blocks were described by scene_layout alone; equality is exact
+        with open(PACKED_FIXTURE) as fh:
+            expected = json.load(fh)
+        got = _packed_fixture_values(*_packed_fixture_case())
+        np.testing.assert_array_equal(got["rollout"], expected["rollout"])
+        assert got["loss"] == expected["loss"]
+        assert list(got["grads"]) == list(expected["grads"])
+        for name, grad in expected["grads"].items():
+            np.testing.assert_array_equal(got["grads"][name], grad, err_msg=name)
 
 
 class TestLogitCells:

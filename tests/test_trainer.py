@@ -94,6 +94,16 @@ class TestMetrics:
         with pytest.raises(DataFormatError):
             ade(np.zeros((1, 3, 2)), np.zeros((1, 4, 2)), np.ones((1, 3), dtype=bool))
 
+    @pytest.mark.parametrize("metric", [ade, fde])
+    @pytest.mark.parametrize("shapes", [((4, 12, 2), (4, 12, 2), (4, 11)),
+                                        ((4, 12, 2), (4, 11, 2), (4, 12)),
+                                        ((4, 12, 2), (4, 12, 2), (3, 12))])
+    def test_both_metrics_reject_the_same_shapes(self, metric, shapes):
+        # an (N, 11) mask over 12 predicted steps is an error for both metrics
+        pred, truth, mask = np.zeros(shapes[0]), np.ones(shapes[1]), np.ones(shapes[2], bool)
+        with pytest.raises(DataFormatError, match="metric shapes disagree"):
+            metric(pred, truth, mask)
+
 
 class TestBestOfK:
     def _setup(self, deterministic=False):
