@@ -22,7 +22,8 @@ from .data import (
     make_scenes, preprocess, scene_window,
 )
 from .errors import DataFormatError, MaskError, NonFiniteError
-from .model import StarConfig, config_for_variant, encoder2_attention, load_checkpoint, rollout
+from .model import VARIANT_FLAGS, StarConfig, config_for_variant, encoder2_attention
+from .model import load_checkpoint, rollout
 from .trainer import (
     EvalReport, TrainSpec, evaluate, train, write_reports,
 )
@@ -394,8 +395,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--held-out", required=True)
-    p.add_argument("--variant", choices=("full", "no_memory", "lstm_temporal",
-                                         "single_encoder"))
+    p.add_argument("--variant", choices=tuple(VARIANT_FLAGS))
     p.add_argument("--deterministic", action="store_true")
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--epochs", type=int)
@@ -407,7 +407,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--held-out")
-    p.add_argument("--variant")
+    p.add_argument("--variant", choices=tuple(VARIANT_FLAGS))
     p.add_argument("--stride", type=int, default=20)
     p.add_argument("--samples", "-K", type=int, default=20)
     common(p, "eval_out")

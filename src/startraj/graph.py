@@ -32,41 +32,36 @@ def scene_layout(scene_ids: np.ndarray) -> Layout:
     return sorted(groups.items())
 
 
-def scene_rows(size: int, runs: List[Tuple[int, int]]) -> np.ndarray:
-    """(S, size) row index of the scenes of one scene_layout entry, in row order."""
-    return np.concatenate([np.arange(lo, hi) for lo, hi in runs]).reshape(-1, size)
-
-
-def build_graph(world: np.ndarray, present: np.ndarray, layout: Layout, d: float) -> np.ndarray:
-    """Interaction graphs of t timesteps as a (t, N, N) bool array: [s, i, j]
-    is True when pedestrians i != j of one scene are both present at step s
-    and closer than d (strict <). No self-loops are stored; the convolution
-    adds self back when it aggregates.
+def build_graph(world: np.ndarray, present: np.ndarray, layout: Layout,
+                d: float) -> List[np.ndarray]:
+    """TGConv's attention masks over t timesteps: one (t, S, size, size) bool
+    array per layout entry, for its S scenes of size pedestrians in row
+    order. [s, k, i, j] is True for i == j, and for pedestrians i, j of scene
+    k who are both present at step s and closer than d (strict <).
 
     world: (N, t, 2) positions; present: (N, t); layout: scene_layout of the
-    N rows, whose scenes of one size are handled together. Positions of
-    absent slots are ignored; a non-finite present one raises DataFormatError.
+    N rows. Positions of absent slots are ignored; a non-finite present one
+    raises DataFormatError.
     """
     on = np.asarray(present, dtype=bool).T  # (t, N)
     xy = np.asarray(world, dtype=np.float64).swapaxes(0, 1)  # (t, N, 2)
     if not np.all(np.isfinite(xy[on])):
         raise DataFormatError("non-finite position in graph construction")
     xy = np.where(on[:, :, None], xy, 0.0)  # absent slots may hold NaN
-    graphs = np.zeros(on.shape + on.shape[-1:], dtype=bool)
+    masks = []
     for size, runs in layout:
-        rows = scene_rows(size, runs)  # all S scenes of this size
+        rows = np.concatenate([np.arange(lo, hi) for lo, hi in runs]).reshape(-1, size)
         x, y, here = (np.take(a, rows, axis=1) for a in (xy[..., 0], xy[..., 1], on))
         dx, dy = x[..., :, None] - x[..., None, :], y[..., :, None] - y[..., None, :]
-        near = np.sqrt(dx * dx + dy * dy) < d  # (t, S, size, size)
-        both = here[..., :, None] & here[..., None, :] & ~np.eye(size, dtype=bool)
-        graphs[:, rows[:, :, None], rows[:, None, :]] = near & both
-    return graphs
+        masks.append(adjacency_mask(np.sqrt(dx * dx + dy * dy) < d, here))
+    return masks
 
 
-def adjacency_mask(graphs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(t, S, size, size) attention masks, self plus graph edges, of the S
-    scenes whose (S, size) row index scene_rows gives."""
-    return graphs[:, rows[:, :, None], rows[:, None, :]] | np.eye(rows.shape[1], dtype=bool)
+def adjacency_mask(near: np.ndarray, here: np.ndarray) -> np.ndarray:
+    """(t, S, size, size) attention masks, self plus graph edges, from the
+    pairwise nearness (t, S, size, size) and presence (t, S, size) of S
+    scenes: an edge joins two near pedestrians who are both present."""
+    return near & here[..., :, None] & here[..., None, :] | np.eye(near.shape[-1], dtype=bool)
 
 
 @dataclass
@@ -88,7 +83,7 @@ class TGConvParams(AttentionParams):
 
 def spatial_block(
     h: Tensor,
-    graphs: np.ndarray,
+    masks: List[np.ndarray],
     params: TGConvParams,
     presence: Optional[np.ndarray] = None,
     layout: Optional[Layout] = None,
@@ -97,24 +92,25 @@ def spatial_block(
     its graph neighbours plus itself; two skip connections, layer norm after
     each.
 
-    h: (N, t, d_model); graphs: (t, N, N) build_graph output over the rows
-    of h; layout: scene_layout of the rows (default one scene). A node
-    attends only within its scene, all scenes of one size in one attention
-    call. Absent pedestrians (presence False) pass through as zeros.
+    h: (N, t, d_model); masks: build_graph's, used as given, over the t
+    steps and the layout, scene_layout of the rows (default one scene). A
+    node attends only within its scene, all scenes of one size in one
+    attention call. Absent pedestrians (presence False) pass through as zeros.
     """
     n, t, d = h.shape
-    if np.shape(graphs) != (t, n, n):
-        raise ShapeMismatchError(f"graphs {np.shape(graphs)} for h {h.shape}; need (t, N, N)")
+    layout = layout or [(n, [(0, n)])]
+    need = [(t, sum(hi - lo for lo, hi in runs) // size, size, size) for size, runs in layout]
+    shapes = [np.shape(m) for m in masks]
+    if shapes != need or sum(s * size for _, s, size, _ in need) != n:
+        raise ShapeMismatchError(f"masks {shapes} for h {h.shape}; need {need}")
     x = h.swapaxes(0, 1)  # (t, N, d)
     pieces = {}  # first row of a run -> its (t, rows, d) attention output
-    for size, runs in layout or [(n, [(0, n)])]:
+    for (size, runs), mask in zip(layout, masks):
         # (t, S, size, d) blocks by slices and reshapes; a lone scene keeps (t, size, d)
-        rows = scene_rows(size, runs)
-        lone = len(rows) == 1
+        lone = mask.shape[1] == 1
         parts = [x if hi - lo == n else x[:, lo:hi] for lo, hi in runs]
         xs = parts[0] if len(parts) == 1 else concat(parts, axis=1)  # (t, S * size, d)
         q, k, v = head_projections(xs if lone else xs.reshape(t, -1, size, d), params)
-        mask = adjacency_mask(graphs, rows)  # (t, S, size, size)
         att, _ = masked_attention(q, k, v, mask if lone else mask[:, :, None], params.d_k)
         merged = merge_heads(att, params)
         flat = merged if lone else merged.reshape(t, -1, d)  # (t, S * size, d)

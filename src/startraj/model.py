@@ -19,8 +19,7 @@ from .attention import (
 )
 from .data import TrajectoryScene, preprocess
 from .errors import DataFormatError, NonFiniteError, ShapeMismatchError
-from .graph import Layout, TGConvParams, adjacency_mask, build_graph, scene_layout, scene_rows
-from .graph import spatial_block
+from .graph import Layout, TGConvParams, build_graph, scene_layout, spatial_block
 from .tensor import Tensor, concat, linear, parameter
 
 CHECKPOINT_FORMAT = "startraj-checkpoint"
@@ -73,7 +72,8 @@ class StarConfig:
         if self.ff_dim is not None:
             require_int("ff_dim", self.ff_dim, 1)
         require_positive("graph_threshold", self.graph_threshold)
-        if not (isinstance(self.dropout, Real) and 0 <= self.dropout < 1):
+        if isinstance(self.dropout, bool) or not (isinstance(self.dropout, Real)
+                                                  and 0 <= self.dropout < 1):
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if self.temporal_kind not in ("transformer", "recurrent"):
             raise ValueError(f"unknown temporal_kind {self.temporal_kind!r}")
@@ -233,7 +233,7 @@ def _temporal(h, enc: Encoder, time_mask: np.ndarray) -> Tensor:
 def encoder1(
     h_spatial: Tensor,
     h_temporal: Tensor,
-    graphs: np.ndarray,
+    masks: List[np.ndarray],
     memory: Optional[Tensor],
     params: StarParams,
     presence: np.ndarray,
@@ -245,7 +245,7 @@ def encoder1(
     covers steps 1..L-1), the temporal branch consumes it verbatim,
     concatenated along time with the current embedding at step L."""
     n, L, d = h_temporal.shape
-    spatial = spatial_block(h_spatial, graphs, params.enc1.spatial, presence, layout=layout)
+    spatial = spatial_block(h_spatial, masks, params.enc1.spatial, presence, layout=layout)
     if memory is not None:
         if memory.shape[1] != L - 1:
             raise ShapeMismatchError(
@@ -261,7 +261,7 @@ def encoder1(
 
 def encoder2(
     h: Tensor,
-    graphs: np.ndarray,
+    masks: List[np.ndarray],
     params: StarParams,
     presence: np.ndarray,
     layout: Optional[Layout] = None,
@@ -270,7 +270,7 @@ def encoder2(
     is ablated."""
     if params.enc2 is None:
         return h
-    spatial = spatial_block(h, graphs, params.enc2.spatial, presence, layout=layout)
+    spatial = spatial_block(h, masks, params.enc2.spatial, presence, layout=layout)
     return _temporal(spatial, params.enc2, presence)
 
 
@@ -286,16 +286,16 @@ def decode_step(h_last: Tensor, noise: Optional[Tensor], params: StarParams) -> 
 # ----------------------------------------------------------------------
 def _observed(scene: TrajectoryScene, config: StarConfig, layout: Layout):
     """The preprocessed scene, its observed history (N, obs_len, 2), presence
-    (N, obs_len) and graphs (obs_len, N, N)."""
+    (N, obs_len) and build_graph's masks over the observed steps."""
     if scene.obs_len != config.obs_len:
         raise DataFormatError(
             f"scene observes {scene.obs_len} steps; the model needs {config.obs_len}")
     scene = preprocess(scene)  # a no-op on a preprocessed scene
     obs = config.obs_len
     presence = scene.presence[:, :obs]
-    graphs = build_graph(scene.world_positions()[:, :obs], presence, layout,
-                         config.graph_threshold)
-    return scene, Tensor(scene.positions[:, :obs]), presence, graphs
+    masks = build_graph(scene.world_positions()[:, :obs], presence, layout,
+                        config.graph_threshold)
+    return scene, Tensor(scene.positions[:, :obs]), presence, masks
 
 
 def rollout(
@@ -307,8 +307,9 @@ def rollout(
     truth_positions: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Autoregressive prediction: re-encode the growing history, decode one
-    step, append it and the newest step's graph from predicted positions.
-    scene_ids (default one scene) must keep each scene's rows contiguous.
+    step, and append it and its masks; the observed window's masks are built
+    once. scene_ids (default one scene) holds one id per pedestrian row, each
+    scene's rows contiguous.
 
     Returns (N, pred_len, 2) positions in the origin-shifted frame; rows for
     pedestrians without a full observation window are zero. When
@@ -320,9 +321,12 @@ def rollout(
     step that decodes a non-finite position.
     """
     config = params.config
-    layout = scene_layout(np.zeros(scene.n_peds, dtype=np.int64) if scene_ids is None
-                          else scene_ids)
-    scene, history, presence, graphs = _observed(scene, config, layout)
+    if scene_ids is None:
+        scene_ids = np.zeros(scene.n_peds, dtype=np.int64)
+    elif len(scene_ids) != scene.n_peds:
+        raise DataFormatError(f"{len(scene_ids)} scene ids for {scene.n_peds} pedestrians")
+    layout = scene_layout(scene_ids)
+    scene, history, presence, masks = _observed(scene, config, layout)
     rollers = scene.rollout_mask
     if not rollers[scene.targets].all():
         raise DataFormatError("target pedestrian lacks a full observation window")
@@ -339,8 +343,8 @@ def rollout(
     for s in range(config.pred_len):
         h_s, h_t = embed_inputs(history, params, rng, training)
         pmask = Tensor(presence[:, :, None].astype(np.float64))  # zero at absent slots
-        fused = encoder1(h_s * pmask, h_t * pmask, graphs, memory, params, presence, layout=layout)
-        enc = encoder2(fused, graphs, params, presence, layout=layout)
+        fused = encoder1(h_s * pmask, h_t * pmask, masks, memory, params, presence, layout=layout)
+        enc = encoder2(fused, masks, params, presence, layout=layout)
         if keep_memory:
             memory = enc
         h_last = enc[:, -1, :]
@@ -355,8 +359,8 @@ def rollout(
         history = concat([history, appended.reshape(n, 1, 2)], axis=1)
         presence = np.concatenate([presence, rollers[:, None]], axis=1)
         world_step = (appended.data + scene.origins)[:, None]  # (N, 1, 2)
-        step_graph = build_graph(world_step, rollers[:, None], layout, config.graph_threshold)
-        graphs = np.concatenate([graphs, step_graph])
+        step_masks = build_graph(world_step, rollers[:, None], layout, config.graph_threshold)
+        masks = [np.concatenate(pair) for pair in zip(masks, step_masks)]
 
     return T.stack(preds, axis=1)
 
@@ -368,13 +372,12 @@ def encoder2_attention(scene: TrajectoryScene, params: StarParams) -> np.ndarray
     if params.enc2 is None:
         raise DataFormatError("model has no encoder-2 spatial transformer")
     n = scene.n_peds
-    layout = [(n, [(0, n)])]
-    _, history, presence, graphs = _observed(scene, params.config, layout)
+    _, history, presence, masks = _observed(scene, params.config, [(n, [(0, n)])])
     h_s, h_t = embed_inputs(history, params)
     pmask = Tensor(presence[:, :, None].astype(np.float64))
-    fused = encoder1(h_s * pmask, h_t * pmask, graphs, None, params, presence)
+    fused = encoder1(h_s * pmask, h_t * pmask, masks, None, params, presence)
     q, k, v = head_projections(fused.swapaxes(0, 1), params.enc2.spatial)  # (t, heads, N, d_k)
-    mask = adjacency_mask(graphs, scene_rows(*layout[0]))  # (t, 1, N, N): one for every head
+    [mask] = masks  # (t, 1, N, N): one for every head
     return masked_attention(q, k, v, mask, params.enc2.spatial.d_k)[1].data
 
 

@@ -22,9 +22,11 @@ from startraj.trainer import _scene_truth_and_mask
 
 
 def _graph(xy, d):
-    """One-step interaction graph (1, N, N) over N points of one scene."""
+    """One-step interaction graph (1, N, N) over N points of one scene: its
+    attention mask, self included."""
     n = len(xy)
-    return build_graph(xy[:, None], np.ones((n, 1), dtype=bool), [(n, [(0, n)])], d)
+    [mask] = build_graph(xy[:, None], np.ones((n, 1), dtype=bool), [(n, [(0, n)])], d)
+    return mask[:, 0]
 
 
 class TestAcceptance:
@@ -69,7 +71,7 @@ class TestAcceptance:
                 params = TGConvParams.init(8, 2, rng)
                 graph = _graph(rng.uniform(-3, 3, (n, 2)), d=float(rng.uniform(1.0, 4.0)))
                 h = Tensor(rng.standard_normal((n, 1, 8)))
-                spatial_block(h, graph, params)
+                spatial_block(h, [graph[:, None]], params)
                 w = spatial_weights[-1][1][0]
                 allow = graph[0] | np.eye(n, dtype=bool)
             assert np.all(w[..., ~allow] == 0.0)  # exactly zero, not approximately
@@ -83,7 +85,7 @@ class TestAcceptance:
         permutation equivariance within 1e-9 and bit-identical non-neighbor
         locality."""
         def tgconv(h, graph, params):
-            return spatial_block(Tensor(h[:, None, :]), graph, params).numpy()[:, 0]
+            return spatial_block(Tensor(h[:, None, :]), [graph[:, None]], params).numpy()[:, 0]
 
         rng = np.random.default_rng(2)
         worst = 0.0

@@ -43,7 +43,7 @@ BAD_CONFIG_LINES = [
     "epochs = 0", "heads = 5", "d_model = 7\nheads = 7", "learning_rate = fast",
     "noise_dim = -40", "d_model = -8", "d_model = 0", "ff_dim = -3", "ff_dim = 0",
     "obs_len = 2.5", "pred_len = 2.5", "noise_dim = 2.5", "epochs = 2.5",
-    "seed = -1", "seed = 2.5", "dropout = 2", "dropout = 1.0",
+    "seed = -1", "seed = 2.5", "dropout = 2", "dropout = 1.0", "dropout = false",
     "graph_threshold = nan", "graph_threshold = -1", "learning_rate = nan",
     "max_steps = nan", "ped_budget = inf", "scene_batch = 2.5",
     "checkpoint_every = 2.5", "use_memory = maybe", "deterministic = 3",
@@ -178,6 +178,13 @@ class TestExitCodes:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{scene}:2" in err and "Traceback" not in err
+
+    def test_usage_error_unknown_eval_variant(self, tmp_path, data_dir, checkpoint, capsys):
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data-dir",
+                     str(data_dir), "--variant", "bogus", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_usage_error_zero_samples(self, tmp_path, data_dir, checkpoint):
         code = main(["eval", "--checkpoint", str(checkpoint), "--data-dir",

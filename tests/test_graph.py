@@ -10,11 +10,23 @@ from startraj.errors import DataFormatError, ShapeMismatchError
 
 def _graph(xy, d, present=None):
     """build_graph at one step (t = 1) over (N, 2) points of one scene, every
-    pedestrian present unless given: a (1, N, N) array."""
+    pedestrian present unless given: the scene's (1, N, N) mask."""
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     n = len(xy)
     present = np.ones(n, dtype=bool) if present is None else np.asarray(present)
-    return build_graph(xy[:, None], present[:, None], [(n, [(0, n)])], d)
+    [mask] = build_graph(xy[:, None], present[:, None], [(n, [(0, n)])], d)
+    return mask[:, 0]
+
+
+def _dense(masks, layout, n):
+    """(t, N, N) form of build_graph's masks over n packed rows: each scene's
+    block on the diagonal, False across scenes."""
+    dense = np.zeros((masks[0].shape[0], n, n), dtype=bool)
+    for (size, runs), mask in zip(layout, masks, strict=True):
+        starts = [i for lo, hi in runs for i in range(lo, hi, size)]
+        for k, i in enumerate(starts):
+            dense[:, i:i + size, i:i + size] = mask[:, k]
+    return dense
 
 
 def _allow(graph):
@@ -22,9 +34,14 @@ def _allow(graph):
     return graph[0] | np.eye(graph.shape[-1], dtype=bool)
 
 
+def _spatial(h, graphs, params, **kwargs):
+    """spatial_block over one scene whose (t, N, N) mask is graphs."""
+    return spatial_block(Tensor(h), [graphs[:, None]], params, **kwargs).numpy()
+
+
 def _tgconv(h, graph, params):
     """TGConv at one timestep: spatial_block with t = 1 on (N, d) features."""
-    return spatial_block(Tensor(h[:, None, :]), graph, params).numpy()[:, 0]
+    return _spatial(h[:, None, :], graph, params)[:, 0]
 
 
 def _oracle_masked_dense(h, allow, p):
@@ -60,17 +77,17 @@ class TestBuildGraph:
         # [TRIVIAL] (0,0),(0,1),(0,5), d=2 -> only the close pair connected
         g = _graph([(0.0, 0.0), (0.0, 1.0), (0.0, 5.0)], d=2.0)
         assert g.shape == (1, 3, 3) and g.dtype == bool
-        np.testing.assert_array_equal(g[0], [[False, True, False],
-                                             [True, False, False],
-                                             [False, False, False]])
+        np.testing.assert_array_equal(g[0], [[True, True, False],
+                                             [True, True, False],
+                                             [False, False, True]])
 
     def test_zero_threshold_empty(self):
-        # [TRIVIAL] strict inequality: d=0 connects nothing
-        assert not _graph([(0.0, 0.0), (0.0, 0.0)], d=0.0).any()
+        # [TRIVIAL] strict inequality: d=0 connects nothing, self stays
+        np.testing.assert_array_equal(_graph([(0.0, 0.0), (0.0, 0.0)], d=0.0)[0], np.eye(2))
 
     def test_boundary_distance_excluded(self):
         # distance exactly d is NOT an edge (strict <)
-        assert not _graph([(0.0, 0.0), (2.0, 0.0)], d=2.0).any()
+        np.testing.assert_array_equal(_graph([(0.0, 0.0), (2.0, 0.0)], d=2.0)[0], np.eye(2))
 
     def test_brute_force_oracle(self):
         # [DERIVED] 20 random points vs an all-pairs scalar distance check
@@ -79,9 +96,7 @@ class TestBuildGraph:
         g = _graph(pts, d=1.5)[0]
         for i, (xi, yi) in enumerate(pts):
             for j, (xj, yj) in enumerate(pts):
-                if i == j:
-                    continue
-                expect = np.hypot(xi - xj, yi - yj) < 1.5
+                expect = i == j or np.hypot(xi - xj, yi - yj) < 1.5
                 assert g[i, j] == expect
 
     def test_symmetry_property(self):
@@ -90,11 +105,11 @@ class TestBuildGraph:
             pts = rng.uniform(-5, 5, (int(rng.integers(2, 12)), 2))
             g = _graph(pts, d=float(rng.uniform(0.5, 5.0)))[0]
             np.testing.assert_array_equal(g, g.T)
-            assert not g.diagonal().any()  # no self-loops stored
+            assert g.diagonal().all()  # self is always allowed
 
     def test_edge_count(self):
         g = _graph([(0, 0), (0, 1), (1, 0)], d=1.5)
-        assert g.sum() // 2 == 3
+        assert (g.sum() - 3) // 2 == 3
 
     def test_packed_window_matches_oracle(self):
         # [DERIVED] four scenes packed over 5 steps with absent slots: every
@@ -106,14 +121,17 @@ class TestBuildGraph:
         world = rng.uniform(-2.5, 2.5, (n, t, 2))
         present = rng.random((n, t)) > 0.2
         world[~present] = rng.uniform(-2.5, 2.5, (int((~present).sum()), 2))
-        g = build_graph(world, present, scene_layout(ids), d)
-        assert g.shape == (t, n, n)
+        layout = scene_layout(ids)
+        masks = build_graph(world, present, layout, d)
+        assert [m.shape for m in masks] == [(t, 1, 1, 1), (t, 1, 2, 2), (t, 1, 3, 3),
+                                            (t, 1, 5, 5)]
+        g = _dense(masks, layout, n)
         for s in range(t):
             for i in range(n):
                 for j in range(n):
                     (xi, yi), (xj, yj) = world[i, s], world[j, s]
-                    expect = (i != j and ids[i] == ids[j] and present[i, s]
-                              and present[j, s] and np.hypot(xi - xj, yi - yj) < d)
+                    expect = i == j or (ids[i] == ids[j] and present[i, s]
+                                        and present[j, s] and np.hypot(xi - xj, yi - yj) < d)
                     assert g[s, i, j] == expect, (s, i, j)
         assert g.any() and not g.all()
 
@@ -127,15 +145,16 @@ class TestBuildGraph:
         g = build_graph(world, present, layout, 1.8)
         steps = [build_graph(world[:, s:s + 1], present[:, s:s + 1], layout, 1.8)
                  for s in range(6)]
-        np.testing.assert_array_equal(g, np.concatenate(steps))
+        for mask, *parts in zip(g, *steps, strict=True):
+            np.testing.assert_array_equal(mask, np.concatenate(parts))
 
     def test_nan_in_absent_slot_ignored(self):
         world = np.array([[[0.0, 0.0]], [[np.nan, np.inf]], [[0.5, 0.0]]])
         present = np.array([[True], [False], [True]])
-        g = build_graph(world, present, [(3, [(0, 3)])], 1.0)
-        np.testing.assert_array_equal(g[0], [[False, False, True],
-                                             [False, False, False],
-                                             [True, False, False]])
+        [g] = build_graph(world, present, [(3, [(0, 3)])], 1.0)
+        np.testing.assert_array_equal(g[0, 0], [[True, False, True],
+                                                [False, True, False],
+                                                [True, False, True]])
 
     def test_nan_in_present_slot_rejected(self):
         world = np.zeros((3, 2, 2))
@@ -204,7 +223,7 @@ class TestTGConv:
     def test_row_count_mismatch_rejected(self):
         # a graph over 4 rows for h with rows 0..2 only, either way round
         h, _, graph, params = self._setup()
-        with pytest.raises(ShapeMismatchError, match=r"\(1, 4, 4\)"):
+        with pytest.raises(ShapeMismatchError, match=r"\(1, 1, 4, 4\)"):
             _tgconv(h[:-1], graph, params)
         with pytest.raises(ShapeMismatchError):
             _tgconv(h, graph[:, :3, :3], params)
@@ -240,7 +259,7 @@ class TestSpatialBlock:
         params = TGConvParams.init(8, 2, rng)
         graph = _graph([(float(i), 0.0) for i in range(4)], d=1.5)
         h = rng.standard_normal((4, 1, 8))
-        out = spatial_block(Tensor(h), graph, params).numpy()
+        out = _spatial(h, graph, params)
         single = _oracle_masked_dense(h[:, 0, :], _allow(graph), params)
         np.testing.assert_allclose(out[:, 0, :], single, atol=1e-10)
 
@@ -250,7 +269,7 @@ class TestSpatialBlock:
         params = TGConvParams.init(8, 2, rng)
         graphs = np.concatenate([_graph([(100.0 * i, 0.0) for i in range(3)], d=1.0)] * 4)
         h = rng.standard_normal((3, 4, 8))
-        out = spatial_block(Tensor(h), graphs, params).numpy()
+        out = _spatial(h, graphs, params)
         for i in range(3):
             for t in range(4):
                 expect = _oracle_masked_dense(
@@ -262,10 +281,11 @@ class TestSpatialBlock:
         # [DERIVED] 3 steps x 5 nodes: equals per-step single-step calls
         rng = np.random.default_rng(9)
         params = TGConvParams.init(8, 2, rng)
-        graphs = build_graph(rng.uniform(-2, 2, (5, 3, 2)), np.ones((5, 3), dtype=bool),
-                             [(5, [(0, 5)])], d=1.8)
+        [masks] = build_graph(rng.uniform(-2, 2, (5, 3, 2)), np.ones((5, 3), dtype=bool),
+                              [(5, [(0, 5)])], d=1.8)
+        graphs = masks[:, 0]
         h = rng.standard_normal((5, 3, 8))
-        out = spatial_block(Tensor(h), graphs, params).numpy()
+        out = _spatial(h, graphs, params)
         for t in range(3):
             per_step = _tgconv(h[:, t, :], graphs[t:t + 1], params)
             np.testing.assert_allclose(out[:, t, :], per_step, atol=1e-12)
@@ -274,10 +294,12 @@ class TestSpatialBlock:
         rng = np.random.default_rng(10)
         params = TGConvParams.init(8, 2, rng)
         h = Tensor(rng.standard_normal((1, 3, 8)))
-        graph = _graph([(0.0, 0.0)], d=1.0)  # one step for three
-        for wrong in (graph, graph[0], np.concatenate([graph] * 3)[:, :, :0], [graph] * 3):
+        mask = _graph([(0.0, 0.0)], d=1.0)[:, None]  # one step for three
+        three = np.concatenate([mask] * 3)
+        for wrong in ([mask], [mask[0]], [three[..., :0]], [three] * 2, [], three[:, 0]):
             with pytest.raises(ShapeMismatchError):
                 spatial_block(h, wrong, params)
+        spatial_block(h, [three], params)  # the matching mask
 
     def test_absent_pedestrians_zeroed(self):
         rng = np.random.default_rng(11)
@@ -285,6 +307,6 @@ class TestSpatialBlock:
         graphs = np.concatenate([_graph([(100.0 * i, 0.0) for i in range(2)], d=1.0)] * 3)
         presence = np.array([[True, True, True], [True, False, True]])
         h = rng.standard_normal((2, 3, 8))
-        out = spatial_block(Tensor(h), graphs, params, presence=presence).numpy()
+        out = _spatial(h, graphs, params, presence=presence)
         np.testing.assert_array_equal(out[1, 1], 0.0)
         assert np.any(out[0, 1] != 0.0)

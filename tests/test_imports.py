@@ -1,6 +1,6 @@
 """The runtime dependency is numpy alone: every import in the package names
 the standard library, numpy or the package itself. The benchmark's trace
-points name attributes that exist."""
+points name attributes that exist, and each of them is called."""
 
 import ast
 import json
@@ -15,13 +15,15 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "startraj"
 SPANS = PACKAGE.parent.parent / "perfbench" / "spans.py"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "startraj"}
 
-# run in a fresh interpreter: load perfbench/spans.py by path and resolve
-# each (module, attribute) of its TRACE_POINTS the way Tracer.install does
-_RESOLVE = """
+# run in a fresh interpreter: load perfbench/spans.py by path
+_LOAD_SPANS = """
 import importlib, importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("spans", sys.argv[1])
 spans = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(spans)
+"""
+# resolve each (module, attribute) of its TRACE_POINTS the way Tracer.install does
+_RESOLVE = _LOAD_SPANS + """
 missing = []
 for module, attr, _ in spans.TRACE_POINTS:
     tensor = importlib.import_module("startraj.tensor")
@@ -29,6 +31,24 @@ for module, attr, _ in spans.TRACE_POINTS:
     if not callable(getattr(owner, attr, None)):
         missing.append(module + "." + attr)
 print(json.dumps([len(spans.TRACE_POINTS), missing]))
+"""
+# install the Tracer on every trace point, run one training step on two tiny
+# scenes and one best-of-1 evaluation, and list the span names never entered
+_FIRE = _LOAD_SPANS + """
+from types import SimpleNamespace
+import numpy as np
+lib = SimpleNamespace(**{m: importlib.import_module("startraj." + m)
+                         for m in ("tensor", "graph", "model", "trainer", "synthetic")})
+tracer = spans.Tracer()
+assert tracer.install(lib, spans.TRACE_POINTS) == []
+config = lib.model.StarConfig(d_model=8, heads=2, pred_len=2)
+scenes = [lib.synthetic.simulate_scene(np.random.default_rng(seed), n_peds=2, total_len=10)
+          for seed in (0, 1)]
+params, history = lib.trainer.train(lib.trainer.TrainSpec(max_steps=1), config, scenes)
+assert len(history) == 1
+lib.trainer.best_of_k(scenes[0], params, K=1)
+names = {name for _, _, name in spans.TRACE_POINTS}
+print(json.dumps([len(names), sorted(names - {span[0] for span in tracer.spans})]))
 """
 
 
@@ -51,11 +71,22 @@ def test_package_found():
     assert (PACKAGE / "__init__.py").is_file()
 
 
+def _run_with_spans(script):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", script, str(SPANS)], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
 def test_benchmark_trace_points_resolve():
     # a renamed function or import would otherwise fail only traced
     # benchmark runs
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    run = subprocess.run([sys.executable, "-c", _RESOLVE, str(SPANS)], env=env,
-                         capture_output=True, text=True, check=True)
-    count, missing = json.loads(run.stdout)
+    count, missing = _run_with_spans(_RESOLVE)
     assert count > 0 and missing == []
+
+
+def test_benchmark_trace_points_fire():
+    # a point that resolves but is no longer called through the rebound
+    # module global records nothing, and its layer would read as faster
+    count, silent = _run_with_spans(_FIRE)
+    assert count > 0 and silent == []

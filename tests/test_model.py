@@ -38,7 +38,7 @@ def _scene(n=3, seed=0, total=None, obs=8, config=None):
 
 
 def _observed_graphs(scene, config):
-    """(obs_len, N, N) graphs of a one-scene window, as rollout builds them."""
+    """build_graph's masks of a one-scene observed window, as rollout builds them."""
     obs = config.obs_len
     return build_graph(scene.world_positions()[:, :obs], scene.presence[:, :obs],
                        [(scene.n_peds, [(0, scene.n_peds)])], config.graph_threshold)
@@ -82,6 +82,8 @@ class TestConfig:
             StarConfig(d_model=7, heads=1)  # positional encoding needs even d
         with pytest.raises(ValueError, match="heads"):
             StarConfig(heads=0)
+        with pytest.raises(ValueError, match="dropout"):
+            StarConfig(dropout=False)  # a bool is not a rate, though False == 0
 
     @pytest.mark.parametrize("setting", [
         dict(use_memory="maybe"), dict(deterministic=3), dict(use_encoder2=1),

@@ -43,6 +43,28 @@ def _allow(graph, ids):
     return allow
 
 
+def _starts(size, runs):
+    """First row of each scene of one scene_layout entry, in row order."""
+    return [i for lo, hi in runs for i in range(lo, hi, size)]
+
+
+def _dense(masks, layout, n):
+    """(t, N, N) form of build_graph's masks over n packed rows: each scene's
+    block on the diagonal, False across scenes."""
+    dense = np.zeros((masks[0].shape[0], n, n), dtype=bool)
+    for (size, runs), mask in zip(layout, masks, strict=True):
+        for k, i in enumerate(_starts(size, runs)):
+            dense[:, i:i + size, i:i + size] = mask[:, k]
+    return dense
+
+
+def _blocks(dense, layout):
+    """build_graph's form of a (t, N, N) mask: per scene_layout entry, the
+    (t, S, size, size) diagonal blocks of its S scenes."""
+    return [np.stack([dense[:, i:i + size, i:i + size] for i in _starts(size, runs)], axis=1)
+            for size, runs in layout]
+
+
 def _packed_graphs(rng, sizes, t, d=2.5, cross_scene=False):
     """(t, N, N) graphs over packed rows from random positions, with about one
     node in six absent. Edges join only pedestrians of one scene unless
@@ -52,7 +74,7 @@ def _packed_graphs(rng, sizes, t, d=2.5, cross_scene=False):
     presence = rng.random((n, t)) > 0.15
     world = np.stack([rng.uniform(-3.0, 3.0, (n, 2)) for _ in range(t)], axis=1)
     layout = [(n, [(0, n)])] if cross_scene else scene_layout(ids)
-    graphs = build_graph(world, presence, layout, d)
+    graphs = _dense(build_graph(world, presence, layout, d), layout, n)
     return graphs, presence
 
 
@@ -94,7 +116,7 @@ def _block_weights(calls, ids):
     size in scene_layout order, its scenes in row order."""
     blocks = []
     for (size, runs), (_, w) in zip(scene_layout(ids), calls, strict=True):
-        starts = [i for lo, hi in runs for i in range(lo, hi, size)]
+        starts = _starts(size, runs)
         w = w.reshape(w.shape[0], len(starts), -1, size, size)  # a lone scene has no S axis
         blocks += [(i, size, w[:, j]) for j, i in enumerate(starts)]
     return blocks
@@ -108,10 +130,11 @@ def _scene_rows(sizes):
 def _dense_spatial_block(ids):
     """The dense path: one (t, heads, N, N) attention over all packed rows,
     cross-scene keys masked, built from the library's primitives. Takes
-    spatial_block's arguments and ignores the layout."""
+    spatial_block's arguments and reads the layout only to place the masks."""
     same_scene = ids[:, None] == ids[None, :]
 
-    def block(h, graphs, params, presence=None, layout=None):
+    def block(h, masks, params, presence=None, layout=None):
+        graphs = _dense(masks, layout, h.shape[0])
         allow = (graphs | np.eye(h.shape[0], dtype=bool)) & same_scene
         x = h.swapaxes(0, 1)
         q, k, v = head_projections(x, params)
@@ -166,6 +189,15 @@ class TestSceneLayout:
             rollout(batch.scene, init_params(config, np.random.default_rng(0)),
                     scene_ids=np.array([0, 1, 0, 1]))
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_rollout_rejects_scene_id_count(self, count, monkeypatch):
+        # one id per pedestrian row, checked before any graph is built
+        batch = _batch((2, 2), seed=40)
+        config = StarConfig(d_model=8, heads=2, pred_len=3, deterministic=True, dropout=0.0)
+        monkeypatch.setattr(startraj.model, "build_graph", None)  # a call would be a TypeError
+        with pytest.raises(DataFormatError, match=f"{count} scene ids for 4 pedestrians"):
+            rollout(batch.scene, init_params(config, np.random.default_rng(0)),
+                    scene_ids=np.repeat([0, 1], [2, count - 2]))
 
     def test_rollout_groups_rows_once(self, monkeypatch):
         # one scene_layout call per rollout, and that very object reaches the
@@ -199,6 +231,33 @@ class TestSceneLayout:
         assert len(seen["spatial_block"]) == 2 * config.pred_len
         assert all(layout is layouts[0] for calls in seen.values() for layout in calls)
 
+    def test_rollout_builds_each_step_mask_once(self, monkeypatch):
+        # the observed window's masks in one build, then one build per
+        # predicted step, each one adjacency_mask call per scene size; every
+        # spatial_block call gets masks over exactly its input's steps
+        batch = _batch((3, 2, 3), seed=42)
+        config = StarConfig(d_model=8, heads=2, pred_len=3, deterministic=True, dropout=0.0)
+        mask_calls, block_steps = [], []
+        real_mask, real_block = startraj.graph.adjacency_mask, startraj.model.spatial_block
+
+        def mask_spy(near, here):
+            mask_calls.append(near.shape)
+            return real_mask(near, here)
+
+        def block_spy(h, masks, *args, **kwargs):
+            block_steps.append((h.shape[1], [m.shape[0] for m in masks]))
+            return real_block(h, masks, *args, **kwargs)
+
+        monkeypatch.setattr(startraj.graph, "adjacency_mask", mask_spy)
+        monkeypatch.setattr(startraj.model, "spatial_block", block_spy)
+        rollout(batch.scene, init_params(config, np.random.default_rng(0)),
+                scene_ids=batch.scene_ids)
+        sizes = len(scene_layout(batch.scene_ids))
+        assert sizes == 2 and len(mask_calls) == (config.pred_len + 1) * sizes
+        assert [shape[0] for shape in mask_calls] == [8, 8] + [1, 1] * config.pred_len
+        assert [t for t, _ in block_steps] == [8, 8, 9, 9, 10, 10]
+        assert all(steps == [t] * sizes for t, steps in block_steps)
+
 
 class TestBlockVsDense:
     @pytest.mark.parametrize("sizes", MIXED_SIZES)
@@ -208,7 +267,8 @@ class TestBlockVsDense:
         ids = _ids(sizes)
         graphs, presence = _packed_graphs(rng, sizes, t=3)
         h = rng.standard_normal((len(ids), 3, 8))
-        out = spatial_block(Tensor(h), graphs, params, presence, layout=scene_layout(ids))
+        layout = scene_layout(ids)
+        out = spatial_block(Tensor(h), _blocks(graphs, layout), params, presence, layout=layout)
         expect, expect_w = _oracle(h, graphs, params, ids, presence)
         np.testing.assert_allclose(out.numpy(), expect, rtol=0, atol=1e-12)
         blocks = _block_weights(spatial_weights, ids)
@@ -220,8 +280,9 @@ class TestBlockVsDense:
                                        rtol=0, atol=1e-12)
 
     def test_cross_scene_edges_ignored(self):
-        # a graph joining every close pair across scenes: the blocks drop
-        # those edges, exactly as the dense oracle's scene mask does
+        # a graph joining every close pair across scenes: cutting it into
+        # scene blocks drops those edges, exactly as the dense oracle's scene
+        # mask does
         sizes = (3, 1, 4, 3)
         rng = np.random.default_rng(21)
         params = TGConvParams.init(8, 2, rng)
@@ -229,7 +290,8 @@ class TestBlockVsDense:
         graphs, presence = _packed_graphs(rng, sizes, t=2, d=4.0, cross_scene=True)
         assert (graphs & (ids[:, None] != ids[None, :])).any()
         h = rng.standard_normal((len(ids), 2, 8))
-        out = spatial_block(Tensor(h), graphs, params, presence, layout=scene_layout(ids))
+        layout = scene_layout(ids)
+        out = spatial_block(Tensor(h), _blocks(graphs, layout), params, presence, layout=layout)
         expect, _ = _oracle(h, graphs, params, ids, presence)
         np.testing.assert_allclose(out.numpy(), expect, rtol=0, atol=1e-12)
 
@@ -239,9 +301,10 @@ class TestBlockVsDense:
         params = TGConvParams.init(8, 2, rng)
         graphs, presence = _packed_graphs(rng, (5,), t=2)
         h = Tensor(rng.standard_normal((5, 2, 8)))
-        one = spatial_block(h, graphs, params, presence,
-                            layout=scene_layout(np.zeros(5, dtype=np.int64)))
-        assert np.array_equal(spatial_block(h, graphs, params, presence).numpy(), one.numpy())
+        layout = scene_layout(np.zeros(5, dtype=np.int64))
+        masks = _blocks(graphs, layout)
+        one = spatial_block(h, masks, params, presence, layout=layout)
+        assert np.array_equal(spatial_block(h, masks, params, presence).numpy(), one.numpy())
 
     @pytest.mark.parametrize("sizes", [(3, 8, 5, 8, 2, 5), (1, 4, 1, 4)])
     def test_rollout_and_gradients_match_dense(self, sizes, monkeypatch, spatial_weights):
@@ -330,8 +393,9 @@ class TestLogitCells:
         params = TGConvParams.init(8, 2, rng)
         ids = _ids(sizes)
         graphs, presence = _packed_graphs(rng, sizes, t=3)
-        spatial_block(Tensor(rng.standard_normal((len(ids), 3, 8))), graphs, params, presence,
-                      layout=scene_layout(ids))
+        layout = scene_layout(ids)
+        spatial_block(Tensor(rng.standard_normal((len(ids), 3, 8))), _blocks(graphs, layout),
+                      params, presence, layout=layout)
         cells = sum(int(np.prod(q[:-1])) * k[-2] for q, k, _ in calls)
         assert cells == 3 * 2 * sum(n * n for n in sizes) == 3 * 2 * 1615
         # one call per scene size, none padded: the fifteen 1-ped scenes share
