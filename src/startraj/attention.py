@@ -8,7 +8,7 @@ of autodiff tensors so they can be shared across concurrent forward passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -38,6 +38,14 @@ class Params:
             elif isinstance(value, Params):
                 out += value.parameters(name)
         return out
+
+    def frozen(self) -> "Params":
+        """A copy, walked as parameters() walks it, whose tensors wrap the same
+        arrays with requires_grad False: no op on it keeps parents or a
+        backward closure. The original and its gradients stay as they are."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return replace(self, **{name: Tensor(v.data) if isinstance(v, Tensor) else v.frozen()
+                                for name, v in values.items() if isinstance(v, (Tensor, Params))})
 
 
 @dataclass

@@ -285,6 +285,10 @@ def cmd_eval(args) -> int:
         raise UsageError(f"--stride must be >= 1, got {args.stride}")
     params = load_checkpoint(args.checkpoint)
     config = params.config
+    variant = next((name for name, flags in VARIANT_FLAGS.items()  # report label
+                    if all(getattr(config, k) == v for k, v in flags.items())), "custom")
+    if args.variant not in (None, variant):
+        raise UsageError(f"--variant {args.variant}: the checkpoint is a {variant} model")
     files = _dataset_files(args.data_dir)
     if args.held_out:
         if args.held_out not in files:
@@ -294,7 +298,7 @@ def cmd_eval(args) -> int:
     for name, path in sorted(files.items()):
         scenes = _load_scenes(path, config, stride=args.stride, dataset=name)
         reports.append(evaluate(params, scenes, K=args.samples, seed=args.seed,
-                                variant=args.variant or "full", dataset=name))
+                                variant=variant, dataset=name))
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "eval_report.tsv")
     write_reports(report_path, reports)
@@ -311,7 +315,7 @@ def cmd_predict(args) -> int:
     config = params.config
     scene = preprocess(scene_from_file(args.scene, config))
     rng = np.random.default_rng(args.seed)
-    pred = rollout(scene, params, rng=rng).numpy()
+    pred = rollout(scene, params.frozen(), rng=rng).numpy()
     pred_world = pred + scene.origins[:, None, :]
     os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, "prediction.txt")

@@ -238,14 +238,24 @@ def encoder1(
     params: StarParams,
     presence: np.ndarray,
     layout: Optional[Layout] = None,
+    spatial_before: Optional[List[Tensor]] = None,
 ) -> Tensor:
     """Parallel spatial and temporal branches fused by a linear layer.
 
     Given a graph memory (the previous rollout step's encoder-2 output, which
     covers steps 1..L-1), the temporal branch consumes it verbatim,
-    concatenated along time with the current embedding at step L."""
+    concatenated along time with the current embedding at step L.
+
+    TGConv sees one step's graph at a time, so with spatial_before, the list of
+    its outputs over the first L - k steps, h_spatial holds the last k steps
+    only; their output is appended to the list."""
     n, L, d = h_temporal.shape
-    spatial = spatial_block(h_spatial, masks, params.enc1.spatial, presence, layout=layout)
+    k = h_spatial.shape[1]
+    spatial = spatial_block(h_spatial, [m[L - k:] for m in masks], params.enc1.spatial,
+                            presence[:, L - k:], layout=layout)
+    if spatial_before is not None:
+        spatial_before.append(spatial)
+        spatial = concat(spatial_before, axis=1) if len(spatial_before) > 1 else spatial
     if memory is not None:
         if memory.shape[1] != L - 1:
             raise ShapeMismatchError(
@@ -306,7 +316,7 @@ def rollout(
     training: bool = False,
     truth_positions: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """Autoregressive prediction: re-encode the growing history, decode one
+    """Autoregressive prediction: encode the growing history, decode one
     step, and append it and its masks; the observed window's masks are built
     once. scene_ids (default one scene) holds one id per pedestrian row, each
     scene's rows contiguous.
@@ -315,6 +325,11 @@ def rollout(
     pedestrians without a full observation window are zero. When
     truth_positions (N, T, 2) is given, ground truth, not the prediction, is
     appended to the history (teacher forcing).
+
+    Training re-embeds and re-encodes the whole history each step (dropout
+    resamples it). Otherwise each step embeds and runs encoder 1's TGConv on
+    the newest step alone, bit-exactly; the temporal branches, the fusion and
+    encoder 2 see the full history, as their outputs change every step.
 
     The graph memory starts empty; with memory and encoder 2 enabled, each
     step's encoder-2 output replaces it. Raises NonFiniteError at the first
@@ -338,12 +353,20 @@ def rollout(
     roll_col = Tensor(rollers[:, None].astype(np.float64))
     keep_memory = config.use_memory and config.use_encoder2
     memory: Optional[Tensor] = None
+    spatial: Optional[List[Tensor]] = None if training else []  # encoder 1's TGConv outputs
     preds: List[Tensor] = []
 
     for s in range(config.pred_len):
-        h_s, h_t = embed_inputs(history, params, rng, training)
-        pmask = Tensor(presence[:, :, None].astype(np.float64))  # zero at absent slots
-        fused = encoder1(h_s * pmask, h_t * pmask, masks, memory, params, presence, layout=layout)
+        fresh = training or s == 0  # embed the whole history, else the newest step
+        # numpy's matmul rounds a one-step input differently from the same rows
+        # of a longer one; embedding two steps and keeping the newest does not
+        h_s, h_new = embed_inputs(history if fresh else history[:, -2:], params, rng, training)
+        if not fresh:
+            h_s, h_new = h_s[:, 1:], h_new[:, 1:]
+        pmask = Tensor(presence[:, -h_s.shape[1]:, None].astype(np.float64))  # 0 if absent
+        h_t = h_new * pmask if fresh else concat([h_t, h_new * pmask], axis=1)
+        fused = encoder1(h_s * pmask, h_t, masks, memory, params, presence, layout=layout,
+                         spatial_before=spatial)
         enc = encoder2(fused, masks, params, presence, layout=layout)
         if keep_memory:
             memory = enc
@@ -353,6 +376,8 @@ def rollout(
         if not np.all(np.isfinite(step.data)):
             raise NonFiniteError(f"non-finite predicted position at rollout step {s}")
         preds.append(step)
+        if s + 1 == config.pred_len:
+            break  # no later step reads this one's history, presence or masks
 
         appended = step if truth_positions is None else Tensor(
             np.where(rollers[:, None], truth_positions[:, config.obs_len + s], 0.0))
@@ -367,10 +392,11 @@ def rollout(
 
 def encoder2_attention(scene: TrajectoryScene, params: StarParams) -> np.ndarray:
     """Encoder-2 spatial attention weights (obs_len, heads, N, N) over one
-    scene's observed window, as the first rollout step computes them. Noise
-    enters only at the decoder, so no seed reaches them."""
+    scene's observed window, as the first rollout step computes them, with no
+    tape. Noise enters only at the decoder, so no seed reaches them."""
     if params.enc2 is None:
         raise DataFormatError("model has no encoder-2 spatial transformer")
+    params = params.frozen()
     n = scene.n_peds
     _, history, presence, masks = _observed(scene, params.config, [(n, [(0, n)])])
     h_s, h_t = embed_inputs(history, params)

@@ -66,9 +66,9 @@ def best_of_k(
     rng: Optional[np.random.Generator] = None,
     independent_minima: bool = False,
 ) -> Tuple[float, float]:
-    """Sample K rollouts and report the best one. By default the FDE comes
-    from the same minimum-ADE sample; independent_minima reports min ADE and
-    min FDE separately."""
+    """Sample K rollouts on frozen parameters, with no tape, and report the
+    best one. By default the FDE comes from the same minimum-ADE sample;
+    independent_minima reports min ADE and min FDE separately."""
     if K < 1:
         raise ValueError("best_of_k needs K >= 1")
     if rng is None:
@@ -76,6 +76,7 @@ def best_of_k(
     if scene.origins is None:
         scene = preprocess(scene)
     truth, mask = _scene_truth_and_mask(scene)
+    params = params.frozen()
     ades, fdes = [], []
     for _ in range(K):
         pred = rollout(scene, params, rng=rng).numpy()

@@ -313,6 +313,29 @@ class TestEvalCommand:
         lines = (out / "eval_report.tsv").read_text().strip().splitlines()
         assert len(lines) == 1 + len(DATASET_NAMES)  # header + one row per dataset
 
+    def test_variant_disagreeing_with_checkpoint_rejected(self, tmp_path, data_dir,
+                                                           checkpoint, capsys):
+        # the model comes from the checkpoint, a full-variant one here
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data-dir", str(data_dir),
+                     "--variant", "lstm_temporal", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "lstm_temporal" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, label", [
+        ({"use_memory": False}, "no_memory"),
+        ({"temporal_kind": "recurrent", "use_encoder2": False}, "custom"),
+    ])
+    def test_rows_labelled_from_checkpoint(self, tmp_path, data_dir, flags, label):
+        ckpt = tmp_path / "c.json"
+        config = StarConfig(d_model=8, heads=2, pred_len=2, deterministic=True, **flags)
+        save_checkpoint(str(ckpt), init_params(config, np.random.default_rng(0)))
+        out = tmp_path / "o"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(data_dir),
+                     "--held-out", "ETH", "--out", str(out)]) == EXIT_OK
+        rows = (out / "eval_report.tsv").read_text().strip().splitlines()[1:]
+        assert [row.split("\t")[0] for row in rows] == [label]
+
     def test_metrics_match_library(self, tmp_path, data_dir, checkpoint):
         # no-drift contract: CLI numbers equal library evaluate()
         from startraj.model import load_checkpoint

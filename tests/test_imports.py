@@ -1,6 +1,7 @@
 """The runtime dependency is numpy alone: every import in the package names
 the standard library, numpy or the package itself. The benchmark's trace
-points name attributes that exist, and each of them is called."""
+points name attributes that exist, each of them is called, and spatial blocks
+are called from inside an encoder."""
 
 import ast
 import json
@@ -50,6 +51,22 @@ lib.trainer.best_of_k(scenes[0], params, K=1)
 names = {name for _, _, name in spans.TRACE_POINTS}
 print(json.dumps([len(names), sorted(names - {span[0] for span in tracer.spans})]))
 """
+# trace one best-of-1 evaluation and list the parent span of every spatial
+# block; perfbench attributes graph.spatial_s.enc1/enc2 by that parent
+_SPATIAL_PARENTS = _LOAD_SPANS + """
+from types import SimpleNamespace
+import numpy as np
+lib = SimpleNamespace(**{m: importlib.import_module("startraj." + m)
+                         for m in ("tensor", "graph", "model", "trainer", "synthetic")})
+tracer = spans.Tracer()
+assert tracer.install(lib, spans.TRACE_POINTS) == []
+config = lib.model.StarConfig(d_model=8, heads=2, pred_len=3)
+params = lib.model.init_params(config, np.random.default_rng(0))
+scene = lib.synthetic.simulate_scene(np.random.default_rng(1), n_peds=3, total_len=11)
+lib.trainer.best_of_k(scene, params, K=1)
+print(json.dumps([tracer.spans[span[3]][0] if span[3] >= 0 else None
+                  for span in tracer.spans if span[0] == "graph.spatial_block"]))
+"""
 
 
 def _imported_roots(path):
@@ -90,3 +107,11 @@ def test_benchmark_trace_points_fire():
     # module global records nothing, and its layer would read as faster
     count, silent = _run_with_spans(_FIRE)
     assert count > 0 and silent == []
+
+
+def test_spatial_block_spans_sit_in_an_encoder():
+    # a spatial_block call moved out of encoder1 or encoder2 would silently
+    # shift graph.spatial_s.enc1/enc2 in traced benchmark runs
+    parents = _run_with_spans(_SPATIAL_PARENTS)
+    assert parents.count("model.encoder1") == parents.count("model.encoder2") == 3
+    assert set(parents) == {"model.encoder1", "model.encoder2"}

@@ -201,8 +201,9 @@ class TestSceneLayout:
 
     def test_rollout_groups_rows_once(self, monkeypatch):
         # one scene_layout call per rollout, and that very object reaches the
-        # observed window's and every predicted step's build_graph call and
-        # both encoders' spatial_block calls at every step
+        # observed window's and every later step's build_graph call (none for
+        # the last predicted step) and both encoders' spatial_block calls at
+        # every step
         batch = _batch((3, 2, 3), seed=41)
         config = StarConfig(d_model=8, heads=2, pred_len=3, deterministic=True, dropout=0.0)
         layouts, seen = [], {"build_graph": [], "spatial_block": []}
@@ -227,14 +228,15 @@ class TestSceneLayout:
         rollout(batch.scene, init_params(config, np.random.default_rng(0)),
                 scene_ids=batch.scene_ids)
         assert len(layouts) == 1 and layouts[0] == [(2, [(3, 5)]), (3, [(0, 3), (5, 8)])]
-        assert len(seen["build_graph"]) == config.pred_len + 1
+        assert len(seen["build_graph"]) == config.pred_len
         assert len(seen["spatial_block"]) == 2 * config.pred_len
         assert all(layout is layouts[0] for calls in seen.values() for layout in calls)
 
     def test_rollout_builds_each_step_mask_once(self, monkeypatch):
         # the observed window's masks in one build, then one build per
-        # predicted step, each one adjacency_mask call per scene size; every
-        # spatial_block call gets masks over exactly its input's steps
+        # predicted step that a later step reads, each one adjacency_mask call
+        # per scene size; every spatial_block call gets masks over exactly
+        # its input's steps
         batch = _batch((3, 2, 3), seed=42)
         config = StarConfig(d_model=8, heads=2, pred_len=3, deterministic=True, dropout=0.0)
         mask_calls, block_steps = [], []
@@ -253,10 +255,39 @@ class TestSceneLayout:
         rollout(batch.scene, init_params(config, np.random.default_rng(0)),
                 scene_ids=batch.scene_ids)
         sizes = len(scene_layout(batch.scene_ids))
-        assert sizes == 2 and len(mask_calls) == (config.pred_len + 1) * sizes
-        assert [shape[0] for shape in mask_calls] == [8, 8] + [1, 1] * config.pred_len
-        assert [t for t, _ in block_steps] == [8, 8, 9, 9, 10, 10]
+        assert sizes == 2 and len(mask_calls) == config.pred_len * sizes
+        assert [shape[0] for shape in mask_calls] == [8, 8] + [1, 1] * (config.pred_len - 1)
+        # encoder 1 then encoder 2 at each step; encoder 1 sees the newest step only
+        assert [t for t, _ in block_steps] == [8, 8, 1, 9, 1, 10]
         assert all(steps == [t] * sizes for t, steps in block_steps)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_spatial_block_steps_per_encoder(self, monkeypatch, training):
+        # encoder 1's TGConv runs on the observed window, then outside training
+        # on the newest step alone, with that step's masks and presence;
+        # training re-encodes the full history, and encoder 2 always gets it
+        batch = _batch((3, 2, 3), seed=43)
+        config = StarConfig(d_model=8, heads=2, pred_len=3, deterministic=True, dropout=0.0)
+        params = init_params(config, np.random.default_rng(1))
+        calls = {"enc1": [], "enc2": []}
+        real_block = startraj.model.spatial_block
+
+        def block_spy(h, masks, block_params, presence, **kwargs):
+            name = "enc1" if block_params is params.enc1.spatial else "enc2"
+            calls[name].append((h.shape[1], [m.shape[0] for m in masks], presence.copy()))
+            return real_block(h, masks, block_params, presence, **kwargs)
+
+        monkeypatch.setattr(startraj.model, "spatial_block", block_spy)
+        scene_loss(batch, params, np.random.default_rng(0), training=training)
+        obs, sizes = config.obs_len, len(scene_layout(batch.scene_ids))
+        full = [obs + s for s in range(config.pred_len)]
+        assert [t for t, _, _ in calls["enc1"]] == (full if training else [obs, 1, 1])
+        assert [t for t, _, _ in calls["enc2"]] == full
+        for t, steps, presence in calls["enc1"] + calls["enc2"]:
+            assert steps == [t] * sizes and presence.shape == (batch.scene.n_peds, t)
+        if not training:  # a predicted step's presence: the rows that roll out
+            for _, _, presence in calls["enc1"][1:]:
+                np.testing.assert_array_equal(presence, batch.scene.rollout_mask[:, None])
 
 
 class TestBlockVsDense:

@@ -259,7 +259,8 @@ class TestTraining:
     ])
     def test_teacher_forcing_only_in_training(self, monkeypatch, forcing, training, fed):
         # the history each rollout step embeds: steps past the observed window
-        # hold ground truth only under teacher forcing while training
+        # hold ground truth only under teacher forcing while training. Outside
+        # training a step after the first embeds the newest two steps only
         config = _config(teacher_forcing=forcing)
         params = init_params(config, np.random.default_rng(20))
         batch = merge_scenes([preprocess(s) for s in _scenes(count=1, n=3, seed=20)])
@@ -274,12 +275,13 @@ class TestTraining:
         scene_loss(batch, params, np.random.default_rng(0), training=training)
         monkeypatch.undo()
         obs = config.obs_len
-        assert [h.shape[1] for h in histories] == [obs, obs + 1, obs + 2]
+        assert [h.shape[1] for h in histories] == ([obs, obs + 1, obs + 2] if training
+                                                   else [obs, 2, 2])
         truth = batch.scene.positions[:, obs:obs + 2]
         # deterministic and without dropout, a plain rollout predicts the same steps
         pred = startraj.model.rollout(batch.scene, params).numpy()[:, :2]
         assert not np.allclose(pred, truth)
-        np.testing.assert_array_equal(histories[-1][:, obs:],
+        np.testing.assert_array_equal(histories[-1][:, -2:],
                                       truth if fed == "truth" else pred)
 
 
