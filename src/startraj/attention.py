@@ -104,8 +104,7 @@ def masked_attention(
     # scaling q by 1/sqrt(d_k) scales every logit before normalising while
     # touching the small (t, d_k) side instead of the (t_q, t_k) logit matrix
     scale = 1.0 / math.sqrt(d_k)
-    qs = q.data * scale
-    w = np.matmul(qs, np.swapaxes(k.data, -1, -2))  # logits, then weights in place
+    w = np.matmul(q.data * scale, np.swapaxes(k.data, -1, -2))  # logits, then weights in place
     np.copyto(w, -np.inf, where=~allow)
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
@@ -116,6 +115,7 @@ def masked_attention(
         v._accumulate(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape), fresh=True)
         gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))  # logit gradient
         q._accumulate(_unbroadcast(np.matmul(gl, k.data), q.shape) * scale, fresh=True)
+        qs = q.data * scale  # recomputed, not saved: the forward's bits
         gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)  # (qs^T gl)^T
         k._accumulate(_unbroadcast(gk, k.shape), fresh=True)
 

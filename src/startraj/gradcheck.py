@@ -135,10 +135,12 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> Dict[str, float]:
     )
 
     dx = _leaf(rng, 3, 3)
-    report["dropout_eval"] = check_gradients(
-        lambda: (T.dropout(dx, 0.1, np.random.default_rng(0), training=False) ** 2.0).sum(),
-        [("x", dx)],
-    )
+
+    def dropout_loss() -> Tensor:
+        d = T.dropout(dx, 0.1, np.random.default_rng(0), training=False)
+        return (d * d).sum()
+
+    report["dropout_eval"] = check_gradients(dropout_loss, [("x", dx)])
 
     # graph convolution on a 4-node path graph, one timestep
     gparams = TGConvParams.init(8, 2, np.random.default_rng(seed + 4))
@@ -213,7 +215,7 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> Dict[str, float]:
     ix = Tensor(rng0(seed + 13, (4, 3)), requires_grad=True)
     iw = Tensor(rng0(seed + 14, (3, 3)))
     report["getitem"] = check_gradients(
-        lambda: (ix[np.array([0, 2, 2])] * iw).sum() + (ix[1:3, None] ** 2.0).sum(),
+        lambda: (ix[np.array([0, 2, 2])] * iw).sum() + (ix[1:3, None] * ix[1:3, None]).sum(),
         [("x", ix)],
     )
 

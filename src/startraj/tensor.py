@@ -3,7 +3,11 @@
 The computation graph is recorded dynamically: every operation produces a new
 Tensor holding a closure that routes the incoming gradient to its parents.
 ``backward()`` on a scalar loss runs the tape in reverse topological order and
-then frees the graph (rollout lengths vary per scene, so tapes are one-shot).
+releases it as it goes (rollout lengths vary per scene, so tapes are one-shot):
+once a node's closure has run, its closure and parents are dropped, and a node
+with parents, the loss included, drops its gradient too. Afterwards only leaves
+(tensors without parents, such as parameters) hold ``.grad``. Closures save no
+array that they can recompute, bit for bit, from their inputs' data.
 """
 
 from __future__ import annotations
@@ -134,21 +138,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self * self._lift(other) ** -1.0
-
-    def __rtruediv__(self, other):
-        return self._lift(other) * self ** -1.0
-
-    def __pow__(self, exponent: float):
-        a = self
-        p = float(exponent)
-
-        def bwd(g):
-            a._accumulate(g * p * a.data ** (p - 1.0), fresh=True)
-
-        return Tensor(a.data ** p, _parents=(a,), _backward=bwd)
-
     def matmul(self, other: "Tensor") -> "Tensor":
         other = self._lift(other)
         a, b = self, other
@@ -172,10 +161,9 @@ class Tensor:
     # ------------------------------------------------------------------
     def relu(self):
         a = self
-        mask = a.data > 0
 
         def bwd(g):
-            a._accumulate(g * mask, fresh=True)
+            a._accumulate(g * (a.data > 0), fresh=True)
 
         return Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
 
@@ -260,7 +248,10 @@ class Tensor:
     # backward pass
     # ------------------------------------------------------------------
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar; frees the tape afterwards."""
+        """Reverse-mode sweep from a scalar that releases the tape as it goes:
+        once a node's closure has run, its closure and parents are dropped, and
+        its `.grad` too if it has parents. Leaves keep `.grad`; every node with
+        parents, this loss included, ends with `.grad` None."""
         if self.size != 1:
             raise ShapeMismatchError(
                 f"backward() needs a scalar loss, got shape {self.shape}"
@@ -285,7 +276,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-        for node in topo:
+            if node._parents:  # an intermediate: its gradient is spent
+                node.grad = None
             node._parents = ()
             node._backward = None
 
@@ -326,15 +318,18 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    n = x.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    norm = centered * inv_std
+    """Normalize the last axis to zero mean / unit variance, then scale and
+    shift. Backward recomputes the normalized rows from x.data."""
+
+    def normalize():  # (x - mean) * inv_std over the last axis, and inv_std
+        centered = x.data - x.data.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+        return centered * inv_std, inv_std
+
+    norm, _ = normalize()
 
     def bwd(g):
+        norm, inv_std = normalize()  # the forward's expressions, so its bits
         dn = g * gain.data
         dx = inv_std * (
             dn

@@ -5,6 +5,9 @@ implementation in this file (plain numpy / scalar loops), never by calling the
 code under test twice.
 """
 
+import math
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from startraj import AdamState
 from startraj.attention import masked_attention
 from startraj.errors import MaskError, NonFiniteError, ShapeMismatchError
 from startraj.gradcheck import TOLERANCE, check_gradients, run_suite
-from startraj.tensor import concat, dropout, stack
+from startraj.tensor import _unbroadcast, concat, dropout, stack
 
 
 # ----------------------------------------------------------------------
@@ -188,9 +191,9 @@ class TestBackward:
         def loss():
             m = a.matmul(b)
             s, _ = masked_attention(m, c, m + c, allow, 3)
-            e = (m * m + 0.5) ** 0.5 - m
+            e = (m * m + 0.5).tanh() - m
             t = m.tanh() + m.sigmoid() + linear(m, c, b[0]).relu()
-            return (s * e).sum() + (t ** 2.0).mean()
+            return (s * e).sum() + (t * t).mean()
 
         err = check_gradients(loss, [("a", a), ("b", b), ("c", c)])
         assert err < 1e-6
@@ -216,7 +219,8 @@ class TestBackward:
         x[np.array([0, 2, 2])].sum().backward()
         np.testing.assert_array_equal(x.grad, np.array([[1.0], [0.0], [2.0], [0.0]])
                                       * np.ones((1, 3)))
-        err = check_gradients(lambda: (x[np.array([3, 1, 3, 3])] ** 2.0).sum(), [("x", x)])
+        idx = np.array([3, 1, 3, 3])
+        err = check_gradients(lambda: (x[idx] * x[idx]).sum(), [("x", x)])
         assert err < 1e-6
 
     @pytest.mark.parametrize("key", [
@@ -377,3 +381,154 @@ class TestGradcheckCorrupt:
         assert 1e-3 <= report["masked_attention"] <= 1e-1, report
         others = {k: v for k, v in report.items() if k != "masked_attention"}
         assert max(others.values()) < TOLERANCE, report
+
+
+class TestTapeRelease:
+    """backward() frees each node's closure, parents and, for a node with
+    parents, its gradient as soon as the sweep has passed it."""
+
+    def test_swept_node_released_before_sweep_ends(self):
+        rng = np.random.default_rng(12)
+        x = parameter(rng.standard_normal((2, 3, 4)))
+        allow = np.array([[True, False, True], [False, True, True], [True, True, True]])
+        seen = {}
+
+        def spy(g):
+            # the identity on x, so the sweep reaches it after `att`; the
+            # attention weights were held by att's closure alone
+            seen.update(grad=att.grad, backward=att._backward, parents=att._parents,
+                        weights=weights_ref())
+            x._accumulate(g)
+
+        first = Tensor(x.data, _parents=(x,), _backward=spy)
+        att, weights = masked_attention(first, first, first, allow, 4)
+        weights_ref = weakref.ref(weights.data)
+        del weights
+        loss = (att * att).sum()
+        loss.backward()
+        assert seen["grad"] is None and seen["backward"] is None
+        assert seen["parents"] == () and seen["weights"] is None
+        # every node with parents, the loss included, ends without a gradient
+        assert loss.grad is None and att.grad is None and first.grad is None
+
+        # the leaf keeps its gradient, the one of the same graph without the spy
+        y = parameter(x.data.copy())
+        out, _ = masked_attention(y, y, y, allow, 4)
+        (out * out).sum().backward()
+        np.testing.assert_array_equal(x.grad, y.grad)
+
+
+# ----------------------------------------------------------------------
+# the ops as they were when their closures saved what backward now
+# recomputes: norm, the relu mask and the scaled queries
+# ----------------------------------------------------------------------
+def _saving_layer_norm(x, gain, bias, eps=1e-5):
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    norm = centered * inv_std
+
+    def bwd(g):
+        dn = g * gain.data
+        dx = inv_std * (
+            dn
+            - dn.mean(axis=-1, keepdims=True)
+            - norm * (dn * norm).mean(axis=-1, keepdims=True)
+        )
+        x._accumulate(dx, fresh=True)
+        gain._accumulate(_unbroadcast(g * norm, gain.shape), fresh=True)
+        gb = _unbroadcast(g, bias.shape)
+        bias._accumulate(gb, fresh=gb is not g)
+
+    return Tensor(norm * gain.data + bias.data, _parents=(x, gain, bias), _backward=bwd)
+
+
+def _saving_relu(a):
+    mask = a.data > 0
+
+    def bwd(g):
+        a._accumulate(g * mask, fresh=True)
+
+    return Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
+
+
+def _saving_attention(q, k, v, allow, d_k):
+    scale = 1.0 / math.sqrt(d_k)
+    qs = q.data * scale
+    w = np.matmul(qs, np.swapaxes(k.data, -1, -2))
+    np.copyto(w, -np.inf, where=~allow)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gw = _unbroadcast(np.matmul(g, np.swapaxes(v.data, -1, -2)), w.shape)
+        v._accumulate(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape), fresh=True)
+        gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        q._accumulate(_unbroadcast(np.matmul(gl, k.data), q.shape) * scale, fresh=True)
+        gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)
+        k._accumulate(_unbroadcast(gk, k.shape), fresh=True)
+
+    return Tensor(np.matmul(w, v.data), _parents=(q, k, v), _backward=bwd), Tensor(w)
+
+
+def _outputs_and_grads(op, arrays, upstream):
+    """op's output and the gradient of every input under the loss
+    sum(output * upstream), on fresh leaves holding `arrays`."""
+    leaves = [parameter(a.copy()) for a in arrays]
+    out = op(*leaves)
+    (out * Tensor(upstream)).sum().backward()
+    return out.numpy(), [t.grad for t in leaves]
+
+
+class TestRecomputingClosures:
+    """layer_norm, relu and masked_attention recompute in backward what they
+    used to save; outputs and every input gradient keep their bits."""
+
+    @staticmethod
+    def _assert_same(new, old, arrays, upstream):
+        out, grads = _outputs_and_grads(new, arrays, upstream)
+        out_old, grads_old = _outputs_and_grads(old, arrays, upstream)
+        np.testing.assert_array_equal(out, out_old)
+        for g, g_old in zip(grads, grads_old):
+            np.testing.assert_array_equal(g, g_old)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_layer_norm(self, seed):
+        rng = np.random.default_rng(seed)
+        t, d = rng.integers(1, 6), rng.integers(1, 9)
+        lead = tuple(rng.integers(1, 4, size=rng.integers(0, 3)))
+        x = rng.standard_normal(lead + (t, d)) * 3.0
+        # a per-feature (d,) or a per-step (t, 1) gain and bias
+        side = (d,) if rng.random() < 0.5 else (t, 1)
+        arrays = [x, rng.standard_normal(side), rng.standard_normal(side)]
+        self._assert_same(layer_norm, _saving_layer_norm, arrays, rng.standard_normal(x.shape))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_relu(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(tuple(rng.integers(1, 6, size=rng.integers(1, 4))))
+        x[rng.random(x.shape) < 0.2] = 0.0  # the kink: gradient 0 at exactly 0
+        self._assert_same(Tensor.relu, _saving_relu, [x], rng.standard_normal(x.shape))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_masked_attention(self, seed):
+        rng = np.random.default_rng(seed)
+        t, scenes, heads, n = (int(v) for v in rng.integers(1, 4, size=4))
+        d_k = int(rng.integers(1, 6))
+        shape = (t, scenes, heads, n, d_k)
+        # TGConv's (t, S, 1, n, n) masks broadcast over the heads; every
+        # query keeps itself
+        allow = (rng.random((t, scenes, 1, n, n)) < 0.5) | np.eye(n, dtype=bool)
+        arrays = [rng.standard_normal(shape) for _ in range(3)]
+        upstream = rng.standard_normal(shape)
+        self._assert_same(lambda q, k, v: masked_attention(q, k, v, allow, d_k)[0],
+                          lambda q, k, v: _saving_attention(q, k, v, allow, d_k)[0],
+                          arrays, upstream)
+        _, w = masked_attention(*(Tensor(a) for a in arrays), allow, d_k)
+        _, w_old = _saving_attention(*(Tensor(a) for a in arrays), allow, d_k)
+        np.testing.assert_array_equal(w.numpy(), w_old.numpy())

@@ -1,5 +1,7 @@
 """Metrics, loss, training loop, best-of-K evaluation, and ablation rows."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,29 @@ class TestTraining:
         truth = batch.scene.positions[:, config.obs_len:]
         expect = ((pred - truth) ** 2).mean()
         np.testing.assert_allclose(loss.item(), expect, atol=1e-12)
+
+    def test_backward_peak_is_the_forward_tape(self):
+        # numpy reports its buffers to tracemalloc, so these are byte counts.
+        # A packed step of 4 scenes x 4 peds at the default config holds
+        # 55.4 MB after the forward and backward adds 1.5 MB on top: each
+        # closure, and each gradient of a node with parents, is freed once
+        # swept. Before that, backward added 72 MB to a 64.1 MB tape whose
+        # closures also kept layer_norm's output, relu's mask and the scaled
+        # queries.
+        rng = np.random.default_rng(0)
+        batch = merge_scenes([preprocess(simulate_scene(rng, n_peds=4)) for _ in range(4)])
+        params = init_params(StarConfig(), np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            loss = scene_loss(batch, params, np.random.default_rng(2))
+            tape, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - tape < 0.1 * tape, (tape, peak)
+        assert tape < 60e6, tape
 
     def test_scene_loss_rejects_mismatched_future(self):
         # a 12-step future under a model that predicts 5
