@@ -4,8 +4,7 @@ built on a small numpy reverse-mode autodiff core."""
 from .tensor import Tensor, concat, dropout, layer_norm, linear, parameter, stack
 from .optim import AdamState, adam_step, zero_grads
 from .attention import (
-    AttentionParams, TemporalBlockParams, multi_head, positional_encoding,
-    temporal_block,
+    AttentionParams, TemporalBlockParams, positional_encoding, temporal_block,
 )
 from .graph import TGConvParams, build_graph, spatial_block
 from .model import (

@@ -1,4 +1,4 @@
-"""Scaled dot-product attention, multi-head attention, sinusoidal positional
+"""Scaled dot-product attention, multi-head projections, sinusoidal positional
 encoding, and the per-pedestrian temporal transformer block.
 
 All blocks are pure functions of (inputs, params); params are plain containers
@@ -112,12 +112,12 @@ def masked_attention(
 
     def bwd(g):
         gw = _unbroadcast(np.matmul(g, np.swapaxes(v.data, -1, -2)), w.shape)
-        v._accumulate(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape), fresh=True)
+        v._accumulate(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape))
         gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))  # logit gradient
-        q._accumulate(_unbroadcast(np.matmul(gl, k.data), q.shape) * scale, fresh=True)
+        q._accumulate(_unbroadcast(np.matmul(gl, k.data), q.shape) * scale)
         qs = q.data * scale  # recomputed, not saved: the forward's bits
         gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)  # (qs^T gl)^T
-        k._accumulate(_unbroadcast(gk, k.shape), fresh=True)
+        k._accumulate(_unbroadcast(gk, k.shape))
 
     return Tensor(np.matmul(w, v.data), _parents=(q, k, v), _backward=bwd), Tensor(w)
 
@@ -143,22 +143,6 @@ def merge_heads(out: Tensor, params: AttentionParams) -> Tensor:
     """Inverse of the head split: (..., heads, t, d_k) -> (..., t, d_model)."""
     merged = out.swapaxes(-3, -2)
     return merged.reshape(merged.shape[:-2] + (params.d_model,))
-
-
-def multi_head(
-    h: Tensor, params: AttentionParams, mask: Optional[np.ndarray] = None
-) -> Tensor:
-    """Multi-head self-attention on (..., t, d_model) inputs.
-
-    mask broadcasts against (..., heads, t, t); typically (t, t) or
-    (N, 1, t, t) for per-pedestrian key masks.
-    """
-    t = h.shape[-2]
-    q, k, v = head_projections(h, params)
-    if mask is None:
-        mask = np.ones((t, t), dtype=bool)
-    out, _ = masked_attention(q, k, v, mask, params.d_k)
-    return linear(merge_heads(out, params), params.wo, params.bo)
 
 
 def positional_encoding(t_max: int, d_model: int) -> np.ndarray:
@@ -223,9 +207,10 @@ def temporal_block(
         bad = int(np.flatnonzero(~time_mask.any(axis=1))[0])
         raise MaskError(f"pedestrian {bad} has no valid timesteps")
     x = h + Tensor(positional_encoding(t, d))
-    allow = np.broadcast_to(time_mask[:, None, None, :], (n, 1, t, t))
+    q, k, v = head_projections(x, params.attn)
     # queries at absent steps still need a key; their rows are zeroed below
-    att = multi_head(x, params.attn, allow)
+    att, _ = masked_attention(q, k, v, time_mask[:, None, None, :], params.attn.d_k)
+    att = linear(merge_heads(att, params.attn), params.attn.wo, params.attn.bo)
     y = layer_norm(x + att, params.ln1_gain, params.ln1_bias)
     ff = linear(linear(y, params.w_ff1, params.b_ff1).relu(), params.w_ff2, params.b_ff2)
     out = layer_norm(y + ff, params.ln2_gain, params.ln2_bias)

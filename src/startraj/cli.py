@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, gradcheck
 from .data import (
     DATASET_NAMES, TrajectoryScene, leave_one_out_split, load_dataset,
-    make_scenes, preprocess, scene_window,
+    make_scenes, preprocess, scene_window, text_lines,
 )
 from .errors import DataFormatError, MaskError, NonFiniteError
 from .model import VARIANT_FLAGS, StarConfig, config_for_variant, encoder2_attention
@@ -76,18 +76,17 @@ def _parse_value(raw: str):
 
 def load_config_file(path: str) -> Dict[str, object]:
     values: Dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            if "=" not in s:
-                raise DataFormatError(f"{path}:{lineno}: expected key = value")
-            key, raw = s.split("=", 1)
-            key = key.strip()
-            if key not in _CONFIG_FIELDS | _SPEC_FIELDS:
-                raise DataFormatError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_value(raw)
+    for lineno, line in text_lines(path):
+        s = line.strip()
+        if not s or s.startswith("#"):
+            continue
+        if "=" not in s:
+            raise DataFormatError(f"{path}:{lineno}: expected key = value")
+        key, raw = s.split("=", 1)
+        key = key.strip()
+        if key not in _CONFIG_FIELDS | _SPEC_FIELDS:
+            raise DataFormatError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = _parse_value(raw)
     return values
 
 

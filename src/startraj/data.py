@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,26 +79,35 @@ class TrajectoryScene:
         )
 
 
+def text_lines(path: str) -> Iterator[Tuple[int, str]]:
+    """(line number, line) pairs of a UTF-8 text file; other bytes raise
+    DataFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_dataset(path: str) -> RawTrajectories:
     """Parse a trajectory file into gap-split tracklets."""
     per_ped: Dict[str, List[Tuple[int, float, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 4:
-                raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                frame = int(float(parts[0]))
-                ped = parts[1]
-                x, y = float(parts[2]), float(parts[3])
-            except (ValueError, OverflowError) as exc:  # int(inf) overflows
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise DataFormatError(f"{path}:{lineno}: non-finite coordinate")
-            per_ped.setdefault(ped, []).append((frame, x, y))
+    for lineno, line in text_lines(path):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 4:
+            raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            frame = int(float(parts[0]))
+            ped = parts[1]
+            x, y = float(parts[2]), float(parts[3])
+        except (ValueError, OverflowError) as exc:  # int(inf) overflows
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DataFormatError(f"{path}:{lineno}: non-finite coordinate")
+        per_ped.setdefault(ped, []).append((frame, x, y))
 
     diffs = []
     for ped, obs in per_ped.items():

@@ -102,7 +102,7 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> Dict[str, float]:
     # 2 scenes x 2 heads x 3 queries x 4 keys, a partial mask per scene broadcast over
     # its heads, drawn apart from `rng`; `skewed` is the identity, its backward x 1.01
     skewed = lambda t: Tensor(t.data, _parents=(t,),
-                              _backward=lambda g: t._accumulate(1.01 * g, fresh=True))
+                              _backward=lambda g: t._accumulate(1.01 * g))
     aq, ak, av, aw = (Tensor(rng0(seed + i, (2, 2, n, 4)), requires_grad=i < 18)
                       for i, n in ((15, 3), (16, 4), (17, 4), (18, 3)))
     allow = np.array([[[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 1, 0]],

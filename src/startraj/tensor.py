@@ -8,6 +8,14 @@ once a node's closure has run, its closure and parents are dropped, and a node
 with parents, the loss included, drops its gradient too. Afterwards only leaves
 (tensors without parents, such as parameters) hold ``.grad``. Closures save no
 array that they can recompute, bit for bit, from their inputs' data.
+
+Gradient ownership: a node's ``.grad`` is its own until its closure returns,
+so the closure may hand that array, or views of it, on to its parents. A
+parent with no gradient yet adopts what it is handed and later adds into it
+in place, so no two parents may be handed the same memory: ``concat`` hands
+each its own slice, and ``__add__``, the only op that passes ``g`` to both
+sides, copies the second operand's share when the first has just adopted it
+(``x + x``, or a constant first operand).
 """
 
 from __future__ import annotations
@@ -86,12 +94,12 @@ class Tensor:
     def _lift(x: Union["Tensor", ArrayLike]) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add g into the gradient buffer. fresh=True asserts that g is a
-        newly allocated array no other node holds, so it can be adopted
-        without copying."""
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Adopt g as the gradient if there is none yet, else add it in. The
+        caller gives g away: no other node may hold it (see the module
+        docstring), since a later accumulation writes into it."""
         if self.grad is None:
-            self.grad = g if fresh else np.array(g, dtype=np.float64)
+            self.grad = g
         else:
             self.grad += g
 
@@ -105,8 +113,8 @@ class Tensor:
         def bwd(g):
             ga = _unbroadcast(g, a.shape)
             gb = _unbroadcast(g, b.shape)
-            a._accumulate(ga, fresh=ga is not g)
-            b._accumulate(gb, fresh=gb is not g)
+            a._accumulate(ga)
+            b._accumulate(gb if gb is not a.grad else gb.copy())
 
         return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
 
@@ -116,7 +124,7 @@ class Tensor:
         a = self
 
         def bwd(g):
-            a._accumulate(-g, fresh=True)
+            a._accumulate(-g)
 
         return Tensor(-a.data, _parents=(a,), _backward=bwd)
 
@@ -131,8 +139,8 @@ class Tensor:
         a, b = self, other
 
         def bwd(g):
-            a._accumulate(_unbroadcast(g * b.data, a.shape), fresh=True)
-            b._accumulate(_unbroadcast(g * a.data, b.shape), fresh=True)
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
         return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
 
@@ -149,8 +157,8 @@ class Tensor:
         def bwd(g):
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            a._accumulate(_unbroadcast(ga, a.shape), fresh=True)
-            b._accumulate(_unbroadcast(gb, b.shape), fresh=True)
+            a._accumulate(_unbroadcast(ga, a.shape))
+            b._accumulate(_unbroadcast(gb, b.shape))
 
         return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward=bwd)
 
@@ -163,7 +171,7 @@ class Tensor:
         a = self
 
         def bwd(g):
-            a._accumulate(g * (a.data > 0), fresh=True)
+            a._accumulate(g * (a.data > 0))
 
         return Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
 
@@ -172,7 +180,7 @@ class Tensor:
         out_data = np.tanh(a.data)
 
         def bwd(g):
-            a._accumulate(g * (1.0 - out_data * out_data), fresh=True)
+            a._accumulate(g * (1.0 - out_data * out_data))
 
         return Tensor(out_data, _parents=(a,), _backward=bwd)
 
@@ -181,7 +189,7 @@ class Tensor:
         out_data = 1.0 / (1.0 + np.exp(-a.data))
 
         def bwd(g):
-            a._accumulate(g * out_data * (1.0 - out_data), fresh=True)
+            a._accumulate(g * out_data * (1.0 - out_data))
 
         return Tensor(out_data, _parents=(a,), _backward=bwd)
 
@@ -193,7 +201,7 @@ class Tensor:
 
         def bwd(g):
             gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(gg, a.shape).copy(), fresh=True)
+            a._accumulate(np.broadcast_to(gg, a.shape).copy())
 
         return Tensor(
             a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,), _backward=bwd
@@ -240,7 +248,7 @@ class Tensor:
                 full[key] += g
             else:
                 np.add.at(full, key, g)
-            a._accumulate(full, fresh=True)
+            a._accumulate(full)
 
         return Tensor(out_data, _parents=(a,), _backward=bwd)
 
@@ -308,7 +316,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def bwd(g):
         for i, t in enumerate(tensors):
-            t._accumulate(np.take(g, i, axis=axis), fresh=True)
+            t._accumulate(np.take(g, i, axis=axis))
 
     return Tensor(
         np.stack([t.data for t in tensors], axis=axis),
@@ -336,10 +344,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             - dn.mean(axis=-1, keepdims=True)
             - norm * (dn * norm).mean(axis=-1, keepdims=True)
         )
-        x._accumulate(dx, fresh=True)
-        gain._accumulate(_unbroadcast(g * norm, gain.shape), fresh=True)
-        gb = _unbroadcast(g, bias.shape)
-        bias._accumulate(gb, fresh=gb is not g)
+        x._accumulate(dx)
+        gain._accumulate(_unbroadcast(g * norm, gain.shape))
+        bias._accumulate(_unbroadcast(g, bias.shape))
 
     return Tensor(norm * gain.data + bias.data, _parents=(x, gain, bias), _backward=bwd)
 
@@ -352,12 +359,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out = np.matmul(x.data, weight.data) + bias.data
 
     def bwd(g):
-        gb = _unbroadcast(g, bias.shape)
-        bias._accumulate(gb, fresh=gb is not g)
+        bias._accumulate(_unbroadcast(g, bias.shape))
         if x.requires_grad:
-            x._accumulate(_unbroadcast(np.matmul(g, weight.data.T), x.shape), fresh=True)
+            x._accumulate(_unbroadcast(np.matmul(g, weight.data.T), x.shape))
         gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
-        weight._accumulate(_unbroadcast(gw, weight.shape), fresh=True)
+        weight._accumulate(_unbroadcast(gw, weight.shape))
 
     return Tensor(out, _parents=(x, weight, bias), _backward=bwd)
 

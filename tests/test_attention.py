@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from startraj import (
-    AttentionParams, TemporalBlockParams, Tensor, multi_head, parameter,
+    AttentionParams, TemporalBlockParams, Tensor, linear, parameter,
     positional_encoding, temporal_block,
 )
-from startraj.attention import masked_attention
+from startraj.attention import head_projections, masked_attention, merge_heads
 from startraj.errors import MaskError, ShapeMismatchError
 
 
@@ -77,13 +77,23 @@ class TestScaledAttention:
             masked_attention(Tensor(q), Tensor(k), Tensor(v), mask, 4)
 
 
+def _multi_head(h, p):
+    """Unmasked self-attention on (t, d_model) inputs through the calls that
+    temporal_block and TGConv make: projections split into heads, the
+    attention core, the head merge and the output projection."""
+    q, k, v = head_projections(Tensor(h), p)
+    t = h.shape[0]
+    out, _ = masked_attention(q, k, v, np.ones((t, t), dtype=bool), p.d_k)
+    return linear(merge_heads(out, p), p.wo, p.bo).numpy()
+
+
 class TestMultiHead:
     def test_single_head_is_fo_of_attention(self):
         # [TRIVIAL] k=1 reduces to f_O(attention(f_Q h, f_K h, f_V h))
         rng = np.random.default_rng(5)
         p = AttentionParams.init(6, 1, rng)
         h = rng.standard_normal((4, 6))
-        out = multi_head(Tensor(h), p).numpy()
+        out = _multi_head(h, p)
         q = h @ p.wq.numpy() + p.bq.numpy()
         k = h @ p.wk.numpy() + p.bk.numpy()
         v = h @ p.wv.numpy() + p.bv.numpy()
@@ -96,7 +106,7 @@ class TestMultiHead:
         p = AttentionParams.init(4, 2, rng)
         p.wv.data[:] = 0.0
         p.bv.data[:] = 0.0
-        out = multi_head(Tensor(rng.standard_normal((3, 4))), p).numpy()
+        out = _multi_head(rng.standard_normal((3, 4)), p)
         np.testing.assert_allclose(out, np.tile(p.bo.numpy(), (3, 1)), atol=1e-12)
 
     def test_two_heads_match_composed_oracle(self):
@@ -116,7 +126,7 @@ class TestMultiHead:
             att, _ = _oracle_attention(q[:, sl], k[:, sl], v[:, sl], mask, d_k)
             pieces.append(att)
         expect = np.concatenate(pieces, axis=1) @ p.wo.numpy() + p.bo.numpy()
-        out = multi_head(Tensor(h), p).numpy()
+        out = _multi_head(h, p)
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
     def test_indivisible_heads_rejected(self):

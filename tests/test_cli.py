@@ -179,6 +179,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{scene}:2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["predict", "attention", "train-config",
+                                         "train-data"])
+    def test_data_error_non_utf8_file(self, tmp_path, data_dir, config_file, capsys,
+                                      command):
+        # one 0xff byte, which no UTF-8 text contains, in an otherwise valid file
+        ckpt = tmp_path / "c.json"
+        save_checkpoint(str(ckpt), init_params(StarConfig(d_model=8, heads=2, pred_len=2),
+                                               np.random.default_rng(0)))
+        bad = {"train-config": config_file, "train-data": data_dir / "ZARA1.txt"}.get(
+            command, data_dir / "HOTEL.txt")
+        bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xff", 1))
+        argv = {
+            "predict": ["predict", "--checkpoint", str(ckpt), "--scene", str(bad)],
+            "attention": ["attention", "--checkpoint", str(ckpt), "--scene", str(bad)],
+            "train-config": ["train", "--config", str(bad), "--data-dir", str(data_dir),
+                             "--held-out", "ETH"],
+            "train-data": ["train", "--config", str(config_file), "--data-dir",
+                           str(data_dir), "--held-out", "ETH"],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
+
     def test_usage_error_unknown_eval_variant(self, tmp_path, data_dir, checkpoint, capsys):
         code = main(["eval", "--checkpoint", str(checkpoint), "--data-dir",
                      str(data_dir), "--variant", "bogus", "--out", str(tmp_path / "o")])

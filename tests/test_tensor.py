@@ -173,6 +173,37 @@ class TestBackward:
         (x + b).sum().backward()
         np.testing.assert_array_equal(b.grad, np.full(3, 5.0))
 
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_add_gives_each_parent_its_own_gradient(self, add_first):
+        # [DERIVED] d/dx = u + v, d/dy = u; x adopts the add's upstream
+        # gradient and later adds x * v's into it, which must not reach y,
+        # whichever of the two terms the sweep reaches first
+        rng = np.random.default_rng(8)
+        x, y = parameter(rng.standard_normal((3, 4))), parameter(rng.standard_normal((3, 4)))
+        u, v = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        terms = [((x + y) * Tensor(u)).sum(), (x * Tensor(v)).sum()]
+        (terms[0] + terms[1] if add_first else terms[1] + terms[0]).backward()
+        np.testing.assert_array_equal(y.grad, u)
+        np.testing.assert_array_equal(x.grad, u + v)
+
+    def test_self_add_doubles_gradient(self):
+        # [DERIVED] d/dx sum((x + x) * u) = 2u
+        rng = np.random.default_rng(9)
+        x, u = parameter(rng.standard_normal((3, 4))), rng.standard_normal((3, 4))
+        ((x + x) * Tensor(u)).sum().backward()
+        np.testing.assert_array_equal(x.grad, u + u)
+
+    def test_self_concat_sums_both_slices(self):
+        # [DERIVED] d/dx sum(concat([x, x], axis) * u) = the two halves of u added
+        rng = np.random.default_rng(10)
+        x = parameter(rng.standard_normal((3, 4)))
+        for axis in (0, 1):
+            x.grad = None
+            u = rng.standard_normal((6, 4) if axis == 0 else (3, 8))
+            (concat([x, x], axis=axis) * Tensor(u)).sum().backward()
+            lo, hi = np.split(u, 2, axis=axis)
+            np.testing.assert_array_equal(x.grad, lo + hi)
+
     def test_non_finite_leaf_rejected(self):
         with pytest.raises(NonFiniteError):
             Tensor([1.0, np.nan])
@@ -436,10 +467,10 @@ def _saving_layer_norm(x, gain, bias, eps=1e-5):
             - dn.mean(axis=-1, keepdims=True)
             - norm * (dn * norm).mean(axis=-1, keepdims=True)
         )
-        x._accumulate(dx, fresh=True)
-        gain._accumulate(_unbroadcast(g * norm, gain.shape), fresh=True)
+        x._accumulate(dx)
+        gain._accumulate(_unbroadcast(g * norm, gain.shape))
         gb = _unbroadcast(g, bias.shape)
-        bias._accumulate(gb, fresh=gb is not g)
+        bias._accumulate(gb)
 
     return Tensor(norm * gain.data + bias.data, _parents=(x, gain, bias), _backward=bwd)
 
@@ -448,7 +479,7 @@ def _saving_relu(a):
     mask = a.data > 0
 
     def bwd(g):
-        a._accumulate(g * mask, fresh=True)
+        a._accumulate(g * mask)
 
     return Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=bwd)
 
@@ -464,11 +495,11 @@ def _saving_attention(q, k, v, allow, d_k):
 
     def bwd(g):
         gw = _unbroadcast(np.matmul(g, np.swapaxes(v.data, -1, -2)), w.shape)
-        v._accumulate(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape), fresh=True)
+        v._accumulate(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape))
         gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
-        q._accumulate(_unbroadcast(np.matmul(gl, k.data), q.shape) * scale, fresh=True)
+        q._accumulate(_unbroadcast(np.matmul(gl, k.data), q.shape) * scale)
         gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)
-        k._accumulate(_unbroadcast(gk, k.shape), fresh=True)
+        k._accumulate(_unbroadcast(gk, k.shape))
 
     return Tensor(np.matmul(w, v.data), _parents=(q, k, v), _backward=bwd), Tensor(w)
 
