@@ -21,7 +21,7 @@ from .data import (
     DATASET_NAMES, TrajectoryScene, leave_one_out_split, load_dataset,
     make_scenes, preprocess, scene_window, text_lines,
 )
-from .errors import DataFormatError, MaskError, NonFiniteError
+from .errors import DataFormatError, MaskError, NonFiniteError, ShapeMismatchError
 from .model import VARIANT_FLAGS, StarConfig, config_for_variant, encoder2_attention
 from .model import load_checkpoint, rollout
 from .trainer import (
@@ -441,11 +441,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # an overflow is reported by the non-finite checks it trips, in one line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, FileNotFoundError, OSError) as exc:
+    except (DataFormatError, ShapeMismatchError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:  # a model or data set too large for this host

@@ -315,6 +315,7 @@ def rollout(
     scene_ids: Optional[np.ndarray] = None,
     training: bool = False,
     truth_positions: Optional[np.ndarray] = None,
+    copies: int = 1,
 ) -> Tensor:
     """Autoregressive prediction: encode the growing history, decode one
     step, and append it and its masks; the observed window's masks are built
@@ -327,15 +328,27 @@ def rollout(
     appended to the history (teacher forcing).
 
     Training re-embeds and re-encodes the whole history each step (dropout
-    resamples it). Otherwise each step embeds and runs encoder 1's TGConv on
-    the newest step alone, bit-exactly; the temporal branches, the fusion and
-    encoder 2 see the full history, as their outputs change every step.
+    resamples it) and draws each step's decoder noise as it decodes.
+    Otherwise each step embeds and runs encoder 1's TGConv on the newest step
+    alone, bit-exactly; the temporal branches, the fusion and encoder 2 see
+    the full history, as their outputs change every step. All the noise is
+    drawn before the first step, in the order that per-step draws take it.
+
+    copies > 1 (not in training) samples that many rollouts in one. Noise
+    enters only at the decoder, so step 0 encodes the N rows once; its state
+    is then tiled into `copies` packed blocks of N rows, which decode and run
+    the later steps. The result is (copies * N, pred_len, 2), copy k in rows
+    k*N..(k+1)*N: `copies` sequential rollouts on the same generator, up to
+    the rounding of a matmul over more rows.
 
     The graph memory starts empty; with memory and encoder 2 enabled, each
     step's encoder-2 output replaces it. Raises NonFiniteError at the first
     step that decodes a non-finite position.
     """
     config = params.config
+    require_int("copies", copies, 1)
+    if training and copies > 1:
+        raise ValueError("copies > 1 samples eval rollouts; training takes one")
     if scene_ids is None:
         scene_ids = np.zeros(scene.n_peds, dtype=np.int64)
     elif len(scene_ids) != scene.n_peds:
@@ -350,6 +363,9 @@ def rollout(
 
     n = scene.n_peds
     nd = config.effective_noise_dim
+    if not training and nd > 0:  # sample-major, as `copies` sequential rollouts draw it
+        noises = rng.standard_normal((copies, config.pred_len, n, nd)).swapaxes(0, 1)
+    origins = scene.origins
     roll_col = Tensor(rollers[:, None].astype(np.float64))
     keep_memory = config.use_memory and config.use_encoder2
     memory: Optional[Tensor] = None
@@ -368,10 +384,24 @@ def rollout(
         fused = encoder1(h_s * pmask, h_t, masks, memory, params, presence, layout=layout,
                          spatial_before=spatial)
         enc = encoder2(fused, masks, params, presence, layout=layout)
+        if s == 0 and copies > 1:  # the copies share step 0's encoding
+            tile = lambda x: concat([x] * copies, axis=0)  # on the tape
+            enc, history, h_t, spatial = tile(enc), tile(history), tile(h_t), [tile(spatial[0])]
+            presence, rollers, origins = (np.concatenate([a] * copies)
+                                          for a in (presence, rollers, origins))
+            if truth_positions is not None:
+                truth_positions = np.concatenate([truth_positions] * copies)
+            masks = [np.concatenate([m] * copies, axis=1) for m in masks]
+            _, ids = np.unique(scene_ids, return_inverse=True)  # 0..S-1
+            layout = scene_layout(np.concatenate([ids + k * (ids.max() + 1)
+                                                  for k in range(copies)]))
+            roll_col = Tensor(rollers[:, None].astype(np.float64))
+            n *= copies
         if keep_memory:
             memory = enc
         h_last = enc[:, -1, :]
-        noise = Tensor(rng.standard_normal((n, nd))) if nd > 0 else None
+        noise = None if nd == 0 else Tensor(
+            rng.standard_normal((n, nd)) if training else noises[s].reshape(n, nd))
         step = decode_step(h_last, noise, params) * roll_col
         if not np.all(np.isfinite(step.data)):
             raise NonFiniteError(f"non-finite predicted position at rollout step {s}")
@@ -383,7 +413,7 @@ def rollout(
             np.where(rollers[:, None], truth_positions[:, config.obs_len + s], 0.0))
         history = concat([history, appended.reshape(n, 1, 2)], axis=1)
         presence = np.concatenate([presence, rollers[:, None]], axis=1)
-        world_step = (appended.data + scene.origins)[:, None]  # (N, 1, 2)
+        world_step = (appended.data + origins)[:, None]  # (N, 1, 2)
         step_masks = build_graph(world_step, rollers[:, None], layout, config.graph_threshold)
         masks = [np.concatenate(pair) for pair in zip(masks, step_masks)]
 

@@ -5,6 +5,7 @@ All invocations go through cli.main() in-process.
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from startraj.cli import (
     EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_config_file, main,
 )
 from startraj.data import DATASET_NAMES
-from startraj.errors import DataFormatError
+from startraj.errors import DataFormatError, ShapeMismatchError
 from startraj.model import StarConfig, init_params, save_checkpoint
 
 
@@ -248,6 +249,35 @@ class TestExitCodes:
         assert main(["gradcheck", "--seed", "3", "--out", str(a)]) == EXIT_OK
         assert main(["gradcheck", "--seed", "3", "--out", str(b)]) == EXIT_OK
         assert (a / "gradcheck.json").read_text() == (b / "gradcheck.json").read_text()
+
+    def test_shape_mismatch_is_data_error(self, tmp_path, data_dir, checkpoint, monkeypatch,
+                                          capsys):
+        # no CLI input is known to reach a ShapeMismatchError; raised here
+        def mismatched(path):
+            raise ShapeMismatchError("memory holds 3 steps; expected 7")
+
+        monkeypatch.setattr(startraj.cli, "load_checkpoint", mismatched)
+        code = main(["predict", "--checkpoint", str(checkpoint), "--scene",
+                     str(data_dir / "ZARA1.txt"), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: memory holds 3 steps; expected 7\n"
+
+    def test_overflow_is_one_numeric_line(self, tmp_path, data_dir, checkpoint, capsys):
+        # finite weights that overflow in the forward pass: numpy warns of
+        # nothing, and the non-finite check reports the failure in one line
+        payload = json.loads(checkpoint.read_text())
+        entry = payload["params"]["embed_spatial.w"]
+        entry["values"] = [1e300] * len(entry["values"])
+        huge_ck = tmp_path / "huge.json"
+        huge_ck.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["predict", "--checkpoint", str(huge_ck), "--scene",
+                         str(data_dir / "ZARA1.txt"), "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
 class TestConfigFiles:

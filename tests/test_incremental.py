@@ -4,16 +4,21 @@ step, rebuilt here from the library's encoder pieces; taped rollouts; and
 the training path, which still re-encodes everything."""
 
 import itertools
+import json
+import math
+import os
 
 import numpy as np
 import pytest
 
-from startraj import StarConfig, Tensor, best_of_k, init_params, preprocess, rollout
-from startraj.data import merge_scenes
+import startraj.model
+import startraj.trainer
+from startraj import StarConfig, Tensor, best_of_k, evaluate, init_params, preprocess, rollout
+from startraj.data import TrajectoryScene, merge_scenes
 from startraj.graph import build_graph, scene_layout
 from startraj.model import VARIANT_FLAGS, decode_step, embed_inputs, encoder1, encoder2
 from startraj.synthetic import simulate_scene
-from startraj.trainer import ade, fde
+from startraj.trainer import ROW_BUDGET, ade, fde
 
 
 def _config(variant="full", **kw):
@@ -26,6 +31,37 @@ def _config(variant="full", **kw):
 def _scene(n, seed, config):
     return preprocess(simulate_scene(np.random.default_rng(seed), n_peds=n,
                                      total_len=config.obs_len + config.pred_len))
+
+
+def _crowd(n, seed, config):
+    """A preprocessed n-pedestrian scene. From three pedestrians up, row 1
+    enters after the first observed step, so it gets no prediction, and row 2
+    leaves before the last step, so it rolls out but is no target."""
+    sim = simulate_scene(np.random.default_rng(seed), n_peds=n,
+                         total_len=config.obs_len + config.pred_len)
+    presence = sim.presence.copy()
+    if n >= 3:
+        presence[1, :2] = False
+        presence[2, -1] = False
+    positions = np.where(presence[:, :, None], sim.positions, 0.0)
+    return preprocess(TrajectoryScene(sim.ped_ids, positions, presence, sim.obs_len))
+
+
+EVAL_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "eval_expected.json")
+EVAL_SIZES = (1, 3, 8, 17, 40)
+
+
+def _eval_values():
+    """evaluate's (ade, fde) per variant and deterministic flag on one seeded
+    scene set of every size in EVAL_SIZES, keyed "variant/deterministic"."""
+    values = {}
+    for variant, deterministic in itertools.product(VARIANT_FLAGS, [False, True]):
+        config = _config(variant, deterministic=deterministic, pred_len=4)
+        params = init_params(config, np.random.default_rng(40))
+        scenes = [_crowd(n, seed=50 + n, config=config) for n in EVAL_SIZES]
+        report = evaluate(params, scenes, K=20, seed=7)
+        values[f"{variant}/{deterministic}"] = [report.ade, report.fde]
+    return values
 
 
 def _full_reencode(scene, params, rng, scene_ids=None, truth_positions=None):
@@ -166,3 +202,113 @@ def test_best_of_k_is_argmin_over_taped_rollouts():
     best = int(np.argmin(ades))
     assert got == (ades[best], fde(preds[best].numpy(), truth, mask))
     assert all(p.grad is None and p.requires_grad for _, p in params.parameters())
+
+
+def _sequential(scene, params, copies, rng):
+    """The packed rollout's oracle: `copies` rollouts one after another on
+    one generator, stacked along the rows."""
+    return np.concatenate([rollout(scene, params, rng=rng).numpy() for _ in range(copies)])
+
+
+class TestPackedSamples:
+    """rollout(copies=) and best_of_k against sequential sampling on one
+    generator. Every case is bit-exact except copies of a single-pedestrian
+    scene: there a one-row matmul becomes a many-row one, which rounds
+    differently (up to 2e-15 seen); those agree to 1e-9."""
+
+    @pytest.mark.parametrize("variant, deterministic", itertools.product(
+        VARIANT_FLAGS, [True, False]))
+    def test_copies_match_sequential_rollouts(self, variant, deterministic):
+        config = _config(variant, deterministic=deterministic)
+        params = init_params(config, np.random.default_rng(13)).frozen()
+        for n, copies in itertools.product(EVAL_SIZES, (1, 7, 20)):
+            scene = _crowd(n, seed=60 + n, config=config)
+            rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+            got = rollout(scene, params, rng=rng, copies=copies).numpy()
+            want = _sequential(scene, params, copies, ref_rng)
+            case = f"n={n} copies={copies}"
+            if n > 1 or copies == 1:
+                np.testing.assert_array_equal(got, want, err_msg=case)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=case)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, case
+
+    @pytest.mark.parametrize("variant, deterministic", itertools.product(
+        VARIANT_FLAGS, [True, False]))
+    def test_best_of_k_matches_sequential_samples(self, variant, deterministic):
+        config = _config(variant, deterministic=deterministic)
+        params = init_params(config, np.random.default_rng(14))
+        truth_at = config.obs_len
+        for n, K in itertools.product(EVAL_SIZES, (1, 7, 20)):
+            scene = _crowd(n, seed=70 + n, config=config)
+            truth = scene.positions[:, truth_at:]
+            mask = scene.targets[:, None] & scene.presence[:, truth_at:]
+            rng, ref_rng = np.random.default_rng(K), np.random.default_rng(K)
+            got = best_of_k(scene, params, K=K, rng=rng)
+            preds = _sequential(scene, params.frozen(), K, ref_rng).reshape(K, n, -1, 2)
+            ades = [ade(p, truth, mask) for p in preds]
+            best = int(np.argmin(ades))
+            want = (ades[best], fde(preds[best], truth, mask))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9, err_msg=f"n={n} K={K}")
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, f"n={n} K={K}"
+
+    @pytest.mark.parametrize("n, K", itertools.product(EVAL_SIZES, (1, 7, 20)))
+    def test_rollouts_and_step0_encodes_per_call(self, n, K, monkeypatch):
+        # each rollout call encodes the full observed window once, on the
+        # scene's own n rows, whatever number of samples it packs
+        calls, full_windows = [], []
+        real_rollout, real_encoder1 = startraj.trainer.rollout, startraj.model.encoder1
+
+        def rollout_spy(*args, **kwargs):
+            calls.append(kwargs.get("copies", 1))
+            return real_rollout(*args, **kwargs)
+
+        def encoder1_spy(h_spatial, *args, **kwargs):
+            if h_spatial.shape[1] > 1:
+                full_windows.append(h_spatial.shape[0])
+            return real_encoder1(h_spatial, *args, **kwargs)
+
+        monkeypatch.setattr(startraj.trainer, "rollout", rollout_spy)
+        monkeypatch.setattr(startraj.model, "encoder1", encoder1_spy)
+        config = _config(deterministic=False)
+        params = init_params(config, np.random.default_rng(15))
+        best_of_k(_crowd(n, seed=80 + n, config=config), params, K=K)
+        chunk = max(1, ROW_BUDGET // n)
+        assert len(calls) == math.ceil(K / chunk)
+        assert sum(calls) == K and all(c == min(chunk, K) for c in calls[:-1])
+        assert full_windows == [n] * len(calls)
+
+    def test_taped_copies_differentiate(self):
+        # tiling goes through the tape: the gradient of a loss summed over the
+        # copies is the sum of the sequential rollouts' gradients
+        config = _config(deterministic=False)
+        scene = _crowd(5, seed=90, config=config)
+        grads = []
+        for copies, calls in ((3, 1), (1, 3)):
+            params = init_params(config, np.random.default_rng(16))
+            rng = np.random.default_rng(17)
+            for _ in range(calls):  # leaves add up the gradients of each call
+                pred = rollout(scene, params, rng=rng, copies=copies)
+                (pred * pred).sum().backward()
+            grads.append([p.grad for _, p in params.parameters()])
+        for (name, _), a, b in zip(params.parameters(), *grads, strict=True):
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_copies_in_training_rejected(self):
+        config = _config(deterministic=False)
+        params = init_params(config, np.random.default_rng(18))
+        scene = _crowd(3, seed=91, config=config)
+        with pytest.raises(ValueError, match="copies"):
+            rollout(scene, params, training=True, copies=2)
+        with pytest.raises(ValueError, match="copies"):
+            rollout(scene, params, copies=0)
+
+
+def test_evaluate_matches_recorded_values():
+    # recorded before best_of_k packed its samples: `startraj eval` output
+    # must not move
+    with open(EVAL_FIXTURE) as fh:
+        expected = json.load(fh)
+    got = _eval_values()
+    assert list(got) == list(expected)
+    for key, values in expected.items():
+        np.testing.assert_allclose(got[key], values, rtol=1e-12, atol=1e-12, err_msg=key)
