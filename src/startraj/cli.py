@@ -314,7 +314,7 @@ def cmd_predict(args) -> int:
     config = params.config
     scene = preprocess(scene_from_file(args.scene, config))
     rng = np.random.default_rng(args.seed)
-    pred = rollout(scene, params.frozen(), rng=rng).numpy()
+    pred = rollout(scene, params, rng=rng).numpy()
     pred_world = pred + scene.origins[:, None, :]
     os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, "prediction.txt")

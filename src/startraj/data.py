@@ -105,6 +105,8 @@ def load_dataset(path: str) -> RawTrajectories:
             x, y = float(parts[2]), float(parts[3])
         except (ValueError, OverflowError) as exc:  # int(inf) overflows
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
+        if abs(frame) > 2 ** 53:  # read as a float, so inexact beyond
+            raise DataFormatError(f"{path}:{lineno}: frame {parts[0]} out of range")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DataFormatError(f"{path}:{lineno}: non-finite coordinate")
         per_ped.setdefault(ped, []).append((frame, x, y))
@@ -172,13 +174,13 @@ def make_scenes(
         raise DataFormatError("stride must be >= 1")
     if not raw.tracklets:
         return []
-    step = raw.frame_step
+    # a window has a target only where one tracklet spans it, so it opens at
+    # one of that tracklet's frames: a gap in the frame numbers costs nothing
+    total, every = obs + pred, stride * raw.frame_step
     lo = min(int(t.frames[0]) for t in raw.tracklets)
-    hi = max(int(t.frames[-1]) for t in raw.tracklets)
-    last_start = hi - (obs + pred - 1) * step
-    windows = (scene_window(raw, start, obs, pred, dataset)
-               for start in range(lo, last_start + 1, stride * step))
-    return [scene for scene in windows if scene.targets.any()]
+    starts = {int(f) for t in raw.tracklets for f in t.frames[:max(0, len(t.frames) - total + 1)]
+              if (f - lo) % every == 0}
+    return [scene_window(raw, start, obs, pred, dataset) for start in sorted(starts)]
 
 
 def preprocess(scene: TrajectoryScene) -> TrajectoryScene:
@@ -279,9 +281,6 @@ def pack_batches(
         if pending and (count + s.n_peds > budget or len(pending) >= max_scenes):
             batches.append(merge_scenes(pending))
             pending, count = [], 0
-        if s.n_peds > budget:
-            batches.append(merge_scenes([s]))
-            continue
         pending.append(s)
         count += s.n_peds
     if pending:

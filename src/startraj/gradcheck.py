@@ -181,7 +181,7 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> Dict[str, float]:
     truth = Tensor(scene.positions[:, 8:, :])
 
     def model_loss() -> Tensor:
-        pred = rollout(scene, mparams, rng=np.random.default_rng(0))
+        pred = rollout(scene, mparams, rng=np.random.default_rng(0), training=True)
         diff = pred - truth
         return (diff * diff).mean()
 
@@ -196,7 +196,7 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> Dict[str, float]:
     enc_truth = Tensor(scene.positions[:, 8:9, :])
 
     def encoder_loss() -> Tensor:
-        pred = rollout(scene, eparams, rng=np.random.default_rng(0))
+        pred = rollout(scene, eparams, rng=np.random.default_rng(0), training=True)
         diff = pred - enc_truth
         return (diff * diff).mean()
 

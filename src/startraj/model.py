@@ -314,7 +314,6 @@ def rollout(
     rng: Optional[np.random.Generator] = None,
     scene_ids: Optional[np.ndarray] = None,
     training: bool = False,
-    truth_positions: Optional[np.ndarray] = None,
     copies: int = 1,
 ) -> Tensor:
     """Autoregressive prediction: encode the growing history, decode one
@@ -323,16 +322,17 @@ def rollout(
     scene's rows contiguous.
 
     Returns (N, pred_len, 2) positions in the origin-shifted frame; rows for
-    pedestrians without a full observation window are zero. When
-    truth_positions (N, T, 2) is given, ground truth, not the prediction, is
-    appended to the history (teacher forcing).
+    pedestrians without a full observation window are zero.
 
-    Training re-embeds and re-encodes the whole history each step (dropout
-    resamples it) and draws each step's decoder noise as it decodes.
-    Otherwise each step embeds and runs encoder 1's TGConv on the newest step
-    alone, bit-exactly; the temporal branches, the fusion and encoder 2 see
-    the full history, as their outputs change every step. All the noise is
-    drawn before the first step, in the order that per-step draws take it.
+    Only `training` and params.config set the mode. Training tapes, re-embeds
+    and re-encodes the whole history each step (dropout resamples it), draws
+    each step's noise as it decodes and, under teacher_forcing, appends the
+    scene's ground truth to the history instead of the prediction. Otherwise
+    the rollout runs on params.frozen(), with no tape; each step embeds and
+    runs encoder 1's TGConv on the newest step alone, bit-exactly, while the
+    temporal branches, the fusion and encoder 2 see the full history. All
+    the noise is drawn before the first step, in the order that per-step
+    draws take it.
 
     copies > 1 (not in training) samples that many rollouts in one. Noise
     enters only at the decoder, so step 0 encodes the N rows once; its state
@@ -349,6 +349,8 @@ def rollout(
     require_int("copies", copies, 1)
     if training and copies > 1:
         raise ValueError("copies > 1 samples eval rollouts; training takes one")
+    if not training:
+        params = params.frozen()
     if scene_ids is None:
         scene_ids = np.zeros(scene.n_peds, dtype=np.int64)
     elif len(scene_ids) != scene.n_peds:
@@ -358,6 +360,9 @@ def rollout(
     rollers = scene.rollout_mask
     if not rollers[scene.targets].all():
         raise DataFormatError("target pedestrian lacks a full observation window")
+    forced = training and config.teacher_forcing
+    if forced and scene.pred_len < config.pred_len:
+        raise DataFormatError(f"teacher forcing needs {config.pred_len} future steps")
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -385,12 +390,10 @@ def rollout(
                          spatial_before=spatial)
         enc = encoder2(fused, masks, params, presence, layout=layout)
         if s == 0 and copies > 1:  # the copies share step 0's encoding
-            tile = lambda x: concat([x] * copies, axis=0)  # on the tape
+            tile = lambda x: concat([x] * copies, axis=0)
             enc, history, h_t, spatial = tile(enc), tile(history), tile(h_t), [tile(spatial[0])]
             presence, rollers, origins = (np.concatenate([a] * copies)
                                           for a in (presence, rollers, origins))
-            if truth_positions is not None:
-                truth_positions = np.concatenate([truth_positions] * copies)
             masks = [np.concatenate([m] * copies, axis=1) for m in masks]
             _, ids = np.unique(scene_ids, return_inverse=True)  # 0..S-1
             layout = scene_layout(np.concatenate([ids + k * (ids.max() + 1)
@@ -409,8 +412,8 @@ def rollout(
         if s + 1 == config.pred_len:
             break  # no later step reads this one's history, presence or masks
 
-        appended = step if truth_positions is None else Tensor(
-            np.where(rollers[:, None], truth_positions[:, config.obs_len + s], 0.0))
+        appended = step if not forced else Tensor(
+            np.where(rollers[:, None], scene.positions[:, config.obs_len + s], 0.0))
         history = concat([history, appended.reshape(n, 1, 2)], axis=1)
         presence = np.concatenate([presence, rollers[:, None]], axis=1)
         world_step = (appended.data + origins)[:, None]  # (N, 1, 2)

@@ -72,8 +72,8 @@ def best_of_k(
     rng: Optional[np.random.Generator] = None,
     independent_minima: bool = False,
 ) -> Tuple[float, float]:
-    """Sample K rollouts on frozen parameters, with no tape, and report the
-    best one. By default the FDE comes from the same minimum-ADE sample;
+    """Sample K eval rollouts, which record no tape, and report the best
+    one. By default the FDE comes from the same minimum-ADE sample;
     independent_minima reports min ADE and min FDE separately.
 
     The samples run as packed copies of the n-pedestrian scene,
@@ -83,10 +83,8 @@ def best_of_k(
         raise ValueError("best_of_k needs K >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    if scene.origins is None:
-        scene = preprocess(scene)
+    scene = preprocess(scene)  # a no-op on a preprocessed scene
     truth, mask = _scene_truth_and_mask(scene)
-    params = params.frozen()
     n, chunk = scene.n_peds, max(1, ROW_BUDGET // scene.n_peds)
     ades, fdes = [], []
     for done in range(0, K, chunk):
@@ -132,16 +130,14 @@ def scene_loss(
     training: bool = True,
 ) -> Tensor:
     """Mean squared error over all predicted steps of the target pedestrians,
-    from a full autoregressive rollout, teacher-forced when the config asks
-    for it and training is on."""
-    scene, config = batch.scene, params.config
+    from a full rollout of the preprocessed batch, which tapes (and under the
+    config's teacher_forcing, is teacher-forced) only in training."""
+    scene, config = preprocess(batch.scene), params.config
     if scene.pred_len != config.pred_len:
         raise DataFormatError(
             f"scene has {scene.pred_len} future steps; the model needs {config.pred_len}")
     truth, mask = _scene_truth_and_mask(scene)
-    forced = scene.positions if config.teacher_forcing and training else None
-    pred = rollout(scene, params, rng=rng, scene_ids=batch.scene_ids, training=training,
-                   truth_positions=forced)
+    pred = rollout(scene, params, rng=rng, scene_ids=batch.scene_ids, training=training)
     w = mask[:, :, None].astype(np.float64)
     diff = (pred - Tensor(truth)) * Tensor(w)
     return (diff * diff).sum() * (1.0 / max(w.sum() * 2.0, 1.0))
@@ -234,12 +230,12 @@ def evaluate(
     variant: str = "full",
     dataset: str = "",
 ) -> EvalReport:
-    """Aggregate best-of-K (or single deterministic rollout) displacement
-    errors over scenes, weighted by target-pedestrian count."""
+    """Aggregate best-of-K displacement errors over scenes, weighted by
+    target-pedestrian count; K = 1 for a model without decoder noise."""
     if not scenes:
         raise DataFormatError("empty evaluation set")
     rng = np.random.default_rng(seed)
-    k_eff = 1 if params.config.deterministic else K
+    k_eff = 1 if params.config.effective_noise_dim == 0 else K
     a_sum = f_sum = weight = 0.0
     for scene in scenes:
         prep = preprocess(scene)

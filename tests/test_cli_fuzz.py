@@ -1,17 +1,20 @@
-"""Fuzzing `predict` and `attention` through cli.main.
+"""Fuzzing `predict`, `attention`, `train` and `eval` through cli.main.
 
 A tiny checkpoint and scene file are mutated: checkpoint config values,
 parameter shapes and values, dropped keys and wrong types; scene byte flips,
-truncation and non-finite or overflowing fields. Whatever the input, the
-command ends with a documented exit code (0 ok, 1 usage, 2 data, 3 numeric)
-and prints no traceback. Integers stay small: a mutated size never asks for a
-large allocation.
+truncation and non-finite or overflowing fields. `train` gets a tiny config
+file with odd values for known keys, unknown keys and lines without `=`, and
+`train` and `eval` get data files mutated as the scene is, with far-off frame
+ids too. Whatever the input, the command ends with a documented exit code (0
+ok, 1 usage, 2 data, 3 numeric) and prints no traceback. Integers stay small:
+a mutated size never asks for a large allocation, and a run takes one step.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from startraj.cli import main
+from startraj.data import DATASET_NAMES
 from startraj.model import StarConfig, init_params, save_checkpoint
+from startraj.trainer import TrainSpec
 
 COMMANDS = st.sampled_from(["predict", "attention"])
 ODD_VALUES = st.one_of(
@@ -30,6 +35,17 @@ ODD_VALUES = st.one_of(
 )
 SCENE_FIELDS = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "",
                                 "x", "1e300", "-0"])
+# frame ids far from the others, which a window scan would walk frame by frame
+FRAME_FIELDS = st.one_of(SCENE_FIELDS, st.sampled_from(["1e12", "-1e15", "9e15"]))
+# the tiny model and one-step run that the train fuzz mutates, line by line
+TINY_CONFIG = ["d_model = 8", "heads = 2", "pred_len = 2", "dropout = 0.0", "epochs = 1",
+               "max_steps = 1", "augment = false"]
+CONFIG_KEYS = sorted(f.name for cls in (StarConfig, TrainSpec) for f in fields(cls))
+SMALL_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "", "x", "transformer", "recurrent", [], {},
+                     float("nan"), float("inf"), -float("inf"), 1e300, -1e300, 0.5]),
+    st.integers(min_value=-4, max_value=16),
+)
 EXIT_CODES = {0, 1, 2, 3}
 
 
@@ -45,16 +61,49 @@ def base(tmp_path_factory):
     return json.loads(path.read_text()), ("\n".join(lines) + "\n").encode()
 
 
+def _main(argv) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in EXIT_CODES
+    assert "Traceback" not in err.getvalue()
+
+
 def _run(command: str, checkpoint: str, scene: bytes) -> None:
     with tempfile.TemporaryDirectory() as d:
         (Path(d) / "c.json").write_text(checkpoint)
         (Path(d) / "s.txt").write_bytes(scene)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, "--checkpoint", f"{d}/c.json", "--scene", f"{d}/s.txt",
-                         "--out", f"{d}/out"])
-    assert code in EXIT_CODES
-    assert "Traceback" not in err.getvalue()
+        _main([command, "--checkpoint", f"{d}/c.json", "--scene", f"{d}/s.txt",
+               "--out", f"{d}/out"])
+
+
+def _mutated(data, scene: bytes, field_values=SCENE_FIELDS) -> bytes:
+    """scene with flipped bytes, truncated, or with one field replaced."""
+    scene = bytearray(scene)
+    kind = data.draw(st.sampled_from(["flip", "truncate", "field"]))
+    if kind == "flip":
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            at = data.draw(st.integers(min_value=0, max_value=len(scene) - 1))
+            scene[at] ^= data.draw(st.integers(min_value=1, max_value=255))
+    elif kind == "truncate":
+        del scene[data.draw(st.integers(min_value=0, max_value=len(scene) - 1)):]
+    else:
+        rows = [row.split(b" ") for row in bytes(scene).splitlines()]
+        row = rows[data.draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+        row[data.draw(st.integers(min_value=0, max_value=3))] = data.draw(field_values).encode()
+        scene = bytearray(b"\n".join(b" ".join(r) for r in rows) + b"\n")
+    return bytes(scene)
+
+
+def _run_on_data(argv, scene: bytes, mutated: bytes, where: str, config: str = "") -> None:
+    """Run argv (with {d} for its directory) on the five data sets, each a copy
+    of scene except `where`, which holds mutated."""
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "data").mkdir()
+        for name in DATASET_NAMES:
+            (Path(d) / "data" / f"{name}.txt").write_bytes(mutated if name == where else scene)
+        (Path(d) / "tiny.cfg").write_text(config)
+        _main([arg.format(d=d) for arg in argv])
 
 
 @settings(max_examples=100, deadline=None)
@@ -89,17 +138,42 @@ def test_mutated_checkpoint(base, command, data):
 @settings(max_examples=100, deadline=None)
 @given(command=COMMANDS, data=st.data())
 def test_mutated_scene(base, command, data):
-    scene = bytearray(base[1])
-    kind = data.draw(st.sampled_from(["flip", "truncate", "field"]))
-    if kind == "flip":
-        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
-            at = data.draw(st.integers(min_value=0, max_value=len(scene) - 1))
-            scene[at] ^= data.draw(st.integers(min_value=1, max_value=255))
-    elif kind == "truncate":
-        del scene[data.draw(st.integers(min_value=0, max_value=len(scene) - 1)):]
-    else:
-        rows = [row.split(b" ") for row in bytes(scene).splitlines()]
-        row = rows[data.draw(st.integers(min_value=0, max_value=len(rows) - 1))]
-        row[data.draw(st.integers(min_value=0, max_value=3))] = data.draw(SCENE_FIELDS).encode()
-        scene = bytearray(b"\n".join(b" ".join(r) for r in rows) + b"\n")
-    _run(command, json.dumps(base[0]), bytes(scene))
+    _run(command, json.dumps(base[0]), _mutated(data, base[1]))
+
+
+TRAIN = ["train", "--config", "{d}/tiny.cfg", "--data-dir", "{d}/data", "--held-out", "ETH",
+         "--out", "{d}/out"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_train_config(base, data):
+    lines = list(TINY_CONFIG)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        kind = data.draw(st.sampled_from(["known", "unknown", "no_equals"]))
+        if kind == "known":
+            line = f"{data.draw(st.sampled_from(CONFIG_KEYS))} = {data.draw(SMALL_VALUES)}"
+        elif kind == "unknown":
+            line = f"{data.draw(st.sampled_from(['banana', 'D_MODEL', 'lr', '']))} = 1"
+        else:
+            line = data.draw(st.sampled_from(["d_model 8", "heads", "x", "[section]"]))
+        lines.insert(data.draw(st.integers(min_value=0, max_value=len(lines))), line)
+    _run_on_data(TRAIN, base[1], base[1], "", config="\n".join(lines) + "\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), where=st.sampled_from(DATASET_NAMES[1:]))
+def test_mutated_train_data(base, data, where):
+    _run_on_data(TRAIN, base[1], _mutated(data, base[1], FRAME_FIELDS), where,
+                 config="\n".join(TINY_CONFIG) + "\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), where=st.sampled_from(DATASET_NAMES))
+def test_mutated_eval_data(base, data, where):
+    with tempfile.TemporaryDirectory() as d:
+        checkpoint = Path(d) / "c.json"
+        checkpoint.write_text(json.dumps(base[0]))
+        _run_on_data(["eval", "--checkpoint", str(checkpoint), "--data-dir", "{d}/data",
+                      "--samples", "3", "--out", "{d}/out"],
+                     base[1], _mutated(data, base[1], FRAME_FIELDS), where)

@@ -1,7 +1,8 @@
-"""The eval rollout embeds and TGConv-encodes each step once, and sampling
-runs on frozen parameters with no tape. Oracles: the full re-encode of every
-step, rebuilt here from the library's encoder pieces; taped rollouts; and
-the training path, which still re-encodes everything."""
+"""The eval rollout embeds and TGConv-encodes each step once, and runs on
+frozen parameters with no tape, whatever parameters it is given. Oracles:
+the full re-encode of every step, rebuilt here from the library's encoder
+pieces; rollouts on frozen parameters; and the training path, which still
+re-encodes everything."""
 
 import itertools
 import json
@@ -100,16 +101,18 @@ class TestIncrementalRollout:
     @pytest.mark.parametrize("variant, deterministic", itertools.product(
         VARIANT_FLAGS, [True, False]))
     def test_matches_full_reencode_bit_for_bit(self, variant, deterministic):
-        config = _config(variant, deterministic=deterministic)
-        params = init_params(config, np.random.default_rng(3))
-        for n, forced in itertools.product((1, 2, 5, 17), (False, True)):
-            scene = _scene(n, seed=10 + n, config=config)
-            truth = scene.positions if forced else None
-            got = rollout(scene, params, rng=np.random.default_rng(n),
-                          truth_positions=truth).numpy()
-            want = _full_reencode(scene, params, np.random.default_rng(n),
-                                  truth_positions=truth)
-            np.testing.assert_array_equal(got, want, err_msg=f"n={n} forced={forced}")
+        # forced: a training rollout under teacher forcing, which with dropout
+        # off re-encodes the full history as the oracle does
+        for forced in (False, True):
+            config = _config(variant, deterministic=deterministic, teacher_forcing=forced)
+            params = init_params(config, np.random.default_rng(3))
+            for n in (1, 2, 5, 17):
+                scene = _scene(n, seed=10 + n, config=config)
+                got = rollout(scene, params, rng=np.random.default_rng(n),
+                              training=forced).numpy()
+                want = _full_reencode(scene, params, np.random.default_rng(n),
+                                      truth_positions=scene.positions if forced else None)
+                np.testing.assert_array_equal(got, want, err_msg=f"n={n} forced={forced}")
 
     @pytest.mark.parametrize("variant", VARIANT_FLAGS)
     def test_packed_mixed_layout_matches_full_reencode(self, variant):
@@ -122,23 +125,6 @@ class TestIncrementalRollout:
         want = _full_reencode(batch.scene, params, np.random.default_rng(5),
                               scene_ids=batch.scene_ids)
         np.testing.assert_array_equal(got, want)
-
-    def test_gradients_match_training_path(self):
-        # with dropout off, training re-encodes the full history each step and
-        # gives the same forward bits; the cached eval path's backward must
-        # agree with it (accumulation order may differ in the last bits)
-        config = _config(deterministic=False)
-        scene = _scene(4, seed=30, config=config)
-        grads, outs = [], []
-        for training in (False, True):
-            params = init_params(config, np.random.default_rng(6))
-            pred = rollout(scene, params, rng=np.random.default_rng(7), training=training)
-            (pred * pred).sum().backward()
-            outs.append(pred.numpy())
-            grads.append([p.grad for _, p in params.parameters()])
-        np.testing.assert_array_equal(outs[0], outs[1])
-        for a, b in zip(*grads):
-            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-13)
 
 
 class TestFrozen:
@@ -161,16 +147,18 @@ class TestFrozen:
         assert frozen.enc1.spatial.head_count == params.enc1.spatial.head_count
 
     def test_rollout_bytes_equal_and_no_tape(self):
+        # an eval rollout freezes the parameters itself
         params = self._params()
         scene = _scene(5, seed=31, config=params.config)
-        taped = rollout(scene, params, rng=np.random.default_rng(9))
+        given = rollout(scene, params, rng=np.random.default_rng(9))
         free = rollout(scene, params.frozen(), rng=np.random.default_rng(9))
-        assert taped.requires_grad and taped._parents
-        assert free.numpy().tobytes() == taped.numpy().tobytes()
-        assert not free.requires_grad and free._parents == () and free._backward is None
+        assert free.numpy().tobytes() == given.numpy().tobytes()
+        for out in (given, free):
+            assert not out.requires_grad and out._parents == () and out._backward is None
 
-    def test_ops_on_frozen_keep_no_parents(self, monkeypatch):
-        # every Tensor made during a frozen rollout records no parents
+    @staticmethod
+    def _made_during_rollout(monkeypatch, params):
+        """Every Tensor that an eval rollout of params creates."""
         made = []
         real_init = Tensor.__init__
 
@@ -179,16 +167,29 @@ class TestFrozen:
             made.append(self)
 
         monkeypatch.setattr(Tensor, "__init__", spy)
-        params = self._params()
-        frozen = params.frozen()
-        made.clear()
-        rollout(_scene(3, seed=32, config=params.config), frozen)
+        rollout(_scene(3, seed=32, config=params.config), params)
         monkeypatch.undo()
+        return made
+
+    def test_ops_on_frozen_keep_no_parents(self, monkeypatch):
+        # every Tensor made during a frozen rollout records no parents
+        made = self._made_during_rollout(monkeypatch, self._params().frozen())
         assert len(made) > 100
         assert all(t._parents == () and not t.requires_grad for t in made)
 
+    def test_eval_rollout_on_taped_params_keeps_no_parents(self, monkeypatch):
+        # the same without freezing first, and the caller's gradients stay
+        params = self._params()
+        made = self._made_during_rollout(monkeypatch, params)
+        assert len(made) > 100
+        assert all(t._parents == () and not t.requires_grad for t in made)
+        for name, p in params.parameters():
+            assert p.requires_grad and np.all(p.grad == 0.5), name
+
 
 def test_best_of_k_is_argmin_over_taped_rollouts():
+    # rollouts on the caller's taped parameters, which record no tape and
+    # give the bytes of rollouts on frozen ones
     config = _config(deterministic=False)
     params = init_params(config, np.random.default_rng(11))
     scene = _scene(6, seed=33, config=config)
@@ -197,7 +198,9 @@ def test_best_of_k_is_argmin_over_taped_rollouts():
     truth = scene.positions[:, config.obs_len:]
     mask = scene.targets[:, None] & scene.presence[:, config.obs_len:]
     preds = [rollout(scene, params, rng=rng) for _ in range(5)]
-    assert all(p.requires_grad for p in preds)
+    assert all(not p.requires_grad and p._parents == () for p in preds)
+    frozen = _sequential(scene, params.frozen(), 5, np.random.default_rng(12))
+    assert np.concatenate([p.numpy() for p in preds]).tobytes() == frozen.tobytes()
     ades = [ade(p.numpy(), truth, mask) for p in preds]
     best = int(np.argmin(ades))
     assert got == (ades[best], fde(preds[best].numpy(), truth, mask))
@@ -276,22 +279,6 @@ class TestPackedSamples:
         assert len(calls) == math.ceil(K / chunk)
         assert sum(calls) == K and all(c == min(chunk, K) for c in calls[:-1])
         assert full_windows == [n] * len(calls)
-
-    def test_taped_copies_differentiate(self):
-        # tiling goes through the tape: the gradient of a loss summed over the
-        # copies is the sum of the sequential rollouts' gradients
-        config = _config(deterministic=False)
-        scene = _crowd(5, seed=90, config=config)
-        grads = []
-        for copies, calls in ((3, 1), (1, 3)):
-            params = init_params(config, np.random.default_rng(16))
-            rng = np.random.default_rng(17)
-            for _ in range(calls):  # leaves add up the gradients of each call
-                pred = rollout(scene, params, rng=rng, copies=copies)
-                (pred * pred).sum().backward()
-            grads.append([p.grad for _, p in params.parameters()])
-        for (name, _), a, b in zip(params.parameters(), *grads, strict=True):
-            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12, err_msg=name)
 
     def test_copies_in_training_rejected(self):
         config = _config(deterministic=False)

@@ -401,18 +401,35 @@ class TestRollout:
         np.testing.assert_array_equal(enc.numpy(), writes[0].numpy())
 
     def test_non_finite_prediction_names_step(self):
+        # finite weights that overflow in the decoder; a NaN weight is caught
+        # before the first step, when the eval rollout freezes the parameters
         config = _config()
+        scene = _scene(n=2, seed=35, config=config)
         params = init_params(config, np.random.default_rng(35))
-        params.decoder.b.data[:] = np.nan
-        with pytest.raises(NonFiniteError, match="step 0"):
-            rollout(_scene(n=2, seed=35, config=config), params)
+        params.decoder.w.data[:] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match="non-finite predicted position "
+                                                     "at rollout step 0"):
+                rollout(scene, params)
+        params.decoder.w.data[:] = np.nan
+        with pytest.raises(NonFiniteError, match="tensor initialized with non-finite"):
+            rollout(scene, params)
+
+    def test_forced_rollout_needs_the_future(self):
+        # teacher forcing reads pred_len - 1 future steps of ground truth; an
+        # eval rollout reads none
+        params = init_params(_config(teacher_forcing=True), np.random.default_rng(36))
+        scene = _scene(n=2, seed=36, total=10)
+        with pytest.raises(DataFormatError, match="teacher forcing needs 3 future steps"):
+            rollout(scene, params, training=True)
+        assert rollout(scene, params).shape == (2, 3, 2)
 
     def test_every_parameter_gets_gradient(self):
         # spec invariant: no dead branches for a generic scene + L2 loss
         config = _config()
         params = init_params(config, np.random.default_rng(24))
         scene = _scene(n=3, seed=24, config=config)
-        pred = rollout(scene, params)
+        pred = rollout(scene, params, training=True)
         (pred * pred).mean().backward()
         for name, p in params.parameters():
             assert p.grad is not None and np.any(p.grad != 0.0), name

@@ -273,7 +273,9 @@ class TestSceneLayout:
         real_block = startraj.model.spatial_block
 
         def block_spy(h, masks, block_params, presence, **kwargs):
-            name = "enc1" if block_params is params.enc1.spatial else "enc2"
+            # an eval rollout runs on frozen copies, which share the arrays
+            enc1 = block_params.wq.data is params.enc1.spatial.wq.data
+            name = "enc1" if enc1 else "enc2"
             calls[name].append((h.shape[1], [m.shape[0] for m in masks], presence.copy()))
             return real_block(h, masks, block_params, presence, **kwargs)
 

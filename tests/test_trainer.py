@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import startraj.model
+import startraj.trainer
 from startraj import (
     StarConfig, TrainSpec, ade, best_of_k, evaluate, fde, init_params,
     preprocess, run_ablation, scene_loss, train, write_reports,
 )
-from startraj.data import merge_scenes
+from startraj.data import TrajectoryScene, merge_scenes
 from startraj.errors import DataFormatError, NonFiniteError
 from startraj.synthetic import make_synthetic_scenes, simulate_scene
 from startraj.trainer import EvalReport, REPORT_HEADER
@@ -249,6 +250,20 @@ class TestTraining:
         expect = ((pred - truth) ** 2).mean()
         np.testing.assert_allclose(loss.item(), expect, atol=1e-12)
 
+    @pytest.mark.parametrize("forcing", [False, True])
+    def test_scene_loss_preprocesses_raw_batch(self, forcing):
+        # world positions 50 m from the origin: the loss compares the rollout
+        # with ground truth in its own origin-shifted frame
+        config = _config(teacher_forcing=forcing)
+        params = init_params(config, np.random.default_rng(21))
+        raw = []
+        for s in _scenes(count=2, n=3, seed=21):
+            moved = np.where(s.presence[:, :, None], s.positions + 50.0, 0.0)
+            raw.append(TrajectoryScene(s.ped_ids, moved, s.presence, s.obs_len))
+        losses = [scene_loss(merge_scenes(scenes), params, np.random.default_rng(0)).item()
+                  for scenes in (raw, [preprocess(s) for s in raw])]
+        assert losses[0] == losses[1]
+
     def test_backward_peak_is_the_forward_tape(self):
         # numpy reports its buffers to tracemalloc, so these are byte counts.
         # A packed step of 4 scenes x 4 peds at the default config holds
@@ -333,6 +348,30 @@ class TestEvaluationReports:
                          rng=np.random.default_rng(5))
         assert report.ade == a and report.fde == f
         assert report.k == 1  # deterministic config collapses K
+
+    def test_noise_free_model_samples_once(self, monkeypatch):
+        # noise_dim 0 without `deterministic`: K samples would all be equal
+        config = _config(deterministic=False, noise_dim=0)
+        params = init_params(config, np.random.default_rng(23))
+        scenes = _scenes(count=3, n=3, seed=23)
+        copies = []
+        real_rollout = startraj.trainer.rollout
+
+        def spy(*args, **kwargs):
+            copies.append(kwargs.get("copies", 1))
+            return real_rollout(*args, **kwargs)
+
+        monkeypatch.setattr(startraj.trainer, "rollout", spy)
+        report = evaluate(params, scenes, K=20, seed=3)
+        monkeypatch.undo()
+        assert copies == [1] * len(scenes) and report.k == 1
+        sums = np.zeros(3)  # ade, fde and weight of K = 20 runs
+        for scene in map(preprocess, scenes):
+            n_targets = scene.targets.sum()
+            a, f = best_of_k(scene, params, K=20)
+            sums += [a * n_targets, f * n_targets, n_targets]
+        np.testing.assert_allclose([report.ade, report.fde], sums[:2] / sums[2],
+                                   rtol=0, atol=1e-12)
 
     def test_evaluate_empty_rejected(self):
         config = _config()
