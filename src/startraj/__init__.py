@@ -12,12 +12,12 @@ from .model import (
     encoder1, encoder2, init_params, load_checkpoint, rollout, save_checkpoint,
 )
 from .data import (
-    Batch, TrajectoryScene, augment_rotation, leave_one_out_split, load_dataset,
-    make_scenes, merge_scenes, pack_batches, preprocess,
+    Batch, TrajectoryScene, augment_rotation, load_dataset, make_scenes, merge_scenes,
+    pack_batches, preprocess,
 )
 from .trainer import (
-    EvalReport, TrainSpec, ade, best_of_k, evaluate, fde, run_ablation,
-    scene_loss, train, write_reports,
+    EvalReport, TrainSpec, ade, best_of_k, evaluate, fde, scene_loss, train,
+    write_reports,
 )
 from .synthetic import make_synthetic_scenes, simulate_scene
 

@@ -193,7 +193,7 @@ class TemporalBlockParams(Params):
 def temporal_block(
     h: Tensor,
     params: TemporalBlockParams,
-    time_mask: Optional[np.ndarray] = None,
+    time_mask: np.ndarray,
 ) -> Tensor:
     """Per-pedestrian temporal transformer over (N, t, d_model) sequences.
 
@@ -201,8 +201,6 @@ def temporal_block(
     neither attended to nor emitted (their output rows are zeroed).
     """
     n, t, d = h.shape
-    if time_mask is None:
-        time_mask = np.ones((n, t), dtype=bool)
     if not time_mask.any(axis=1).all():
         bad = int(np.flatnonzero(~time_mask.any(axis=1))[0])
         raise MaskError(f"pedestrian {bad} has no valid timesteps")

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__, gradcheck
 from .data import (
-    DATASET_NAMES, TrajectoryScene, leave_one_out_split, load_dataset,
-    make_scenes, preprocess, scene_window, text_lines,
+    DATASET_NAMES, TrajectoryScene, load_dataset, make_scenes, preprocess,
+    scene_window, text_lines,
 )
 from .errors import DataFormatError, MaskError, NonFiniteError, ShapeMismatchError
 from .model import VARIANT_FLAGS, StarConfig, config_for_variant, encoder2_attention
@@ -152,6 +152,14 @@ def _dataset_files(data_dir: str) -> Dict[str, str]:
     return found
 
 
+def _check_held_out(name: str, files: Dict[str, str], data_dir: str) -> None:
+    """Usage error for an unknown dataset name, data error for a missing file."""
+    if name not in DATASET_NAMES:
+        raise UsageError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
+    if name not in files:
+        raise DataFormatError(f"held-out dataset {name}: no {name}.txt under {data_dir}")
+
+
 def _load_scenes(path: str, config: StarConfig, stride: int,
                  dataset: str) -> List[TrajectoryScene]:
     raw = load_dataset(path)
@@ -253,10 +261,8 @@ def cmd_train(args) -> int:
     config = _build_config(file_values, args)
     spec = _build_spec(file_values, args)
     files = _dataset_files(args.data_dir)
-    if args.held_out not in DATASET_NAMES:
-        raise UsageError(f"unknown dataset {args.held_out!r}; "
-                         f"expected one of {DATASET_NAMES}")
-    train_files, _ = leave_one_out_split(files, args.held_out)
+    _check_held_out(args.held_out, files, args.data_dir)
+    train_files = {k: v for k, v in files.items() if k != args.held_out}
     scenes = []
     for name, path in sorted(train_files.items()):
         scenes.extend(_load_scenes(path, config, stride=args.stride, dataset=name))
@@ -289,9 +295,8 @@ def cmd_eval(args) -> int:
     if args.variant not in (None, variant):
         raise UsageError(f"--variant {args.variant}: the checkpoint is a {variant} model")
     files = _dataset_files(args.data_dir)
-    if args.held_out:
-        if args.held_out not in files:
-            raise UsageError(f"dataset {args.held_out!r} not found in {args.data_dir}")
+    if args.held_out is not None:
+        _check_held_out(args.held_out, files, args.data_dir)
         files = {args.held_out: files[args.held_out]}
     reports: List[EvalReport] = []
     for name, path in sorted(files.items()):
@@ -367,7 +372,7 @@ def cmd_attention(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = gradcheck.run_suite(seed=args.seed, corrupt=args.corrupt)
+    report = gradcheck.run_suite(seed=args.seed)
     ok = True
     for name, err in report.items():
         status = "pass" if err < gradcheck.TOLERANCE else "FAIL"
@@ -431,7 +436,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_attention)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     common(p, None)
     p.set_defaults(func=cmd_gradcheck)
     return parser

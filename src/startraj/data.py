@@ -1,5 +1,5 @@
-"""Dataset ingestion, scene windowing, preprocessing, augmentation, splits,
-and packing scenes into masked batches.
+"""Dataset ingestion, scene windowing, preprocessing, augmentation, and
+packing scenes into masked batches.
 
 Input files are whitespace-separated `frame_id ped_id x y` lines (world-frame
 meters, frames already downsampled to 0.4 s); '#' lines are comments.
@@ -207,11 +207,9 @@ def preprocess(scene: TrajectoryScene) -> TrajectoryScene:
     )
 
 
-def augment_rotation(
-    scene: TrajectoryScene, rng: np.random.Generator, angle: Optional[float] = None
-) -> TrajectoryScene:
+def augment_rotation(scene: TrajectoryScene, rng: np.random.Generator) -> TrajectoryScene:
     """Rotate the whole scene about the origin by a uniform random angle."""
-    theta = rng.uniform(0.0, 2.0 * math.pi) if angle is None else angle
+    theta = rng.uniform(0.0, 2.0 * math.pi)
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, s], [-s, c]])  # row-vector convention: p' = p @ rot
     positions = np.where(scene.presence[:, :, None], scene.positions @ rot, 0.0)
@@ -221,16 +219,6 @@ def augment_rotation(
         presence=scene.presence.copy(), obs_len=scene.obs_len,
         dataset=scene.dataset, origins=origins, targets=scene.targets.copy(),
     )
-
-
-def leave_one_out_split(datasets: Dict[str, object], held_out: str):
-    """train = every dataset except held_out; test = held_out."""
-    if held_out not in datasets:
-        raise DataFormatError(
-            f"unknown dataset {held_out!r}; have {sorted(datasets)}"
-        )
-    train = {k: v for k, v in datasets.items() if k != held_out}
-    return train, {held_out: datasets[held_out]}
 
 
 @dataclass
@@ -269,8 +257,8 @@ def merge_scenes(scenes: Sequence[TrajectoryScene]) -> Batch:
 
 def pack_batches(
     scenes: Sequence[TrajectoryScene],
-    budget: int = 256,
-    max_scenes: int = 16,
+    budget: int,
+    max_scenes: int,
 ) -> List[Batch]:
     """Greedy packing up to ~budget pedestrians (and max_scenes scenes) per
     batch. A single scene over budget is emitted alone."""

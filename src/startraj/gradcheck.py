@@ -28,7 +28,6 @@ def relative_error(a: float, b: float) -> float:
 def check_gradients(
     build_loss: Callable[[], Tensor],
     params: List[Tuple[str, Tensor]],
-    h: float = FD_STEP,
     max_entries_per_tensor: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> float:
@@ -59,12 +58,12 @@ def check_gradients(
         ga = analytic[name].ravel()
         for i in idxs:
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             up = build_loss().item()
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             down = build_loss().item()
             flat[i] = orig
-            fd = (up - down) / (2.0 * h)
+            fd = (up - down) / (2.0 * FD_STEP)
             worst = max(worst, relative_error(ga[i], fd))
     return worst
 
@@ -83,11 +82,10 @@ def _jitter(params: List[Tuple[str, Tensor]], rng: np.random.Generator) -> None:
         p.data += 0.05 * rng.standard_normal(p.shape)
 
 
-def run_suite(seed: int = 0, corrupt: bool = False) -> Dict[str, float]:
+def run_suite(seed: int = 0) -> Dict[str, float]:
     """Finite-difference check of every primitive, the graph convolution, the
     temporal block, and a tiny full-model rollout loss. Returns the max
-    relative error per component. `corrupt` scales the masked-attention
-    entry's analytic q-gradient by 1.01, so that the detector is exercised."""
+    relative error per component."""
     rng = np.random.default_rng(seed)
     report: Dict[str, float] = {}
 
@@ -100,16 +98,14 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> Dict[str, float]:
     x = _leaf(rng, 3, 5)
     w = Tensor(rng0(seed + 1, (3, 5)))
     # 2 scenes x 2 heads x 3 queries x 4 keys, a partial mask per scene broadcast over
-    # its heads, drawn apart from `rng`; `skewed` is the identity, its backward x 1.01
-    skewed = lambda t: Tensor(t.data, _parents=(t,),
-                              _backward=lambda g: t._accumulate(1.01 * g))
+    # its heads, drawn apart from `rng`
     aq, ak, av, aw = (Tensor(rng0(seed + i, (2, 2, n, 4)), requires_grad=i < 18)
                       for i, n in ((15, 3), (16, 4), (17, 4), (18, 3)))
     allow = np.array([[[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 1, 0]],
                       [[1, 1, 1, 1], [0, 0, 1, 1], [1, 0, 0, 1]]], dtype=bool)[:, None]
     report["masked_attention"] = check_gradients(
-        lambda: (masked_attention(skewed(aq) if corrupt else aq, ak, av, allow, 4)[0]
-                 * aw).sum(), [("q", aq), ("k", ak), ("v", av)])
+        lambda: (masked_attention(aq, ak, av, allow, 4)[0] * aw).sum(),
+        [("q", aq), ("k", ak), ("v", av)])
 
     g = _leaf(rng, 5)
     bb = _leaf(rng, 5)
@@ -136,11 +132,11 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> Dict[str, float]:
 
     dx = _leaf(rng, 3, 3)
 
-    def dropout_loss() -> Tensor:
-        d = T.dropout(dx, 0.1, np.random.default_rng(0), training=False)
+    def dropout_loss() -> Tensor:  # a fresh generator keeps the mask fixed
+        d = T.dropout(dx, 0.1, np.random.default_rng(0))
         return (d * d).sum()
 
-    report["dropout_eval"] = check_gradients(dropout_loss, [("x", dx)])
+    report["dropout"] = check_gradients(dropout_loss, [("x", dx)])
 
     # graph convolution on a 4-node path graph, one timestep
     gparams = TGConvParams.init(8, 2, np.random.default_rng(seed + 4))

@@ -201,9 +201,9 @@ def embed_inputs(
     rate = params.config.dropout
     h_s = linear(positions, params.embed_spatial.w, params.embed_spatial.b).relu()
     h_t = linear(positions, params.embed_temporal.w, params.embed_temporal.b).relu()
-    if training and rng is not None:
-        h_s = T.dropout(h_s, rate, rng, training=True)
-        h_t = T.dropout(h_t, rate, rng, training=True)
+    if training:
+        h_s = T.dropout(h_s, rate, rng)
+        h_t = T.dropout(h_t, rate, rng)
     return h_s, h_t
 
 

@@ -17,7 +17,7 @@ EPSILON = 1e-8
 class AdamState:
     """Per-parameter first/second moment estimates plus the shared step count."""
 
-    def __init__(self, params: List[Tuple[str, Tensor]], learning_rate: float = 0.0015):
+    def __init__(self, params: List[Tuple[str, Tensor]], learning_rate: float):
         self.learning_rate = learning_rate
         self.step_count = 0
         self.first_moment: Dict[str, np.ndarray] = {n: np.zeros_like(t.data) for n, t in params}

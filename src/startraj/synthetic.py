@@ -12,6 +12,8 @@ import numpy as np
 from .data import TrajectoryScene
 
 DT = 0.4
+AVOID_RADIUS = 2.0
+AVOID_GAIN = 1.5
 
 
 def simulate_scene(
@@ -19,11 +21,9 @@ def simulate_scene(
     n_peds: int = 2,
     total_len: int = 20,
     obs_len: int = 8,
-    avoid_radius: float = 2.0,
-    avoid_gain: float = 1.5,
 ) -> TrajectoryScene:
     """Pedestrians walk at constant velocity and softly repel each other
-    inside avoid_radius."""
+    inside AVOID_RADIUS."""
     pos = rng.uniform(-4.0, 4.0, size=(n_peds, 2))
     speed = rng.uniform(0.8, 1.4, size=(n_peds, 1))
     angle = rng.uniform(0.0, 2.0 * np.pi, size=n_peds)
@@ -38,8 +38,8 @@ def simulate_scene(
                     continue
                 diff = pos[i] - pos[j]
                 dist = np.linalg.norm(diff)
-                if 1e-9 < dist < avoid_radius:
-                    acc[i] += avoid_gain * (avoid_radius - dist) * diff / dist
+                if 1e-9 < dist < AVOID_RADIUS:
+                    acc[i] += AVOID_GAIN * (AVOID_RADIUS - dist) * diff / dist
         vel = vel + acc * DT
         pos = pos + vel * DT
     return TrajectoryScene(

@@ -368,9 +368,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return Tensor(out, _parents=(x, weight, bias), _backward=bwd)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity in evaluation mode."""
-    if not training or rate <= 0.0:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout, for training; identity at rate 0."""
+    if rate <= 0.0:
         return x
     keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
     return x * Tensor(keep)

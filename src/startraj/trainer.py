@@ -1,5 +1,4 @@
-"""Loss, training loop, displacement metrics, best-of-K evaluation, and
-ablation orchestration."""
+"""Loss, training loop, displacement metrics and best-of-K evaluation."""
 
 from __future__ import annotations
 
@@ -12,8 +11,8 @@ import numpy as np
 from .data import Batch, TrajectoryScene, augment_rotation, pack_batches, preprocess
 from .errors import DataFormatError, NonFiniteError
 from .model import (
-    StarConfig, StarParams, config_for_variant, init_params, require_bool, require_int,
-    require_positive, rollout, save_checkpoint,
+    StarConfig, StarParams, init_params, require_bool, require_int, require_positive,
+    rollout, save_checkpoint,
 )
 from .optim import AdamState, adam_step, zero_grads
 from .tensor import Tensor
@@ -70,17 +69,14 @@ def best_of_k(
     params: StarParams,
     K: int = 20,
     rng: Optional[np.random.Generator] = None,
-    independent_minima: bool = False,
 ) -> Tuple[float, float]:
-    """Sample K eval rollouts, which record no tape, and report the best
-    one. By default the FDE comes from the same minimum-ADE sample;
-    independent_minima reports min ADE and min FDE separately.
+    """Sample K eval rollouts, which record no tape, and report the
+    minimum-ADE sample's ADE and FDE.
 
     The samples run as packed copies of the n-pedestrian scene,
     max(1, ROW_BUDGET // n) per rollout (its `copies`), and draw the same
     noise as K sequential rollouts on rng."""
-    if K < 1:
-        raise ValueError("best_of_k needs K >= 1")
+    require_int("K", K, 1)
     if rng is None:
         rng = np.random.default_rng(0)
     scene = preprocess(scene)  # a no-op on a preprocessed scene
@@ -93,8 +89,6 @@ def best_of_k(
         for pred in preds.reshape(copies, n, *preds.shape[1:]):
             ades.append(ade(pred, truth, mask))
             fdes.append(fde(pred, truth, mask))
-    if independent_minima:
-        return min(ades), min(fdes)
     best = int(np.argmin(ades))
     return ades[best], fdes[best]
 
@@ -127,17 +121,16 @@ def scene_loss(
     batch: Batch,
     params: StarParams,
     rng: np.random.Generator,
-    training: bool = True,
 ) -> Tensor:
     """Mean squared error over all predicted steps of the target pedestrians,
-    from a full rollout of the preprocessed batch, which tapes (and under the
-    config's teacher_forcing, is teacher-forced) only in training."""
+    from a training rollout of the preprocessed batch (teacher-forced under
+    the config's teacher_forcing)."""
     scene, config = preprocess(batch.scene), params.config
     if scene.pred_len != config.pred_len:
         raise DataFormatError(
             f"scene has {scene.pred_len} future steps; the model needs {config.pred_len}")
     truth, mask = _scene_truth_and_mask(scene)
-    pred = rollout(scene, params, rng=rng, scene_ids=batch.scene_ids, training=training)
+    pred = rollout(scene, params, rng=rng, scene_ids=batch.scene_ids, training=True)
     w = mask[:, :, None].astype(np.float64)
     diff = (pred - Tensor(truth)) * Tensor(w)
     return (diff * diff).sum() * (1.0 / max(w.sum() * 2.0, 1.0))
@@ -172,7 +165,7 @@ def train(
             prepared.append(preprocess(s))
         for batch in pack_batches(prepared, budget=spec.ped_budget,
                                   max_scenes=spec.scene_batch):
-            loss = scene_loss(batch, params, rng, training=True)
+            loss = scene_loss(batch, params, rng)
             value = loss.item()
             if not np.isfinite(value):
                 raise NonFiniteError(f"non-finite training loss at step {step}")
@@ -234,6 +227,7 @@ def evaluate(
     target-pedestrian count; K = 1 for a model without decoder noise."""
     if not scenes:
         raise DataFormatError("empty evaluation set")
+    require_int("K", K, 1)
     rng = np.random.default_rng(seed)
     k_eff = 1 if params.config.effective_noise_dim == 0 else K
     a_sum = f_sum = weight = 0.0
@@ -253,19 +247,3 @@ def evaluate(
         ade=a_sum / weight, fde=f_sum / weight, k=k_eff,
     )
 
-
-def run_ablation(
-    variant: str,
-    train_scenes: Sequence[TrajectoryScene],
-    eval_scenes: Sequence[TrajectoryScene],
-    spec: TrainSpec,
-    base_config: Optional[StarConfig] = None,
-    K: int = 20,
-    dataset: str = "",
-) -> EvalReport:
-    """Train and evaluate one ablation row under an identical spec and seed."""
-    config = config_for_variant(variant, base_config)
-    params, _ = train(spec, config, train_scenes)
-    report = evaluate(params, eval_scenes, K=K, seed=spec.seed,
-                      variant=variant, dataset=dataset)
-    return report

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import startraj.gradcheck
 import startraj.graph
+from startraj.tensor import Tensor
 
 
 @pytest.fixture
@@ -21,3 +23,17 @@ def spatial_weights(monkeypatch):
 
     monkeypatch.setattr(startraj.graph, "masked_attention", spy)
     return calls
+
+
+@pytest.fixture
+def skewed_q_gradient(monkeypatch):
+    """gradcheck's masked_attention entry with its analytic q-gradient scaled
+    by 1.01: q passes through an identity node whose backward is skewed, so
+    the finite-difference detector must fire on that entry alone."""
+    real = startraj.gradcheck.masked_attention
+
+    def skewed(q, *args):
+        q_skewed = Tensor(q.data, _parents=(q,), _backward=lambda g: q._accumulate(1.01 * g))
+        return real(q_skewed, *args)
+
+    monkeypatch.setattr(startraj.gradcheck, "masked_attention", skewed)

@@ -11,8 +11,8 @@ import pytest
 
 import startraj.model
 from startraj import (
-    StarConfig, TGConvParams, Tensor, TrainSpec, ade, build_graph, fde,
-    init_params, preprocess, rollout, run_ablation, spatial_block,
+    StarConfig, TGConvParams, Tensor, TrainSpec, ade, build_graph, config_for_variant,
+    evaluate, fde, init_params, preprocess, rollout, spatial_block, train,
 )
 from startraj.attention import masked_attention
 from startraj.data import merge_scenes, pack_batches
@@ -40,7 +40,7 @@ class TestAcceptance:
         worst = max(report.values())
         assert set(report) >= {
             "matmul", "masked_attention", "layer_norm", "relu", "concat", "linear",
-            "dropout_eval", "tgconv", "temporal_block", "encoder_stack",
+            "dropout", "tgconv", "temporal_block", "encoder_stack",
             "full_rollout", "getitem",
         }
         assert worst < TOLERANCE, report
@@ -200,7 +200,7 @@ class TestAcceptance:
         steps = 0
         final_ade = np.inf
         while steps < 2000:
-            loss = scene_loss(batch, params, rng, training=True)
+            loss = scene_loss(batch, params, rng)
             zero_grads(plist)
             loss.backward()
             adam_step(plist, state)
@@ -229,12 +229,11 @@ class TestAcceptance:
         spec = TrainSpec(epochs=1, seed=0, augment=False, max_steps=1)
         reports = {}
         for variant in ("full", "no_memory", "lstm_temporal", "single_encoder"):
-            reports[variant] = run_ablation(variant, scenes, scenes, spec,
-                                            base_config=base, K=1)
+            params, _ = train(spec, config_for_variant(variant, base), scenes)
+            reports[variant] = evaluate(params, scenes, K=1, seed=spec.seed, variant=variant)
         assert all(np.isfinite(r.ade) and np.isfinite(r.fde)
                    for r in reports.values())
 
-        from startraj.model import config_for_variant
         full_cfg = config_for_variant("full", base)
         nomem_cfg = config_for_variant("no_memory", base)
         diff = {k for k, v in full_cfg.to_dict().items()

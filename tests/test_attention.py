@@ -174,7 +174,7 @@ class TestTemporalBlock:
         # [TRIVIAL] N=1, t=1: runs and keeps shape; attention is a 1x1 softmax
         p = self._params()
         h = Tensor(np.random.default_rng(9).standard_normal((1, 1, 8)))
-        out = temporal_block(h, p)
+        out = temporal_block(h, p, np.ones((1, 1), dtype=bool))
         assert out.shape == (1, 1, 8)
 
     def test_weight_sharing_identical_sequences(self):
@@ -182,7 +182,7 @@ class TestTemporalBlock:
         p = self._params()
         seq = np.random.default_rng(10).standard_normal((1, 5, 8))
         h = Tensor(np.concatenate([seq, seq], axis=0))
-        out = temporal_block(h, p).numpy()
+        out = temporal_block(h, p, np.ones((2, 5), dtype=bool)).numpy()
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_per_pedestrian_independence(self):
@@ -190,10 +190,11 @@ class TestTemporalBlock:
         p = self._params()
         rng = np.random.default_rng(11)
         base = rng.standard_normal((2, 5, 8))
-        out_a = temporal_block(Tensor(base), p).numpy()
+        mask = np.ones((2, 5), dtype=bool)
+        out_a = temporal_block(Tensor(base), p, mask).numpy()
         perturbed = base.copy()
         perturbed[1] += rng.standard_normal((5, 8))
-        out_b = temporal_block(Tensor(perturbed), p).numpy()
+        out_b = temporal_block(Tensor(perturbed), p, mask).numpy()
         assert np.array_equal(out_a[0], out_b[0])
 
     def test_masked_steps_do_not_leak(self):

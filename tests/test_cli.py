@@ -112,6 +112,25 @@ class TestExitCodes:
         code = main(["train", "--data-dir", str(data_dir), "--held-out", "NOPE"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("held_out, code, message", [
+        ("NOPE", EXIT_USAGE, "unknown dataset 'NOPE'"),
+        ("ETH", EXIT_DATA, "held-out dataset ETH: no ETH.txt under {d}"),
+    ], ids=["unknown", "missing"])
+    def test_held_out_unknown_or_missing(self, tmp_path, data_dir, capsys, command,
+                                         held_out, code, message):
+        # one check for both commands: a name outside DATASET_NAMES is a usage
+        # error, a known name without its file a data error naming the file
+        (data_dir / "ETH.txt").unlink()
+        ckpt = tmp_path / "c.json"
+        save_checkpoint(str(ckpt), init_params(StarConfig(d_model=8, heads=2, pred_len=2),
+                                               np.random.default_rng(0)))
+        argv = {"train": ["train"], "eval": ["eval", "--checkpoint", str(ckpt)]}[command]
+        assert main(argv + ["--data-dir", str(data_dir), "--held-out", held_out,
+                            "--out", str(tmp_path / "o")]) == code
+        assert message.format(d=data_dir) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_data_error_missing_checkpoint(self, data_dir, tmp_path):
         code = main([
             "eval", "--checkpoint", str(tmp_path / "missing.json"),
@@ -238,9 +257,9 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "full_rollout" in out and "FAIL" not in out
 
-    def test_gradcheck_corrupted_detector(self, capsys):
-        # the test hook skews one analytic gradient; the detector must fire
-        assert main(["gradcheck", "--seed", "0", "--corrupt"]) == EXIT_NUMERIC
+    def test_gradcheck_corrupted_detector(self, capsys, skewed_q_gradient):
+        # one analytic gradient is skewed; the detector must fire
+        assert main(["gradcheck", "--seed", "0"]) == EXIT_NUMERIC
         assert "FAIL" in capsys.readouterr().out
 
     def test_gradcheck_deterministic_report(self, tmp_path, capsys):

@@ -1,14 +1,14 @@
-"""Data pipeline: parsing, windowing, preprocessing, augmentation, splits,
-and batch packing."""
+"""Data pipeline: parsing, windowing, preprocessing, augmentation and batch
+packing."""
 
 import numpy as np
 import pytest
 
 from startraj import (
-    TrajectoryScene, augment_rotation, leave_one_out_split, load_dataset,
-    make_scenes, merge_scenes, pack_batches, preprocess,
+    TrajectoryScene, augment_rotation, load_dataset, make_scenes, merge_scenes,
+    pack_batches, preprocess,
 )
-from startraj.data import DATASET_NAMES, scene_window
+from startraj.data import scene_window
 from startraj.errors import DataFormatError
 from startraj.synthetic import simulate_scene
 
@@ -22,6 +22,16 @@ def _write(tmp_path, text, name="traj.txt"):
 def _scene(n=3, total=20, obs=8, seed=0):
     return simulate_scene(np.random.default_rng(seed), n_peds=n,
                           total_len=total, obs_len=obs)
+
+
+class _FixedAngle:
+    """A generator stand-in whose uniform draw is always `angle`."""
+
+    def __init__(self, angle):
+        self.angle = angle
+
+    def uniform(self, low, high):
+        return self.angle
 
 
 def _scene_count(batch):
@@ -211,13 +221,13 @@ class TestAugmentRotation:
     def test_identity_angle(self):
         # [TRIVIAL] theta = 0
         scene = _scene(seed=4)
-        out = augment_rotation(scene, np.random.default_rng(0), angle=0.0)
+        out = augment_rotation(scene, _FixedAngle(0.0))
         np.testing.assert_array_equal(out.positions, scene.positions)
 
     def test_pi_negates(self):
         # [TRIVIAL] theta = pi negates coordinates
         scene = _scene(seed=5)
-        out = augment_rotation(scene, np.random.default_rng(0), angle=np.pi)
+        out = augment_rotation(scene, _FixedAngle(np.pi))
         np.testing.assert_allclose(out.positions, -scene.positions, atol=1e-12)
 
     def test_pairwise_distances_preserved(self):
@@ -234,20 +244,6 @@ class TestAugmentRotation:
             np.testing.assert_allclose(d0, d1, atol=1e-12)
 
 
-class TestLeaveOneOut:
-    def test_protocol(self):
-        datasets = {name: [name] for name in DATASET_NAMES}
-        train, test = leave_one_out_split(datasets, "ETH")
-        assert set(train) == {"HOTEL", "ZARA1", "ZARA2", "UNIV"}
-        assert set(test) == {"ETH"}
-        assert not (set(train) & set(test))
-        assert set(train) | set(test) == set(DATASET_NAMES)
-
-    def test_unknown_name(self):
-        with pytest.raises(DataFormatError):
-            leave_one_out_split({n: [] for n in DATASET_NAMES}, "NOPE")
-
-
 class TestPacking:
     def test_greedy_budget(self):
         # [TRIVIAL] 100+100+100 under budget 256 -> {100,100} and {100}
@@ -262,7 +258,7 @@ class TestPacking:
                 presence=np.tile(base.presence, (reps, 1)),
                 obs_len=base.obs_len,
             ))
-        batches = pack_batches(fakes, budget=256)
+        batches = pack_batches(fakes, budget=256, max_scenes=16)
         assert [b.scene.n_peds for b in batches] == [200, 100]
         assert [_scene_count(b) for b in batches] == [2, 1]
 
@@ -275,7 +271,7 @@ class TestPacking:
             obs_len=base.obs_len,
         )
         # a scene over budget is emitted alone
-        batches = pack_batches([big], budget=256)
+        batches = pack_batches([big], budget=256, max_scenes=16)
         assert len(batches) == 1 and batches[0].scene.n_peds == 300
         assert _scene_count(batches[0]) == 1
 
@@ -290,7 +286,7 @@ class TestPacking:
             obs_len=base.obs_len,
         )
         small = [_scene(n=2, seed=s) for s in range(4)]
-        batches = pack_batches(small[:2] + [big] + small[2:], budget=256)
+        batches = pack_batches(small[:2] + [big] + small[2:], budget=256, max_scenes=16)
         assert [b.scene.n_peds for b in batches] == [4, 300, 4]
         assert [_scene_count(b) for b in batches] == [2, 1, 2]
         assert batches[1].scene.ped_ids == big.ped_ids

@@ -1,7 +1,8 @@
 """The runtime dependency is numpy alone: every import in the package names
 the standard library, numpy or the package itself. The benchmark's trace
 points name attributes that exist, each of them is called, and spatial blocks
-are called from inside an encoder."""
+are called from inside an encoder. The benchmark's golden probes pass, so that
+a change in outputs fails the test suite and not only a benchmark run."""
 
 import ast
 import json
@@ -13,7 +14,8 @@ import sys
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "startraj"
-SPANS = PACKAGE.parent.parent / "perfbench" / "spans.py"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "startraj"}
 
 # run in a fresh interpreter: load perfbench/spans.py by path
@@ -68,6 +70,20 @@ print(json.dumps([tracer.spans[span[3]][0] if span[3] >= 0 else None
                   for span in tracer.spans if span[0] == "graph.spatial_block"]))
 """
 
+# import perfbench/workloads.py from its directory, as perfbench/run.py does,
+# and run each workload's golden probe against perfbench/golden.json
+_GOLDEN = """
+import json, os, sys
+bench = sys.argv[1]
+sys.path.insert(0, bench)
+import workloads
+with open(os.path.join(bench, "golden.json"), encoding="utf-8") as fh:
+    golden = json.load(fh)
+lib = workloads.import_startraj(sys.argv[2])
+print(json.dumps({name: workloads.check_golden(wl, lib, golden[name])
+                  for name, wl in workloads.WORKLOADS.items()}))
+"""
+
 
 def _imported_roots(path):
     """(line, top-level module) of every absolute import in one source file."""
@@ -115,3 +131,14 @@ def test_spatial_block_spans_sit_in_an_encoder():
     parents = _run_with_spans(_SPATIAL_PARENTS)
     assert parents.count("model.encoder1") == parents.count("model.encoder2") == 3
     assert set(parents) == {"model.encoder1", "model.encoder2"}
+
+
+def test_benchmark_golden_probes_pass():
+    # the benchmark's `correct` check replays these probes; a changed loss,
+    # parameter or best-of-K output fails here first
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", _GOLDEN, str(PERFBENCH), str(PACKAGE.parent)],
+                         env=env, capture_output=True, text=True, check=True)
+    results = json.loads(run.stdout)
+    assert results and all(ops > 0 for ops, _ in results.values()), results
+    assert {name: fails for name, (_, fails) in results.items() if fails} == {}

@@ -573,8 +573,7 @@ class TestCheckpoints:
                                           total_len=11, obs_len=8))
         pred = rollout(scene, params, rng=np.random.default_rng(0)).numpy()
         np.testing.assert_array_equal(pred, expected["rollout"])
-        loss = scene_loss(merge_scenes([scene]), params, np.random.default_rng(1),
-                          training=True)
+        loss = scene_loss(merge_scenes([scene]), params, np.random.default_rng(1))
         assert loss.item() == expected["loss"]
         loss.backward()
         assert len(params.parameters()) == len(expected["grads"])

@@ -280,7 +280,8 @@ class TestSceneLayout:
             return real_block(h, masks, block_params, presence, **kwargs)
 
         monkeypatch.setattr(startraj.model, "spatial_block", block_spy)
-        scene_loss(batch, params, np.random.default_rng(0), training=training)
+        rollout(batch.scene, params, rng=np.random.default_rng(0),
+                scene_ids=batch.scene_ids, training=training)
         obs, sizes = config.obs_len, len(scene_layout(batch.scene_ids))
         full = [obs + s for s in range(config.pred_len)]
         assert [t for t, _, _ in calls["enc1"]] == (full if training else [obs, 1, 1])

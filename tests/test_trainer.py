@@ -1,4 +1,5 @@
-"""Metrics, loss, training loop, best-of-K evaluation, and ablation rows."""
+"""Metrics, loss, training loop, best-of-K evaluation, and ablation rows
+built from config_for_variant, train and evaluate."""
 
 import tracemalloc
 
@@ -8,8 +9,8 @@ import pytest
 import startraj.model
 import startraj.trainer
 from startraj import (
-    StarConfig, TrainSpec, ade, best_of_k, evaluate, fde, init_params,
-    preprocess, run_ablation, scene_loss, train, write_reports,
+    StarConfig, TrainSpec, ade, best_of_k, config_for_variant, evaluate, fde,
+    init_params, preprocess, scene_loss, train, write_reports,
 )
 from startraj.data import TrajectoryScene, merge_scenes
 from startraj.errors import DataFormatError, NonFiniteError
@@ -153,18 +154,19 @@ class TestBestOfK:
         a5, f5 = best_of_k(scene, params, K=5, rng=np.random.default_rng(8))
         assert (a1, f1) == (a5, f5)
 
-    def test_paired_vs_independent_minima(self):
-        scene, params = self._setup()
-        ap, fp = best_of_k(scene, params, K=8, rng=np.random.default_rng(9))
-        ai, fi = best_of_k(scene, params, K=8, rng=np.random.default_rng(9),
-                           independent_minima=True)
-        assert ai == ap  # min ADE is the same either way
-        assert fi <= fp  # independent FDE minimum can only be smaller
-
     def test_k_zero_rejected(self):
         scene, params = self._setup()
-        with pytest.raises(ValueError):
-            best_of_k(scene, params, K=0)
+        for K in (0, 2.5):
+            with pytest.raises(ValueError, match="K must be an integer >= 1"):
+                best_of_k(scene, params, K=K)
+
+    @pytest.mark.parametrize("deterministic", [True, False])
+    @pytest.mark.parametrize("K", [0, 2.5])
+    def test_evaluate_rejects_bad_k(self, deterministic, K):
+        # a deterministic model samples once, yet its K is checked all the same
+        scene, params = self._setup(deterministic)
+        with pytest.raises(ValueError, match="K must be an integer >= 1"):
+            evaluate(params, [scene], K=K)
 
 
 class TestTrainSpec:
@@ -242,10 +244,10 @@ class TestTraining:
         batch = merge_scenes(scenes)
         config = _config()
         params = init_params(config, np.random.default_rng(16))
-        loss = scene_loss(batch, params, np.random.default_rng(0), training=False)
+        loss = scene_loss(batch, params, np.random.default_rng(0))
         from startraj.model import rollout
         pred = rollout(batch.scene, params, rng=np.random.default_rng(0),
-                       scene_ids=batch.scene_ids).numpy()
+                       scene_ids=batch.scene_ids, training=True).numpy()
         truth = batch.scene.positions[:, config.obs_len:]
         expect = ((pred - truth) ** 2).mean()
         np.testing.assert_allclose(loss.item(), expect, atol=1e-12)
@@ -312,7 +314,8 @@ class TestTraining:
             return embed(positions, *args, **kwargs)
 
         monkeypatch.setattr(startraj.model, "embed_inputs", spy)
-        scene_loss(batch, params, np.random.default_rng(0), training=training)
+        startraj.model.rollout(batch.scene, params, rng=np.random.default_rng(0),
+                               scene_ids=batch.scene_ids, training=training)
         monkeypatch.undo()
         obs = config.obs_len
         assert [h.shape[1] for h in histories] == ([obs, obs + 1, obs + 2] if training
@@ -388,9 +391,8 @@ class TestAblation:
         base = _config()
         reports = {}
         for variant in ("full", "no_memory", "lstm_temporal", "single_encoder"):
-            reports[variant] = run_ablation(
-                variant, scenes, scenes, spec, base_config=base, K=1,
-            )
+            params, _ = train(spec, config_for_variant(variant, base), scenes)
+            reports[variant] = evaluate(params, scenes, K=1, seed=spec.seed, variant=variant)
         assert {r.variant for r in reports.values()} == {
             "full", "no_memory", "lstm_temporal", "single_encoder"
         }
@@ -398,4 +400,4 @@ class TestAblation:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            run_ablation("bogus", [], [], TrainSpec())
+            config_for_variant("bogus", _config())
