@@ -83,9 +83,7 @@ class AttentionParams(Params):
         )
 
 
-def masked_attention(
-    q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray, d_k: int
-) -> Tuple[Tensor, Tensor]:
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray) -> Tuple[Tensor, Tensor]:
     """Attention core shared by the temporal block and TGConv, one tape node.
 
     q, k, v: (..., t, d_k). allow: boolean, broadcastable to the logit shape
@@ -103,7 +101,7 @@ def masked_attention(
         raise MaskError(f"attention query row {tuple(row)} has every key masked")
     # scaling q by 1/sqrt(d_k) scales every logit before normalising while
     # touching the small (t, d_k) side instead of the (t_q, t_k) logit matrix
-    scale = 1.0 / math.sqrt(d_k)
+    scale = 1.0 / math.sqrt(q.shape[-1])
     w = np.matmul(q.data * scale, np.swapaxes(k.data, -1, -2))  # logits, then weights in place
     np.copyto(w, -np.inf, where=~allow)
     w -= w.max(axis=-1, keepdims=True)
@@ -198,16 +196,16 @@ def temporal_block(
     """Per-pedestrian temporal transformer over (N, t, d_model) sequences.
 
     time_mask (N, t): which steps exist per pedestrian; absent steps are
-    neither attended to nor emitted (their output rows are zeroed).
+    neither attended to nor emitted (their output rows are zeroed). A
+    pedestrian with no present step passes through as zeros.
     """
     n, t, d = h.shape
-    if not time_mask.any(axis=1).all():
-        bad = int(np.flatnonzero(~time_mask.any(axis=1))[0])
-        raise MaskError(f"pedestrian {bad} has no valid timesteps")
     x = h + Tensor(positional_encoding(t, d))
     q, k, v = head_projections(x, params.attn)
-    # queries at absent steps still need a key; their rows are zeroed below
-    att, _ = masked_attention(q, k, v, time_mask[:, None, None, :], params.attn.d_k)
+    # queries at absent steps still need a key, and a row with no present
+    # step keys on all of its own steps; those outputs are zeroed below
+    keys = time_mask | ~time_mask.any(axis=1, keepdims=True)
+    att, _ = masked_attention(q, k, v, keys[:, None, None, :])
     att = linear(merge_heads(att, params.attn), params.attn.wo, params.attn.bo)
     y = layer_norm(x + att, params.ln1_gain, params.ln1_bias)
     ff = linear(linear(y, params.w_ff1, params.b_ff1).relu(), params.w_ff2, params.b_ff2)

@@ -8,7 +8,7 @@ meters, frames already downsampled to 0.4 s); '#' lines are comments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,11 +48,6 @@ class TrajectoryScene:
     obs_len: int
     dataset: str = ""
     origins: Optional[np.ndarray] = None  # (N, 2); set by preprocess
-    targets: np.ndarray = field(default=None)  # (N,) bool: present all T frames
-
-    def __post_init__(self):
-        if self.targets is None:
-            self.targets = self.presence.all(axis=1)
 
     @property
     def n_peds(self) -> int:
@@ -65,6 +60,11 @@ class TrajectoryScene:
     @property
     def pred_len(self) -> int:
         return self.total_len - self.obs_len
+
+    @property
+    def targets(self) -> np.ndarray:
+        """Pedestrians present all T frames; the loss and metrics score these."""
+        return self.presence.all(axis=1)
 
     @property
     def rollout_mask(self) -> np.ndarray:
@@ -203,7 +203,7 @@ def preprocess(scene: TrajectoryScene) -> TrajectoryScene:
     return TrajectoryScene(
         ped_ids=list(scene.ped_ids), positions=shifted,
         presence=scene.presence.copy(), obs_len=scene.obs_len,
-        dataset=scene.dataset, origins=origins, targets=scene.targets.copy(),
+        dataset=scene.dataset, origins=origins,
     )
 
 
@@ -217,7 +217,7 @@ def augment_rotation(scene: TrajectoryScene, rng: np.random.Generator) -> Trajec
     return TrajectoryScene(
         ped_ids=list(scene.ped_ids), positions=positions,
         presence=scene.presence.copy(), obs_len=scene.obs_len,
-        dataset=scene.dataset, origins=origins, targets=scene.targets.copy(),
+        dataset=scene.dataset, origins=origins,
     )
 
 
@@ -228,7 +228,7 @@ class Batch:
     attends across scenes; the temporal transformer never mixes pedestrians."""
 
     scene: TrajectoryScene
-    scene_ids: np.ndarray  # (N,) index of the source scene per pedestrian
+    sizes: np.ndarray  # (S,) pedestrians per source scene, in row order
 
 
 def merge_scenes(scenes: Sequence[TrajectoryScene]) -> Batch:
@@ -247,12 +247,8 @@ def merge_scenes(scenes: Sequence[TrajectoryScene]) -> Batch:
         obs_len=obs,
         dataset=scenes[0].dataset,
         origins=np.concatenate([s.origins for s in scenes]) if shifted else None,
-        targets=np.concatenate([s.targets for s in scenes]),
     )
-    scene_ids = np.concatenate(
-        [np.full(s.n_peds, i, dtype=np.int64) for i, s in enumerate(scenes)]
-    )
-    return Batch(scene=merged, scene_ids=scene_ids)
+    return Batch(scene=merged, sizes=np.array([s.n_peds for s in scenes], dtype=np.int64))
 
 
 def pack_batches(

@@ -104,7 +104,7 @@ def run_suite(seed: int = 0) -> Dict[str, float]:
     allow = np.array([[[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 1, 0]],
                       [[1, 1, 1, 1], [0, 0, 1, 1], [1, 0, 0, 1]]], dtype=bool)[:, None]
     report["masked_attention"] = check_gradients(
-        lambda: (masked_attention(aq, ak, av, allow, 4)[0] * aw).sum(),
+        lambda: (masked_attention(aq, ak, av, allow)[0] * aw).sum(),
         [("q", aq), ("k", ak), ("v", av)])
 
     g = _leaf(rng, 5)

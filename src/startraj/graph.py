@@ -16,15 +16,12 @@ from .tensor import Tensor, concat, layer_norm, linear, parameter
 Layout = List[Tuple[int, List[Tuple[int, int]]]]  # scene_layout's (n, runs) per scene size
 
 
-def scene_layout(scene_ids: np.ndarray) -> Layout:
-    """Rows packed by merge_scenes as (n, runs) per scene size n, where runs
-    are the row ranges [lo, hi) of adjacent n-pedestrian scenes: the one
-    grouping that build_graph and spatial_block read, made once per rollout.
-    Raises DataFormatError unless every scene's rows are contiguous."""
-    ids = np.asarray(scene_ids)
-    cuts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
-    if len(np.unique(ids)) != len(cuts) - 1:
-        raise DataFormatError("each scene needs contiguous, non-empty rows")
+def scene_layout(sizes: np.ndarray) -> Layout:
+    """Rows packed by merge_scenes, scenes of `sizes` pedestrians in row
+    order, as (n, runs) per scene size n, where runs are the row ranges
+    [lo, hi) of adjacent n-pedestrian scenes: the one grouping that
+    build_graph and spatial_block read, made once per rollout."""
+    cuts = [0, *np.cumsum(sizes).tolist()]
     groups: Dict[int, List[Tuple[int, int]]] = {}
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         runs = groups.setdefault(hi - lo, [])  # a scene right after its run extends it
@@ -111,7 +108,7 @@ def spatial_block(
         parts = [x if hi - lo == n else x[:, lo:hi] for lo, hi in runs]
         xs = parts[0] if len(parts) == 1 else concat(parts, axis=1)  # (t, S * size, d)
         q, k, v = head_projections(xs if lone else xs.reshape(t, -1, size, d), params)
-        att, _ = masked_attention(q, k, v, mask if lone else mask[:, :, None], params.d_k)
+        att, _ = masked_attention(q, k, v, mask if lone else mask[:, :, None])
         merged = merge_heads(att, params)
         flat = merged if lone else merged.reshape(t, -1, d)  # (t, S * size, d)
         off = 0  # first row of the run within flat

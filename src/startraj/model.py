@@ -312,14 +312,14 @@ def rollout(
     scene: TrajectoryScene,
     params: StarParams,
     rng: Optional[np.random.Generator] = None,
-    scene_ids: Optional[np.ndarray] = None,
+    sizes: Optional[np.ndarray] = None,
     training: bool = False,
     copies: int = 1,
 ) -> Tensor:
     """Autoregressive prediction: encode the growing history, decode one
     step, and append it and its masks; the observed window's masks are built
-    once. scene_ids (default one scene) holds one id per pedestrian row, each
-    scene's rows contiguous.
+    once. sizes (default one scene) holds each packed scene's pedestrian
+    count in row order: all positive, summing to N.
 
     Returns (N, pred_len, 2) positions in the origin-shifted frame; rows for
     pedestrians without a full observation window are zero.
@@ -351,15 +351,12 @@ def rollout(
         raise ValueError("copies > 1 samples eval rollouts; training takes one")
     if not training:
         params = params.frozen()
-    if scene_ids is None:
-        scene_ids = np.zeros(scene.n_peds, dtype=np.int64)
-    elif len(scene_ids) != scene.n_peds:
-        raise DataFormatError(f"{len(scene_ids)} scene ids for {scene.n_peds} pedestrians")
-    layout = scene_layout(scene_ids)
+    sizes = np.array([scene.n_peds] if sizes is None else sizes, dtype=np.int64)
+    if not (sizes > 0).all() or sizes.sum() != scene.n_peds:
+        raise DataFormatError(f"scene sizes {sizes.tolist()} for {scene.n_peds} pedestrians")
+    layout = scene_layout(sizes)
     scene, history, presence, masks = _observed(scene, config, layout)
     rollers = scene.rollout_mask
-    if not rollers[scene.targets].all():
-        raise DataFormatError("target pedestrian lacks a full observation window")
     forced = training and config.teacher_forcing
     if forced and scene.pred_len < config.pred_len:
         raise DataFormatError(f"teacher forcing needs {config.pred_len} future steps")
@@ -395,9 +392,7 @@ def rollout(
             presence, rollers, origins = (np.concatenate([a] * copies)
                                           for a in (presence, rollers, origins))
             masks = [np.concatenate([m] * copies, axis=1) for m in masks]
-            _, ids = np.unique(scene_ids, return_inverse=True)  # 0..S-1
-            layout = scene_layout(np.concatenate([ids + k * (ids.max() + 1)
-                                                  for k in range(copies)]))
+            layout = scene_layout(np.tile(sizes, copies))
             roll_col = Tensor(rollers[:, None].astype(np.float64))
             n *= copies
         if keep_memory:
@@ -437,7 +432,7 @@ def encoder2_attention(scene: TrajectoryScene, params: StarParams) -> np.ndarray
     fused = encoder1(h_s * pmask, h_t * pmask, masks, None, params, presence)
     q, k, v = head_projections(fused.swapaxes(0, 1), params.enc2.spatial)  # (t, heads, N, d_k)
     [mask] = masks  # (t, 1, N, N): one for every head
-    return masked_attention(q, k, v, mask, params.enc2.spatial.d_k)[1].data
+    return masked_attention(q, k, v, mask)[1].data
 
 
 # ----------------------------------------------------------------------

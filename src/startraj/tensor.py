@@ -27,6 +27,7 @@ import numpy as np
 from .errors import NonFiniteError, ShapeMismatchError
 
 ArrayLike = Union[float, int, Sequence, np.ndarray]
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -325,13 +326,13 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     )
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and
     shift. Backward recomputes the normalized rows from x.data."""
 
     def normalize():  # (x - mean) * inv_std over the last axis, and inv_std
         centered = x.data - x.data.mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
         return centered * inv_std, inv_std
 
     norm, _ = normalize()

@@ -130,7 +130,7 @@ def scene_loss(
         raise DataFormatError(
             f"scene has {scene.pred_len} future steps; the model needs {config.pred_len}")
     truth, mask = _scene_truth_and_mask(scene)
-    pred = rollout(scene, params, rng=rng, scene_ids=batch.scene_ids, training=True)
+    pred = rollout(scene, params, rng=rng, sizes=batch.sizes, training=True)
     w = mask[:, :, None].astype(np.float64)
     diff = (pred - Tensor(truth)) * Tensor(w)
     return (diff * diff).sum() * (1.0 / max(w.sum() * 2.0, 1.0))

@@ -16,8 +16,8 @@ def spatial_weights(monkeypatch):
     calls = []
     real = startraj.graph.masked_attention
 
-    def spy(q, k, v, allow, d_k):
-        out, weights = real(q, k, v, allow, d_k)
+    def spy(q, k, v, allow):
+        out, weights = real(q, k, v, allow)
         calls.append((np.asarray(allow), weights.numpy()))
         return out, weights
 

@@ -62,7 +62,7 @@ class TestAcceptance:
                 q, k, v = (rng.standard_normal((t, d_k)) for _ in range(3))
                 mask = rng.random((t, t)) < 0.6
                 mask[np.arange(t), np.arange(t)] = True
-                _, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask, d_k)
+                _, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
                 w = w.numpy()
                 allow = mask
             else:
@@ -136,7 +136,7 @@ class TestAcceptance:
             ]
             batch = merge_scenes(scenes)
             packed = rollout(batch.scene, params, rng=np.random.default_rng(0),
-                             scene_ids=batch.scene_ids).numpy()
+                             sizes=batch.sizes).numpy()
             row = 0
             for s in scenes:
                 solo = rollout(s, params, rng=np.random.default_rng(0)).numpy()
@@ -208,7 +208,7 @@ class TestAcceptance:
             if steps % 50 == 0:
                 pred = rollout(batch.scene, params,
                                rng=np.random.default_rng(0),
-                               scene_ids=batch.scene_ids).numpy()
+                               sizes=batch.sizes).numpy()
                 final_ade = ade(pred, truth, mask)
                 if final_ade < 0.05:
                     break

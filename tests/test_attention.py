@@ -18,7 +18,7 @@ from startraj.errors import MaskError, ShapeMismatchError
 def _unmasked(q, k, v):
     """Scaled dot-product attention over (t, d_k) arrays with every key usable."""
     mask = np.ones((q.shape[0], k.shape[0]), dtype=bool)
-    out, _ = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask, q.shape[-1])
+    out, _ = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
     return out.numpy()
 
 
@@ -54,7 +54,7 @@ class TestScaledAttention:
         d_k = 5
         q, k, v = (rng.standard_normal((3, d_k)) for _ in range(3))
         mask = np.ones((3, 3), dtype=bool)
-        out, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask, d_k)
+        out, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
         expect_out, expect_w = _oracle_attention(q, k, v, mask, d_k)
         np.testing.assert_allclose(w.numpy(), expect_w, atol=1e-12)
         np.testing.assert_allclose(out.numpy(), expect_out, atol=1e-12)
@@ -63,7 +63,7 @@ class TestScaledAttention:
         rng = np.random.default_rng(3)
         q, k, v = (rng.standard_normal((3, 4)) for _ in range(3))
         mask = np.array([[True, False, True]] * 3)
-        _, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask, 4)
+        _, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
         w = w.numpy()
         assert np.all(w[:, 1] == 0.0)  # bit-exact zero, not just small
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
@@ -74,7 +74,7 @@ class TestScaledAttention:
         mask = np.ones((3, 3), dtype=bool)
         mask[2] = False
         with pytest.raises(MaskError, match="2"):
-            masked_attention(Tensor(q), Tensor(k), Tensor(v), mask, 4)
+            masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
 
 
 def _multi_head(h, p):
@@ -83,7 +83,7 @@ def _multi_head(h, p):
     attention core, the head merge and the output projection."""
     q, k, v = head_projections(Tensor(h), p)
     t = h.shape[0]
-    out, _ = masked_attention(q, k, v, np.ones((t, t), dtype=bool), p.d_k)
+    out, _ = masked_attention(q, k, v, np.ones((t, t), dtype=bool))
     return linear(merge_heads(out, p), p.wo, p.bo).numpy()
 
 
@@ -212,12 +212,19 @@ class TestTemporalBlock:
         # masked output rows are zeroed
         np.testing.assert_array_equal(out_a[0, ~mask[0]], 0.0)
 
-    def test_empty_pedestrian_rejected(self):
+    def test_never_present_pedestrian_passes_as_zeros(self):
+        # a pedestrian with no present step (one who enters after the
+        # window) emits exactly 0 and takes no gradient; the other row's bits
+        # are those of the same call with the empty row's mask all True
         p = self._params()
-        h = Tensor(np.zeros((2, 3, 8)))
-        mask = np.array([[True, True, True], [False, False, False]])
-        with pytest.raises(MaskError, match="1"):
-            temporal_block(h, p, mask)
+        h = parameter(np.random.default_rng(13).standard_normal((2, 3, 8)))
+        mask = np.array([[True, False, True], [False, False, False]])
+        out = temporal_block(h, p, mask)
+        np.testing.assert_array_equal(out.numpy()[1], 0.0)
+        full = temporal_block(h, p, np.array([[True, False, True], [True, True, True]]))
+        assert np.array_equal(out.numpy()[0], full.numpy()[0])
+        (out * out).sum().backward()
+        assert np.all(np.isfinite(h.grad)) and np.all(h.grad[1] == 0.0)
 
 
 class TestAttentionNormalizationProperty:
@@ -231,7 +238,7 @@ class TestAttentionNormalizationProperty:
             q, k, v = (rng.standard_normal((t, d_k)) for _ in range(3))
             mask = rng.random((t, t)) < 0.7
             mask[np.arange(t), np.arange(t)] = True  # keep every row alive
-            _, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask, d_k)
+            _, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
             w = w.numpy()
             assert np.all(w[~mask] == 0.0)
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
@@ -243,7 +250,7 @@ class TestAttentionNormalizationProperty:
         q, v = Tensor(np.ones((1, 1))), Tensor(np.array([[1.0], [2.0]]))
         allow = np.array([[True, False]])
         for allowed, blocked in ((-2e9, 0.0), (0.0, 2e9)):
-            out, w = masked_attention(q, Tensor([[allowed], [blocked]]), v, allow, 1)
+            out, w = masked_attention(q, Tensor([[allowed], [blocked]]), v, allow)
             np.testing.assert_array_equal(w.numpy(), [[1.0, 0.0]])
             np.testing.assert_array_equal(out.numpy(), [[1.0]])
 
@@ -281,7 +288,7 @@ class TestMaskedAttentionBackward:
         allow = rng.random(mask_lead + (n, n)) < 0.5
         allow[..., np.arange(n), np.arange(n)] = True  # every row keeps a key
         g = rng.standard_normal(lead + (n, d_k))
-        out, _ = masked_attention(q, k, v, allow, d_k)
+        out, _ = masked_attention(q, k, v, allow)
         (out * Tensor(g)).sum().backward()
         for got, expect in zip((q.grad, k.grad, v.grad),
                                _oracle_grads(q.data, k.data, v.data, allow, g)):

@@ -12,11 +12,11 @@ import pytest
 
 import startraj.cli
 from startraj.cli import (
-    EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_config_file, main,
+    EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_config_file, main, scene_from_file,
 )
-from startraj.data import DATASET_NAMES
+from startraj.data import DATASET_NAMES, preprocess
 from startraj.errors import DataFormatError, ShapeMismatchError
-from startraj.model import StarConfig, init_params, save_checkpoint
+from startraj.model import StarConfig, init_params, load_checkpoint, rollout, save_checkpoint
 
 
 def _without(d, key):
@@ -452,10 +452,6 @@ class TestPredictCommand:
 
     def test_world_round_trip(self, tmp_path, data_dir, checkpoint):
         # predicted world coordinates equal library rollout + origin inverse
-        from startraj.model import load_checkpoint, rollout
-        from startraj.cli import scene_from_file
-        from startraj.data import preprocess
-
         out = tmp_path / "pred_rt"
         scene_file = data_dir / "ZARA2.txt"
         assert main([
@@ -570,3 +566,54 @@ class TestAttentionCommand:
         assert main(["attention", "--checkpoint", str(path), "--scene",
                      str(data_dir / "HOTEL.txt"), "--out", str(tmp_path / "x")]) == EXIT_DATA
         assert "encoder-2" in capsys.readouterr().err
+
+
+def _write_entrant_recording(path):
+    """Pedestrians 0 and 1 walk frames 0-19; pedestrian 2 enters at frame 12,
+    inside the prediction window of the 8 + 12 frame window at frame 0, so no
+    step of that window's observed part holds pedestrian 2."""
+    lines = []
+    for f in range(20):
+        lines += [f"{10 * f} 0 {0.4 * f:.3f} 0.0", f"{10 * f} 1 {0.4 * f:.3f} 1.5"]
+        if f >= 12:
+            lines.append(f"{10 * f} 2 {8.0 - 0.4 * (f - 12):.3f} 0.7")
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestEntrant:
+    @pytest.mark.parametrize("variant", ["full", "no_memory", "lstm_temporal",
+                                         "single_encoder"])
+    def test_every_command_runs(self, tmp_path, capsys, variant):
+        # a pedestrian with no observed step passes through the temporal
+        # transformer as zeros and gets no prediction
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in DATASET_NAMES:
+            _write_entrant_recording(data / f"{name}.txt")
+        scene_file = data / "ZARA1.txt"
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("d_model = 8\nheads = 2\ndropout = 0.0\nepochs = 1\nmax_steps = 1\n"
+                       "augment = false\n")
+        ckpt = tmp_path / "train" / "checkpoint_final.json"
+        assert main(["train", "--config", str(cfg), "--data-dir", str(data), "--held-out",
+                     "ETH", "--variant", variant, "--out", str(tmp_path / "train")]) == EXIT_OK
+        assert main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(data),
+                     "--samples", "2", "--out", str(tmp_path / "eval")]) == EXIT_OK
+        assert main(["predict", "--checkpoint", str(ckpt), "--scene", str(scene_file),
+                     "--out", str(tmp_path / "pred")]) == EXIT_OK
+        rows = [line.split()[0] for line in
+                (tmp_path / "pred" / "prediction.txt").read_text().splitlines()[1:]]
+        assert sorted(set(rows)) == ["0", "1"]
+        code = main(["attention", "--checkpoint", str(ckpt), "--scene", str(scene_file),
+                     "--out", str(tmp_path / "att")])
+        if variant == "single_encoder":
+            assert code == EXIT_DATA
+            assert "model has no encoder-2 spatial transformer" in capsys.readouterr().err
+        else:
+            assert code == EXIT_OK
+        params = load_checkpoint(str(ckpt))
+        scene = preprocess(scene_from_file(str(scene_file), params.config))
+        assert not scene.presence[scene.ped_ids.index("2"), :scene.obs_len].any()
+        pred = rollout(scene, params, rng=np.random.default_rng(0)).numpy()
+        np.testing.assert_array_equal(pred[scene.ped_ids.index("2")], 0.0)
+        assert np.all(pred[[scene.ped_ids.index("0"), scene.ped_ids.index("1")]] != 0.0)

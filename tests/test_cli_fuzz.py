@@ -8,6 +8,10 @@ file with odd values for known keys, unknown keys and lines without `=`, and
 ids too. Whatever the input, the command ends with a documented exit code (0
 ok, 1 usage, 2 data, 3 numeric) and prints no traceback. Integers stay small:
 a mutated size never asks for a large allocation, and a run takes one step.
+
+Well-formed recordings, whose pedestrians enter, leave and skip frames at
+will, must run: `train` and `eval` exit 0 on every variant, and `predict`
+exits 0 or names the missing full observation window.
 """
 
 import contextlib
@@ -24,7 +28,7 @@ from hypothesis import strategies as st
 
 from startraj.cli import main
 from startraj.data import DATASET_NAMES
-from startraj.model import StarConfig, init_params, save_checkpoint
+from startraj.model import VARIANT_FLAGS, StarConfig, init_params, save_checkpoint
 from startraj.trainer import TrainSpec
 
 COMMANDS = st.sampled_from(["predict", "attention"])
@@ -61,12 +65,18 @@ def base(tmp_path_factory):
     return json.loads(path.read_text()), ("\n".join(lines) + "\n").encode()
 
 
-def _main(argv) -> None:
+def _exit(argv):
+    """(exit code, stderr) of one in-process CLI call."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
+    return code, err.getvalue()
+
+
+def _main(argv) -> None:
+    code, err = _exit(argv)
     assert code in EXIT_CODES
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
 
 
 def _run(command: str, checkpoint: str, scene: bytes) -> None:
@@ -177,3 +187,45 @@ def test_mutated_eval_data(base, data, where):
         _run_on_data(["eval", "--checkpoint", str(checkpoint), "--data-dir", "{d}/data",
                       "--samples", "3", "--out", "{d}/out"],
                      base[1], _mutated(data, base[1], FRAME_FIELDS), where)
+
+
+def _recording(data, frames: int) -> str:
+    """A well-formed recording on one frame grid: one pedestrian walks every
+    frame, and 1-6 others are present on a drawn subset of the frames, so
+    that they enter, leave and skip frames at random."""
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    present = [[True] * frames] + data.draw(st.lists(
+        st.lists(st.booleans(), min_size=frames, max_size=frames), min_size=1, max_size=6))
+    lines = []
+    for ped, steps in enumerate(present):
+        xy = rng.uniform(-5.0, 5.0, 2) + np.cumsum(rng.normal(0.0, 0.4, (frames, 2)), axis=0)
+        lines += [f"{10 * f} {ped} {x:.3f} {y:.3f}"
+                  for f, ((x, y), here) in enumerate(zip(xy, steps)) if here]
+    return "\n".join(sorted(lines, key=lambda line: int(line.split()[0]))) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), variant=st.sampled_from(sorted(VARIANT_FLAGS)),
+       deterministic=st.booleans(), teacher_forcing=st.booleans(),
+       ff_dim=st.sampled_from([None, 4]), frames=st.integers(min_value=10, max_value=16))
+def test_well_formed_recordings_run(data, variant, deterministic, teacher_forcing, ff_dim,
+                                    frames):
+    # a tiny one-step model (obs 8, pred 2) on recordings with entrants,
+    # leavers and skipped frames
+    lines = TINY_CONFIG + [f"deterministic = {str(deterministic).lower()}",
+                           f"teacher_forcing = {str(teacher_forcing).lower()}"]
+    lines += [] if ff_dim is None else [f"ff_dim = {ff_dim}"]
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "data").mkdir()
+        for name in DATASET_NAMES:
+            (Path(d) / "data" / f"{name}.txt").write_text(_recording(data, frames))
+        (Path(d) / "tiny.cfg").write_text("\n".join(lines) + "\n")
+        code, err = _exit([arg.format(d=d) for arg in TRAIN] + ["--variant", variant])
+        assert code == 0, err
+        checkpoint = f"{d}/out/checkpoint_final.json"
+        code, err = _exit(["eval", "--checkpoint", checkpoint, "--data-dir", f"{d}/data",
+                           "--samples", "2", "--out", f"{d}/eval"])
+        assert code == 0, err
+        code, err = _exit(["predict", "--checkpoint", checkpoint, "--scene",
+                           f"{d}/data/ETH.txt", "--out", f"{d}/pred"])
+        assert code == 0 or (code == 2 and "no pedestrian observed for all 8 frames" in err), err

@@ -34,13 +34,6 @@ class _FixedAngle:
         return self.angle
 
 
-def _scene_count(batch):
-    """Scenes in a packed batch, from its contiguous per-row scene ids."""
-    ids = batch.scene_ids
-    np.testing.assert_array_equal(ids, np.sort(ids))
-    return len(np.unique(ids))
-
-
 class TestLoadDataset:
     def test_empty_file(self, tmp_path):
         # [TRIVIAL]
@@ -260,7 +253,7 @@ class TestPacking:
             ))
         batches = pack_batches(fakes, budget=256, max_scenes=16)
         assert [b.scene.n_peds for b in batches] == [200, 100]
-        assert [_scene_count(b) for b in batches] == [2, 1]
+        assert [len(b.sizes) for b in batches] == [2, 1]
 
     def test_oversized_scene_flagged(self):
         base = _scene(n=2, seed=9)
@@ -273,7 +266,7 @@ class TestPacking:
         # a scene over budget is emitted alone
         batches = pack_batches([big], budget=256, max_scenes=16)
         assert len(batches) == 1 and batches[0].scene.n_peds == 300
-        assert _scene_count(batches[0]) == 1
+        assert len(batches[0].sizes) == 1
 
     def test_oversized_scene_after_pending_scenes(self):
         # the pending scenes go out first, the oversized one alone, then
@@ -288,18 +281,20 @@ class TestPacking:
         small = [_scene(n=2, seed=s) for s in range(4)]
         batches = pack_batches(small[:2] + [big] + small[2:], budget=256, max_scenes=16)
         assert [b.scene.n_peds for b in batches] == [4, 300, 4]
-        assert [_scene_count(b) for b in batches] == [2, 1, 2]
+        assert [len(b.sizes) for b in batches] == [2, 1, 2]
         assert batches[1].scene.ped_ids == big.ped_ids
 
     def test_max_scenes_cap(self):
         scenes = [_scene(n=2, seed=s) for s in range(5)]
         batches = pack_batches(scenes, budget=256, max_scenes=2)
-        assert [_scene_count(b) for b in batches] == [2, 2, 1]
+        assert [len(b.sizes) for b in batches] == [2, 2, 1]
 
     def test_scene_ids_partition(self):
         scenes = [_scene(n=2, seed=s) for s in range(3)]
         batch = merge_scenes(scenes)
-        np.testing.assert_array_equal(batch.scene_ids, [0, 0, 1, 1, 2, 2])
+        np.testing.assert_array_equal(batch.sizes, [2, 2, 2])
+        # the rows of scene i follow those of scenes 0..i-1
+        np.testing.assert_array_equal(np.repeat(np.arange(3), batch.sizes), [0, 0, 1, 1, 2, 2])
         assert batch.scene.n_peds == 6
 
     def test_merge_layout_mismatch_rejected(self):

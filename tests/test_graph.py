@@ -116,12 +116,13 @@ class TestBuildGraph:
         # (step, i, j) against a scalar all-pairs check of presence, scene
         # and distance
         rng = np.random.default_rng(2)
-        ids = np.repeat(np.arange(4), [3, 1, 5, 2])
+        sizes = [3, 1, 5, 2]
+        ids = np.repeat(np.arange(4), sizes)  # the scene of each row
         n, t, d = len(ids), 5, 2.0
         world = rng.uniform(-2.5, 2.5, (n, t, 2))
         present = rng.random((n, t)) > 0.2
         world[~present] = rng.uniform(-2.5, 2.5, (int((~present).sum()), 2))
-        layout = scene_layout(ids)
+        layout = scene_layout(sizes)
         masks = build_graph(world, present, layout, d)
         assert [m.shape for m in masks] == [(t, 1, 1, 1), (t, 1, 2, 2), (t, 1, 3, 3),
                                             (t, 1, 5, 5)]
@@ -138,10 +139,9 @@ class TestBuildGraph:
     def test_steps_stack_single_step_calls(self):
         # t > 1 is the stack of t = 1 calls
         rng = np.random.default_rng(3)
-        ids = np.repeat(np.arange(3), [4, 2, 3])
         world = rng.uniform(-2.0, 2.0, (9, 6, 2))
         present = rng.random((9, 6)) > 0.2
-        layout = scene_layout(ids)
+        layout = scene_layout([4, 2, 3])
         g = build_graph(world, present, layout, 1.8)
         steps = [build_graph(world[:, s:s + 1], present[:, s:s + 1], layout, 1.8)
                  for s in range(6)]

@@ -1,8 +1,9 @@
 """The runtime dependency is numpy alone: every import in the package names
 the standard library, numpy or the package itself. The benchmark's trace
-points name attributes that exist, each of them is called, and spatial blocks
-are called from inside an encoder. The benchmark's golden probes pass, so that
-a change in outputs fails the test suite and not only a benchmark run."""
+points name attributes that exist, each of them is called, its tape and logit
+counters read the calls, and spatial blocks are called from inside an
+encoder. The benchmark's golden probes pass, so that a change in outputs
+fails the test suite and not only a benchmark run."""
 
 import ast
 import json
@@ -35,8 +36,9 @@ for module, attr, _ in spans.TRACE_POINTS:
         missing.append(module + "." + attr)
 print(json.dumps([len(spans.TRACE_POINTS), missing]))
 """
-# install the Tracer on every trace point, run one training step on two tiny
-# scenes and one best-of-1 evaluation, and list the span names never entered
+# install the Tracer on every trace point with its tape and logit counters, run
+# one training step on two tiny scenes and one best-of-1 evaluation, and list
+# the span names never entered and the counters
 _FIRE = _LOAD_SPANS + """
 from types import SimpleNamespace
 import numpy as np
@@ -44,6 +46,7 @@ lib = SimpleNamespace(**{m: importlib.import_module("startraj." + m)
                          for m in ("tensor", "graph", "model", "trainer", "synthetic")})
 tracer = spans.Tracer()
 assert tracer.install(lib, spans.TRACE_POINTS) == []
+tracer.count_at("model.rollout")
 config = lib.model.StarConfig(d_model=8, heads=2, pred_len=2)
 scenes = [lib.synthetic.simulate_scene(np.random.default_rng(seed), n_peds=2, total_len=10)
           for seed in (0, 1)]
@@ -51,7 +54,8 @@ params, history = lib.trainer.train(lib.trainer.TrainSpec(max_steps=1), config, 
 assert len(history) == 1
 lib.trainer.best_of_k(scenes[0], params, K=1)
 names = {name for _, _, name in spans.TRACE_POINTS}
-print(json.dumps([len(names), sorted(names - {span[0] for span in tracer.spans})]))
+print(json.dumps([len(names), sorted(names - {span[0] for span in tracer.spans}),
+                  [tracer.logits_allowed, tracer.logits_computed, tracer.tape_ops]]))
 """
 # trace one best-of-1 evaluation and list the parent span of every spatial
 # block; perfbench attributes graph.spatial_s.enc1/enc2 by that parent
@@ -121,8 +125,12 @@ def test_benchmark_trace_points_resolve():
 def test_benchmark_trace_points_fire():
     # a point that resolves but is no longer called through the rebound
     # module global records nothing, and its layer would read as faster
-    count, silent = _run_with_spans(_FIRE)
+    count, silent, (allowed, computed, tape_ops) = _run_with_spans(_FIRE)
     assert count > 0 and silent == []
+    # perfbench's logit accounting still finds masked_attention's mask, and
+    # its tape counter sees the rollouts
+    assert 0 < allowed <= computed
+    assert tape_ops > 0
 
 
 def test_spatial_block_spans_sit_in_an_encoder():

@@ -65,12 +65,12 @@ def _eval_values():
     return values
 
 
-def _full_reencode(scene, params, rng, scene_ids=None, truth_positions=None):
+def _full_reencode(scene, params, rng, sizes=None, truth_positions=None):
     """The rollout as it was before the per-step caches: every step embeds
     the whole history, builds the masks of the whole window, and runs both
     encoders on all of it."""
     config, n = params.config, scene.n_peds
-    layout = scene_layout(np.zeros(n, dtype=np.int64) if scene_ids is None else scene_ids)
+    layout = scene_layout([n] if sizes is None else sizes)
     obs, rollers = config.obs_len, scene.rollout_mask
     history = scene.positions[:, :obs]
     world = scene.world_positions()[:, :obs]
@@ -121,9 +121,9 @@ class TestIncrementalRollout:
         batch = merge_scenes([_scene(n, seed=20 + i, config=config)
                               for i, n in enumerate((3, 1, 3, 4))])
         got = rollout(batch.scene, params, rng=np.random.default_rng(5),
-                      scene_ids=batch.scene_ids).numpy()
+                      sizes=batch.sizes).numpy()
         want = _full_reencode(batch.scene, params, np.random.default_rng(5),
-                              scene_ids=batch.scene_ids)
+                              sizes=batch.sizes)
         np.testing.assert_array_equal(got, want)
 
 

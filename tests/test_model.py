@@ -357,10 +357,9 @@ class TestRollout:
         solo_b = type(solo_b)(
             ped_ids=["far"], positions=solo_b.positions, presence=solo_b.presence,
             obs_len=solo_b.obs_len, origins=solo_b.origins + 1000.0,
-            targets=solo_b.targets,
         )
         from startraj.data import merge_scenes
-        pair = merge_scenes([solo_a, solo_b]).scene  # same scene id: graphs allowed
+        pair = merge_scenes([solo_a, solo_b]).scene  # rolled out as one scene: graphs allowed
         out_pair = rollout(pair, params).numpy()
         out_a = rollout(solo_a, params).numpy()
         out_b = rollout(solo_b, params).numpy()
@@ -373,7 +372,7 @@ class TestRollout:
         moved = type(pair)(
             ped_ids=list(pair.ped_ids), positions=pair.positions.copy(),
             presence=pair.presence.copy(), obs_len=pair.obs_len,
-            origins=pair.origins.copy(), targets=pair.targets.copy(),
+            origins=pair.origins.copy(),
         )
         moved.positions[1] += 0.25  # stays >> d away from pedestrian 0
         out_moved = rollout(moved, params).numpy()
@@ -444,15 +443,6 @@ class TestRollout:
         with pytest.raises(DataFormatError, match="observes 8 steps"):
             encoder2_attention(scene, params)
 
-    def test_target_without_full_window_rejected(self):
-        config = _config()
-        params = init_params(config, np.random.default_rng(25))
-        scene = simulate_scene(np.random.default_rng(25), n_peds=2, total_len=11)
-        scene.presence[0, 3] = False
-        scene.targets = np.array([True, True])
-        with pytest.raises(DataFormatError):
-            rollout(preprocess(scene), params)
-
 
 class TestEncoder2Attention:
     def _scene_with_absences(self, config, seed):
@@ -463,7 +453,6 @@ class TestEncoder2Attention:
         sim.presence[3, :2] = False
         sim.presence[4, 5:] = False
         sim.positions[~sim.presence] = 0.0
-        sim.targets = sim.presence.all(axis=1)
         return preprocess(sim)
 
     @pytest.mark.parametrize("kw", [

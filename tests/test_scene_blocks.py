@@ -29,6 +29,7 @@ PACKED_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "packed_mix
 
 
 def _ids(sizes):
+    """The scene index of each packed row."""
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
@@ -69,11 +70,10 @@ def _packed_graphs(rng, sizes, t, d=2.5, cross_scene=False):
     """(t, N, N) graphs over packed rows from random positions, with about one
     node in six absent. Edges join only pedestrians of one scene unless
     cross_scene."""
-    ids = _ids(sizes)
-    n = len(ids)
+    n = sum(sizes)
     presence = rng.random((n, t)) > 0.15
     world = np.stack([rng.uniform(-3.0, 3.0, (n, 2)) for _ in range(t)], axis=1)
-    layout = [(n, [(0, n)])] if cross_scene else scene_layout(ids)
+    layout = [(n, [(0, n)])] if cross_scene else scene_layout(sizes)
     graphs = _dense(build_graph(world, presence, layout, d), layout, n)
     return graphs, presence
 
@@ -110,12 +110,12 @@ def _oracle(h, graphs, params, ids, presence):
     return out * presence[:, :, None], weights
 
 
-def _block_weights(calls, ids):
+def _block_weights(calls, sizes):
     """(first row, size, (t, heads, size, size) weights) of every scene, from
     the spied attention calls of one blocked spatial_block: one call per scene
     size in scene_layout order, its scenes in row order."""
     blocks = []
-    for (size, runs), (_, w) in zip(scene_layout(ids), calls, strict=True):
+    for (size, runs), (_, w) in zip(scene_layout(sizes), calls, strict=True):
         starts = _starts(size, runs)
         w = w.reshape(w.shape[0], len(starts), -1, size, size)  # a lone scene has no S axis
         blocks += [(i, size, w[:, j]) for j, i in enumerate(starts)]
@@ -138,7 +138,7 @@ def _dense_spatial_block(ids):
         allow = (graphs | np.eye(h.shape[0], dtype=bool)) & same_scene
         x = h.swapaxes(0, 1)
         q, k, v = head_projections(x, params)
-        att, _ = startraj.graph.masked_attention(q, k, v, allow[:, None], params.d_k)
+        att, _ = startraj.graph.masked_attention(q, k, v, allow[:, None])
         a = layer_norm(merge_heads(att, params) + x, params.ln1_gain, params.ln1_bias)
         out = layer_norm(linear(a, params.wo, params.bo) + a, params.ln2_gain, params.ln2_bias)
         out = out.swapaxes(0, 1)
@@ -169,35 +169,34 @@ def _batch(sizes, seed):
 class TestSceneLayout:
     def test_runs_grouped_by_size(self):
         # [DERIVED] row ranges worked out by hand from the packed sizes
-        assert scene_layout(_ids((3, 8, 5, 8, 2, 5, 1))) == [
+        assert scene_layout((3, 8, 5, 8, 2, 5, 1)) == [
             (1, [(31, 32)]), (2, [(24, 26)]), (3, [(0, 3)]),
             (5, [(11, 16), (26, 31)]), (8, [(3, 11), (16, 24)]),
         ]
         # adjacent scenes of one size form one run
-        assert scene_layout(_ids((4, 4, 2, 4))) == [(2, [(8, 10)]), (4, [(0, 8), (10, 14)])]
-        assert scene_layout(np.zeros(6, dtype=np.int64)) == [(6, [(0, 6)])]
-
-    @pytest.mark.parametrize("ids", [[0, 1, 0], [2, 2, 0, 1, 2], []])
-    def test_non_contiguous_or_empty_rejected(self, ids):
-        with pytest.raises(DataFormatError):
-            scene_layout(np.array(ids, dtype=np.int64))
-
-    def test_rollout_rejects_non_contiguous_scene_ids(self):
-        batch = _batch((2, 2), seed=40)
-        config = StarConfig(d_model=8, heads=2, pred_len=3, deterministic=True, dropout=0.0)
-        with pytest.raises(DataFormatError, match="contiguous"):
-            rollout(batch.scene, init_params(config, np.random.default_rng(0)),
-                    scene_ids=np.array([0, 1, 0, 1]))
+        assert scene_layout((4, 4, 2, 4)) == [(2, [(8, 10)]), (4, [(0, 8), (10, 14)])]
+        assert scene_layout(np.array([6])) == [(6, [(0, 6)])]
 
     @pytest.mark.parametrize("count", [3, 5])
     def test_rollout_rejects_scene_id_count(self, count, monkeypatch):
-        # one id per pedestrian row, checked before any graph is built
+        # scene sizes that count `count` rows of a 4-pedestrian batch, checked
+        # before any graph is built
         batch = _batch((2, 2), seed=40)
         config = StarConfig(d_model=8, heads=2, pred_len=3, deterministic=True, dropout=0.0)
         monkeypatch.setattr(startraj.model, "build_graph", None)  # a call would be a TypeError
-        with pytest.raises(DataFormatError, match=f"{count} scene ids for 4 pedestrians"):
+        with pytest.raises(DataFormatError,
+                           match=rf"scene sizes \[2, {count - 2}\] for 4 pedestrians"):
             rollout(batch.scene, init_params(config, np.random.default_rng(0)),
-                    scene_ids=np.repeat([0, 1], [2, count - 2]))
+                    sizes=np.array([2, count - 2]))
+
+    @pytest.mark.parametrize("sizes", [[4, 0], [0, 4], [5, -1]])
+    def test_rollout_rejects_empty_scene(self, sizes, monkeypatch):
+        # sizes that sum to N still need every scene to hold a row
+        batch = _batch((2, 2), seed=40)
+        config = StarConfig(d_model=8, heads=2, pred_len=3, deterministic=True, dropout=0.0)
+        monkeypatch.setattr(startraj.model, "build_graph", None)
+        with pytest.raises(DataFormatError, match="scene sizes .* for 4 pedestrians"):
+            rollout(batch.scene, init_params(config, np.random.default_rng(0)), sizes=sizes)
 
     def test_rollout_groups_rows_once(self, monkeypatch):
         # one scene_layout call per rollout, and that very object reaches the
@@ -210,8 +209,8 @@ class TestSceneLayout:
         real_layout = startraj.model.scene_layout
         real_build, real_block = startraj.model.build_graph, startraj.model.spatial_block
 
-        def layout_spy(ids):
-            layouts.append(real_layout(ids))
+        def layout_spy(sizes):
+            layouts.append(real_layout(sizes))
             return layouts[-1]
 
         def build_spy(world, present, layout, d):
@@ -226,7 +225,7 @@ class TestSceneLayout:
         monkeypatch.setattr(startraj.model, "build_graph", build_spy)
         monkeypatch.setattr(startraj.model, "spatial_block", block_spy)
         rollout(batch.scene, init_params(config, np.random.default_rng(0)),
-                scene_ids=batch.scene_ids)
+                sizes=batch.sizes)
         assert len(layouts) == 1 and layouts[0] == [(2, [(3, 5)]), (3, [(0, 3), (5, 8)])]
         assert len(seen["build_graph"]) == config.pred_len
         assert len(seen["spatial_block"]) == 2 * config.pred_len
@@ -253,8 +252,8 @@ class TestSceneLayout:
         monkeypatch.setattr(startraj.graph, "adjacency_mask", mask_spy)
         monkeypatch.setattr(startraj.model, "spatial_block", block_spy)
         rollout(batch.scene, init_params(config, np.random.default_rng(0)),
-                scene_ids=batch.scene_ids)
-        sizes = len(scene_layout(batch.scene_ids))
+                sizes=batch.sizes)
+        sizes = len(scene_layout(batch.sizes))
         assert sizes == 2 and len(mask_calls) == config.pred_len * sizes
         assert [shape[0] for shape in mask_calls] == [8, 8] + [1, 1] * (config.pred_len - 1)
         # encoder 1 then encoder 2 at each step; encoder 1 sees the newest step only
@@ -281,8 +280,8 @@ class TestSceneLayout:
 
         monkeypatch.setattr(startraj.model, "spatial_block", block_spy)
         rollout(batch.scene, params, rng=np.random.default_rng(0),
-                scene_ids=batch.scene_ids, training=training)
-        obs, sizes = config.obs_len, len(scene_layout(batch.scene_ids))
+                sizes=batch.sizes, training=training)
+        obs, sizes = config.obs_len, len(scene_layout(batch.sizes))
         full = [obs + s for s in range(config.pred_len)]
         assert [t for t, _, _ in calls["enc1"]] == (full if training else [obs, 1, 1])
         assert [t for t, _, _ in calls["enc2"]] == full
@@ -301,11 +300,11 @@ class TestBlockVsDense:
         ids = _ids(sizes)
         graphs, presence = _packed_graphs(rng, sizes, t=3)
         h = rng.standard_normal((len(ids), 3, 8))
-        layout = scene_layout(ids)
+        layout = scene_layout(sizes)
         out = spatial_block(Tensor(h), _blocks(graphs, layout), params, presence, layout=layout)
         expect, expect_w = _oracle(h, graphs, params, ids, presence)
         np.testing.assert_allclose(out.numpy(), expect, rtol=0, atol=1e-12)
-        blocks = _block_weights(spatial_weights, ids)
+        blocks = _block_weights(spatial_weights, sizes)
         # every scene's block once, and no weight across scenes computed at all
         assert sorted((i, size) for i, size, _ in blocks) == _scene_rows(sizes)
         for i, size, w in blocks:
@@ -324,7 +323,7 @@ class TestBlockVsDense:
         graphs, presence = _packed_graphs(rng, sizes, t=2, d=4.0, cross_scene=True)
         assert (graphs & (ids[:, None] != ids[None, :])).any()
         h = rng.standard_normal((len(ids), 2, 8))
-        layout = scene_layout(ids)
+        layout = scene_layout(sizes)
         out = spatial_block(Tensor(h), _blocks(graphs, layout), params, presence, layout=layout)
         expect, _ = _oracle(h, graphs, params, ids, presence)
         np.testing.assert_allclose(out.numpy(), expect, rtol=0, atol=1e-12)
@@ -335,7 +334,7 @@ class TestBlockVsDense:
         params = TGConvParams.init(8, 2, rng)
         graphs, presence = _packed_graphs(rng, (5,), t=2)
         h = Tensor(rng.standard_normal((5, 2, 8)))
-        layout = scene_layout(np.zeros(5, dtype=np.int64))
+        layout = scene_layout([5])
         masks = _blocks(graphs, layout)
         one = spatial_block(h, masks, params, presence, layout=layout)
         assert np.array_equal(spatial_block(h, masks, params, presence).numpy(), one.numpy())
@@ -352,20 +351,20 @@ class TestBlockVsDense:
             # step 0 runs encoder 1's spatial block, then encoder 2's
             spatial_weights.clear()
             pred = rollout(batch.scene, params, rng=np.random.default_rng(0),
-                           scene_ids=batch.scene_ids).numpy()
+                           sizes=batch.sizes).numpy()
             enc2 = spatial_weights[calls_per_block:2 * calls_per_block]
             for _, p in named:
                 p.grad = None
             scene_loss(batch, params, np.random.default_rng(0)).backward()
             return pred, enc2, [p.grad.copy() for _, p in named]
 
-        pred, blocks, grads = run(len(scene_layout(batch.scene_ids)))
-        monkeypatch.setattr(startraj.model, "spatial_block", _dense_spatial_block(batch.scene_ids))
+        pred, blocks, grads = run(len(scene_layout(batch.sizes)))
+        ids = _ids(batch.sizes)
+        monkeypatch.setattr(startraj.model, "spatial_block", _dense_spatial_block(ids))
         dense_pred, [(_, dense_weights)], dense_grads = run(1)
         np.testing.assert_allclose(pred, dense_pred, rtol=0, atol=1e-12)
-        ids = batch.scene_ids
         assert np.all(dense_weights[:, :, ids[:, None] != ids[None, :]] == 0.0)
-        blocks = _block_weights(blocks, ids)
+        blocks = _block_weights(blocks, batch.sizes)
         assert sorted((i, size) for i, size, _ in blocks) == _scene_rows(sizes)
         for i, size, w in blocks:
             np.testing.assert_allclose(w, dense_weights[:, :, i:i + size, i:i + size],
@@ -387,7 +386,7 @@ def _packed_fixture_values(batch, params):
     """The rollout, scene_loss and every gradient (by name, flattened) that
     the packed fixture pins."""
     pred = rollout(batch.scene, params, rng=np.random.default_rng(0),
-                   scene_ids=batch.scene_ids).numpy()
+                   sizes=batch.sizes).numpy()
     for _, p in params.parameters():
         p.grad = None
     loss = scene_loss(batch, params, np.random.default_rng(1))
@@ -418,17 +417,16 @@ class TestLogitCells:
         sizes = (1,) * 7 + (40,) + (1,) * 8
         calls = []
 
-        def spy(q, k, v, allow, d_k):
+        def spy(q, k, v, allow):
             calls.append((q.shape, k.shape, np.shape(allow)))
-            return masked_attention(q, k, v, allow, d_k)
+            return masked_attention(q, k, v, allow)
 
         monkeypatch.setattr(startraj.graph, "masked_attention", spy)
         rng = np.random.default_rng(30)
         params = TGConvParams.init(8, 2, rng)
-        ids = _ids(sizes)
         graphs, presence = _packed_graphs(rng, sizes, t=3)
-        layout = scene_layout(ids)
-        spatial_block(Tensor(rng.standard_normal((len(ids), 3, 8))), _blocks(graphs, layout),
+        layout = scene_layout(sizes)
+        spatial_block(Tensor(rng.standard_normal((sum(sizes), 3, 8))), _blocks(graphs, layout),
                       params, presence, layout=layout)
         cells = sum(int(np.prod(q[:-1])) * k[-2] for q, k, _ in calls)
         assert cells == 3 * 2 * sum(n * n for n in sizes) == 3 * 2 * 1615

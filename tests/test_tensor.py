@@ -69,7 +69,7 @@ def _softmax(logits) -> np.ndarray:
     x = np.asarray(logits, dtype=np.float64)
     allow = np.ones((1, x.size), dtype=bool)
     _, w = masked_attention(Tensor(np.ones((1, 1))), Tensor(x[:, None]),
-                            Tensor(np.zeros((x.size, 1))), allow, 1)
+                            Tensor(np.zeros((x.size, 1))), allow)
     return w.numpy()[0]
 
 
@@ -99,7 +99,7 @@ class TestSoftmax:
         # no key at all leaves every query row without a usable key
         with pytest.raises(MaskError):
             masked_attention(Tensor(np.ones((3, 1))), Tensor(np.zeros((0, 1))),
-                             Tensor(np.zeros((0, 2))), np.ones((3, 0), dtype=bool), 1)
+                             Tensor(np.zeros((0, 2))), np.ones((3, 0), dtype=bool))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=8))
@@ -221,7 +221,7 @@ class TestBackward:
 
         def loss():
             m = a.matmul(b)
-            s, _ = masked_attention(m, c, m + c, allow, 3)
+            s, _ = masked_attention(m, c, m + c, allow)
             e = (m * m + 0.5).tanh() - m
             t = m.tanh() + m.sigmoid() + linear(m, c, b[0]).relu()
             return (s * e).sum() + (t * t).mean()
@@ -399,7 +399,7 @@ class TestTapeNodes:
         rng = np.random.default_rng(10)
         q, k, v = (parameter(rng.standard_normal((2, 3, 4))) for _ in range(3))
         allow = np.array([[True, False, True]] * 3)  # (3, 3), broadcast over 2
-        out, weights = masked_attention(q, k, v, allow, 4)
+        out, weights = masked_attention(q, k, v, allow)
         assert _tape_nodes(out) == 3 + 1
         assert not weights.requires_grad and weights._parents == ()
 
@@ -432,7 +432,7 @@ class TestTapeRelease:
             x._accumulate(g)
 
         first = Tensor(x.data, _parents=(x,), _backward=spy)
-        att, weights = masked_attention(first, first, first, allow, 4)
+        att, weights = masked_attention(first, first, first, allow)
         weights_ref = weakref.ref(weights.data)
         del weights
         loss = (att * att).sum()
@@ -444,7 +444,7 @@ class TestTapeRelease:
 
         # the leaf keeps its gradient, the one of the same graph without the spy
         y = parameter(x.data.copy())
-        out, _ = masked_attention(y, y, y, allow, 4)
+        out, _ = masked_attention(y, y, y, allow)
         (out * out).sum().backward()
         np.testing.assert_array_equal(x.grad, y.grad)
 
@@ -557,9 +557,9 @@ class TestRecomputingClosures:
         allow = (rng.random((t, scenes, 1, n, n)) < 0.5) | np.eye(n, dtype=bool)
         arrays = [rng.standard_normal(shape) for _ in range(3)]
         upstream = rng.standard_normal(shape)
-        self._assert_same(lambda q, k, v: masked_attention(q, k, v, allow, d_k)[0],
+        self._assert_same(lambda q, k, v: masked_attention(q, k, v, allow)[0],
                           lambda q, k, v: _saving_attention(q, k, v, allow, d_k)[0],
                           arrays, upstream)
-        _, w = masked_attention(*(Tensor(a) for a in arrays), allow, d_k)
+        _, w = masked_attention(*(Tensor(a) for a in arrays), allow)
         _, w_old = _saving_attention(*(Tensor(a) for a in arrays), allow, d_k)
         np.testing.assert_array_equal(w.numpy(), w_old.numpy())

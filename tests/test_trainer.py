@@ -247,7 +247,7 @@ class TestTraining:
         loss = scene_loss(batch, params, np.random.default_rng(0))
         from startraj.model import rollout
         pred = rollout(batch.scene, params, rng=np.random.default_rng(0),
-                       scene_ids=batch.scene_ids, training=True).numpy()
+                       sizes=batch.sizes, training=True).numpy()
         truth = batch.scene.positions[:, config.obs_len:]
         expect = ((pred - truth) ** 2).mean()
         np.testing.assert_allclose(loss.item(), expect, atol=1e-12)
@@ -315,7 +315,7 @@ class TestTraining:
 
         monkeypatch.setattr(startraj.model, "embed_inputs", spy)
         startraj.model.rollout(batch.scene, params, rng=np.random.default_rng(0),
-                               scene_ids=batch.scene_ids, training=training)
+                               sizes=batch.sizes, training=training)
         monkeypatch.undo()
         obs = config.obs_len
         assert [h.shape[1] for h in histories] == ([obs, obs + 1, obs + 2] if training
