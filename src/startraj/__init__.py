@@ -15,10 +15,7 @@ from .data import (
     Batch, TrajectoryScene, augment_rotation, load_dataset, make_scenes, merge_scenes,
     pack_batches, preprocess,
 )
-from .trainer import (
-    EvalReport, TrainSpec, ade, best_of_k, evaluate, fde, scene_loss, train,
-    write_reports,
-)
-from .synthetic import make_synthetic_scenes, simulate_scene
+from .trainer import TrainSpec, ade, best_of_k, evaluate, fde, scene_loss, train
+from .synthetic import simulate_scene
 
 __version__ = "0.1.0"

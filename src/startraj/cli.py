@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,9 +24,7 @@ from .data import (
 from .errors import DataFormatError, MaskError, NonFiniteError, ShapeMismatchError
 from .model import VARIANT_FLAGS, StarConfig, config_for_variant, encoder2_attention
 from .model import load_checkpoint, rollout
-from .trainer import (
-    EvalReport, TrainSpec, evaluate, train, write_reports,
-)
+from .trainer import TrainSpec, evaluate, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,12 +36,14 @@ class UsageError(Exception):
     pass
 
 
-def seed_value(raw: str) -> int:
-    """argparse type of --seed: a non-negative integer."""
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
-    return value
+def at_least(name: str, low: int):
+    """argparse type of an integer flag that must be >= low."""
+    def integer(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,35 +104,19 @@ def _settings(cls, file_values: Dict[str, object], keys, flags: Dict[str, object
         raise UsageError(str(exc)) from None
 
 
-def _build_config(file_values: Dict[str, object], args) -> StarConfig:
-    cfg = _settings(StarConfig, file_values, _CONFIG_FIELDS,
-                    {"deterministic": args.deterministic or None})
-    if args.variant:
-        cfg = config_for_variant(args.variant, cfg)
-    return cfg
-
-
-def _build_spec(file_values: Dict[str, object], args) -> TrainSpec:
-    return _settings(TrainSpec, file_values, _SPEC_FIELDS,
-                     {"seed": args.seed, "epochs": args.epochs,
-                      "max_steps": args.max_steps})
-
-
-def write_manifest(out_dir: str, command: str, args_dict: dict,
-                   config: Optional[dict], inputs: List[str],
+def write_manifest(args, config: Optional[dict], inputs: List[str],
                    outputs: List[str], seed: Optional[int]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    args_dict = {k: v for k, v in args_dict.items() if k != "func"}
+    """manifest.json in args.out, which the command has made."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "seed": seed,
-        "args": args_dict,
+        "args": {k: v for k, v in vars(args).items() if k != "func"},
         "config": config,
         "inputs": inputs,
         "outputs": outputs,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
@@ -185,8 +169,11 @@ def scene_from_file(path: str, config: StarConfig) -> TrajectoryScene:
 # ----------------------------------------------------------------------
 # SVG helpers
 # ----------------------------------------------------------------------
-def _svg_document(elements: List[str], bounds: Tuple[float, float, float, float]) -> str:
-    x0, y0, x1, y1 = bounds
+def _svg_document(elements: List[str], points: List, margin: float) -> str:
+    """An SVG of `elements`, framed on `points` widened by `margin`."""
+    stacked = np.vstack(points) if points else np.zeros((1, 2))
+    x0, y0 = stacked.min(axis=0) - margin
+    x1, y1 = stacked.max(axis=0) + margin
     pad = 0.05 * max(x1 - x0, y1 - y0, 1.0)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -222,10 +209,7 @@ def trajectory_svg(scene: TrajectoryScene, pred_world: np.ndarray) -> str:
             pts = pred_world[i]
             elements.append(_polyline(pts, "#3060d0", "prediction", str(pid)))
             all_pts.append(pts)
-    stacked = np.concatenate(all_pts) if all_pts else np.zeros((1, 2))
-    bounds = (stacked[:, 0].min(), stacked[:, 1].min(),
-              stacked[:, 0].max(), stacked[:, 1].max())
-    return _svg_document(elements, bounds)
+    return _svg_document(elements, all_pts, 0)
 
 
 def attention_svg(scene: TrajectoryScene, step: int, weights_row: np.ndarray,
@@ -245,21 +229,20 @@ def attention_svg(scene: TrajectoryScene, step: int, weights_row: np.ndarray,
             f'fill="{color}" fill-opacity="0.6"/>'
         )
         all_pts.append([x, y])
-    stacked = np.asarray(all_pts) if all_pts else np.zeros((1, 2))
-    bounds = (stacked[:, 0].min() - 1, stacked[:, 1].min() - 1,
-              stacked[:, 0].max() + 1, stacked[:, 1].max() + 1)
-    return _svg_document(elements, bounds)
+    return _svg_document(elements, all_pts, 1)
 
 
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
 def cmd_train(args) -> int:
-    if args.stride < 1:
-        raise UsageError(f"--stride must be >= 1, got {args.stride}")
     file_values = load_config_file(args.config) if args.config else {}
-    config = _build_config(file_values, args)
-    spec = _build_spec(file_values, args)
+    config = _settings(StarConfig, file_values, _CONFIG_FIELDS,
+                       {"deterministic": args.deterministic or None})
+    if args.variant:
+        config = config_for_variant(args.variant, config)
+    spec = _settings(TrainSpec, file_values, _SPEC_FIELDS,
+                     {"seed": args.seed, "epochs": args.epochs, "max_steps": args.max_steps})
     files = _dataset_files(args.data_dir)
     _check_held_out(args.held_out, files, args.data_dir)
     train_files = {k: v for k, v in files.items() if k != args.held_out}
@@ -274,20 +257,13 @@ def cmd_train(args) -> int:
         fh.write("step\tloss\n")
         for step, value in history:
             fh.write(f"{step}\t{value:.8f}\n")
-    write_manifest(
-        args.out, "train", vars(args), config.to_dict(),
-        inputs=sorted(train_files.values()),
-        outputs=[curve_path, os.path.join(args.out, "checkpoint_final.json")],
-        seed=spec.seed,
-    )
+    write_manifest(args, config.to_dict(), inputs=sorted(train_files.values()),
+                   outputs=[curve_path, os.path.join(args.out, "checkpoint_final.json")],
+                   seed=spec.seed)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
-    if args.stride < 1:
-        raise UsageError(f"--stride must be >= 1, got {args.stride}")
     params = load_checkpoint(args.checkpoint)
     config = params.config
     variant = next((name for name, flags in VARIANT_FLAGS.items()  # report label
@@ -298,17 +274,18 @@ def cmd_eval(args) -> int:
     if args.held_out is not None:
         _check_held_out(args.held_out, files, args.data_dir)
         files = {args.held_out: files[args.held_out]}
-    reports: List[EvalReport] = []
-    for name, path in sorted(files.items()):
-        scenes = _load_scenes(path, config, stride=args.stride, dataset=name)
-        reports.append(evaluate(params, scenes, K=args.samples, seed=args.seed,
-                                variant=variant, dataset=name))
+    results = {name: evaluate(params, _load_scenes(path, config, args.stride, name),
+                              K=args.samples, seed=args.seed)
+               for name, path in sorted(files.items())}
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "eval_report.tsv")
-    write_reports(report_path, reports)
-    for r in reports:
-        print(f"{r.dataset}: ADE {r.ade:.4f}  FDE {r.fde:.4f}  (K={r.k})")
-    write_manifest(args.out, "eval", vars(args), config.to_dict(),
+    with open(report_path, "w", encoding="utf-8") as fh:
+        fh.write("variant\tdataset\tseed\tade\tfde\tk\n")
+        for name, (a, f, k) in results.items():
+            fh.write(f"{variant}\t{name}\t{args.seed}\t{a:.6f}\t{f:.6f}\t{k}\n")
+    for name, (a, f, k) in results.items():
+        print(f"{name}: ADE {a:.4f}  FDE {f:.4f}  (K={k})")
+    write_manifest(args, config.to_dict(),
                    inputs=[args.checkpoint] + sorted(files.values()),
                    outputs=[report_path], seed=args.seed)
     return EXIT_OK
@@ -334,7 +311,7 @@ def cmd_predict(args) -> int:
     svg_path = os.path.join(args.out, "prediction.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(trajectory_svg(scene, pred_world))
-    write_manifest(args.out, "predict", vars(args), config.to_dict(),
+    write_manifest(args, config.to_dict(),
                    inputs=[args.checkpoint, args.scene],
                    outputs=[traj_path, svg_path], seed=args.seed)
     return EXIT_OK
@@ -365,7 +342,7 @@ def cmd_attention(args) -> int:
     svg_path = os.path.join(args.out, "attention.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(attention_svg(scene, step, weights[focus], focus))
-    write_manifest(args.out, "attention", vars(args), config.to_dict(),
+    write_manifest(args, config.to_dict(),
                    inputs=[args.checkpoint, args.scene],
                    outputs=[csv_path, svg_path], seed=args.seed)
     return EXIT_OK
@@ -373,19 +350,16 @@ def cmd_attention(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     report = gradcheck.run_suite(seed=args.seed)
-    ok = True
     for name, err in report.items():
         status = "pass" if err < gradcheck.TOLERANCE else "FAIL"
-        ok &= err < gradcheck.TOLERANCE
         print(f"{name:16s} max rel err {err:.3e}  {status}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "gradcheck.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
-        write_manifest(args.out, "gradcheck", vars(args), None,
-                       inputs=[], outputs=[path], seed=args.seed)
-    return EXIT_OK if ok else EXIT_NUMERIC
+        write_manifest(args, None, inputs=[], outputs=[path], seed=args.seed)
+    return EXIT_OK if max(report.values()) < gradcheck.TOLERANCE else EXIT_NUMERIC
 
 
 # ----------------------------------------------------------------------
@@ -396,7 +370,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out_default):
-        p.add_argument("--seed", type=seed_value, default=0)
+        p.add_argument("--seed", type=at_least("seed", 0), default=0)
         p.add_argument("--out", default=out_default)
 
     p = sub.add_parser("train", help="train on a leave-one-out split")
@@ -405,7 +379,7 @@ def build_parser() -> _Parser:
     p.add_argument("--held-out", required=True)
     p.add_argument("--variant", choices=tuple(VARIANT_FLAGS))
     p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--stride", type=at_least("stride", 1), default=1)
     p.add_argument("--epochs", type=int)
     p.add_argument("--max-steps", type=int, dest="max_steps")
     common(p, "train_out")
@@ -416,8 +390,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data-dir", required=True)
     p.add_argument("--held-out")
     p.add_argument("--variant", choices=tuple(VARIANT_FLAGS))
-    p.add_argument("--stride", type=int, default=20)
-    p.add_argument("--samples", "-K", type=int, default=20)
+    p.add_argument("--stride", type=at_least("stride", 1), default=20)
+    p.add_argument("--samples", "-K", type=at_least("samples", 1), default=20)
     common(p, "eval_out")
     p.set_defaults(func=cmd_eval)
 

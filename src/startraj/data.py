@@ -8,6 +8,7 @@ meters, frames already downsampled to 0.4 s); '#' lines are comments.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -144,7 +145,9 @@ def scene_window(
     raw: RawTrajectories, start: int, obs: int, pred: int, dataset: str = ""
 ) -> TrajectoryScene:
     """The (obs+pred)-frame window of the recording that opens at frame
-    `start`, over every pedestrian seen in at least one of its frames."""
+    `start`, over every pedestrian seen in at least one of its frames. A
+    pedestrian whose track the window holds in several pieces (a gap) is
+    named `<ped_id>@<first frame of the piece>` once per piece."""
     total = obs + pred
     frames = start + raw.frame_step * np.arange(total)
     members = [(t, mask) for t in raw.tracklets
@@ -154,8 +157,11 @@ def scene_window(
     for i, (t, mask) in enumerate(members):
         positions[i, mask] = t.xy[np.searchsorted(t.frames, frames[mask])]
         presence[i] = mask
+    pieces = Counter(t.ped_id for t, _ in members)
+    ids = [t.ped_id if pieces[t.ped_id] == 1 else f"{t.ped_id}@{t.frames[0]}"
+           for t, _ in members]
     return TrajectoryScene(
-        ped_ids=[t.ped_id for t, _ in members], positions=positions,
+        ped_ids=ids, positions=positions,
         presence=presence, obs_len=obs, dataset=dataset,
     )
 

@@ -164,46 +164,35 @@ def run_suite(seed: int = 0) -> Dict[str, float]:
         max_entries_per_tensor=8,
     )
 
-    # tiny full model: 3 pedestrians, 8 observed + 2 predicted steps
-    config = StarConfig(
-        d_model=8, heads=2, obs_len=8, pred_len=2, deterministic=True,
-        graph_threshold=10.0, dropout=0.0,
-    )
-    mparams = init_params(config, np.random.default_rng(seed + 8))
-    _jitter(mparams.parameters(), rng)
+    # tiny models on 3 pedestrians and 8 observed steps: the full model
+    # predicts 2 steps; the encoder stack alone is a single-step rollout, one
+    # encoder-1 + encoder-2 pass followed by the decoder
     scene = preprocess(
         simulate_scene(np.random.default_rng(seed + 9), n_peds=3, total_len=10, obs_len=8)
     )
-    truth = Tensor(scene.positions[:, 8:, :])
 
-    def model_loss() -> Tensor:
-        pred = rollout(scene, mparams, rng=np.random.default_rng(0), training=True)
-        diff = pred - truth
-        return (diff * diff).mean()
+    def rollout_loss(pred_len: int, init_seed: int):
+        config = StarConfig(
+            d_model=8, heads=2, obs_len=8, pred_len=pred_len, deterministic=True,
+            graph_threshold=10.0, dropout=0.0,
+        )
+        params = init_params(config, np.random.default_rng(init_seed))
+        _jitter(params.parameters(), rng)
+        truth = Tensor(scene.positions[:, 8:8 + pred_len, :])
 
-    # encoder stack alone: a single-step rollout is one encoder-1 + encoder-2
-    # pass followed by the decoder
-    enc_config = StarConfig(
-        d_model=8, heads=2, obs_len=8, pred_len=1, deterministic=True,
-        graph_threshold=10.0, dropout=0.0,
-    )
-    eparams = init_params(enc_config, np.random.default_rng(seed + 11))
-    _jitter(eparams.parameters(), rng)
-    enc_truth = Tensor(scene.positions[:, 8:9, :])
+        def loss() -> Tensor:
+            diff = rollout(scene, params, rng=np.random.default_rng(0), training=True) - truth
+            return (diff * diff).mean()
 
-    def encoder_loss() -> Tensor:
-        pred = rollout(scene, eparams, rng=np.random.default_rng(0), training=True)
-        diff = pred - enc_truth
-        return (diff * diff).mean()
+        return loss, params.parameters()
 
+    full_loss, full_params = rollout_loss(2, seed + 8)  # jitters from rng first
+    enc_loss, enc_params = rollout_loss(1, seed + 11)
     report["encoder_stack"] = check_gradients(
-        encoder_loss, eparams.parameters(), max_entries_per_tensor=2,
-        rng=np.random.default_rng(seed + 12),
+        enc_loss, enc_params, max_entries_per_tensor=2, rng=np.random.default_rng(seed + 12),
     )
-
     report["full_rollout"] = check_gradients(
-        model_loss, mparams.parameters(), max_entries_per_tensor=2,
-        rng=np.random.default_rng(seed + 10),
+        full_loss, full_params, max_entries_per_tensor=2, rng=np.random.default_rng(seed + 10),
     )
 
     # indexing: a repeated integer-array row (gradient 2) and a basic slice;

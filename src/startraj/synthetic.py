@@ -5,8 +5,6 @@ against exact targets."""
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from .data import TrajectoryScene
@@ -50,12 +48,3 @@ def simulate_scene(
         dataset="synthetic",
     )
 
-
-def make_synthetic_scenes(
-    count: int, seed: int, n_peds: int = 2, obs_len: int = 8, pred_len: int = 12
-) -> List[TrajectoryScene]:
-    rng = np.random.default_rng(seed)
-    return [
-        simulate_scene(rng, n_peds=n_peds, total_len=obs_len + pred_len, obs_len=obs_len)
-        for _ in range(count)
-    ]

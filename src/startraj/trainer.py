@@ -192,39 +192,14 @@ def train(
 # ----------------------------------------------------------------------
 # evaluation
 # ----------------------------------------------------------------------
-@dataclass
-class EvalReport:
-    variant: str
-    dataset: str
-    seed: int
-    ade: float
-    fde: float
-    k: int
-
-    def row(self) -> str:
-        return f"{self.variant}\t{self.dataset}\t{self.seed}\t{self.ade:.6f}\t{self.fde:.6f}\t{self.k}"
-
-
-REPORT_HEADER = "variant\tdataset\tseed\tade\tfde\tk"
-
-
-def write_reports(path: str, reports: Sequence[EvalReport]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(REPORT_HEADER + "\n")
-        for r in reports:
-            fh.write(r.row() + "\n")
-
-
 def evaluate(
     params: StarParams,
     scenes: Sequence[TrajectoryScene],
     K: int = 20,
     seed: int = 0,
-    variant: str = "full",
-    dataset: str = "",
-) -> EvalReport:
-    """Aggregate best-of-K displacement errors over scenes, weighted by
-    target-pedestrian count; K = 1 for a model without decoder noise."""
+) -> Tuple[float, float, int]:
+    """(ADE, FDE, k): best-of-k displacement errors over scenes, weighted by
+    target-pedestrian count; k = 1 for a model without decoder noise, else K."""
     if not scenes:
         raise DataFormatError("empty evaluation set")
     require_int("K", K, 1)
@@ -232,18 +207,14 @@ def evaluate(
     k_eff = 1 if params.config.effective_noise_dim == 0 else K
     a_sum = f_sum = weight = 0.0
     for scene in scenes:
-        prep = preprocess(scene)
-        n_targets = int(prep.targets.sum())
+        n_targets = int(scene.targets.sum())
         if n_targets == 0:
             continue
-        a, f = best_of_k(prep, params, K=k_eff, rng=rng)
+        a, f = best_of_k(scene, params, K=k_eff, rng=rng)
         a_sum += a * n_targets
         f_sum += f * n_targets
         weight += n_targets
     if weight == 0:
         raise DataFormatError("no target pedestrians in evaluation set")
-    return EvalReport(
-        variant=variant, dataset=dataset, seed=seed,
-        ade=a_sum / weight, fde=f_sum / weight, k=k_eff,
-    )
+    return a_sum / weight, f_sum / weight, k_eff
 

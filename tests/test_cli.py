@@ -230,10 +230,12 @@ class TestExitCodes:
         assert "bogus" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_usage_error_zero_samples(self, tmp_path, data_dir, checkpoint):
+    def test_usage_error_zero_samples(self, tmp_path, data_dir, checkpoint, capsys):
         code = main(["eval", "--checkpoint", str(checkpoint), "--data-dir",
                      str(data_dir), "-K", "0", "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
+        assert "argument --samples/-K: samples must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("stride", ["0", "-3"])
     def test_usage_error_bad_train_stride(self, tmp_path, data_dir, config_file,
@@ -242,7 +244,8 @@ class TestExitCodes:
                      str(data_dir), "--held-out", "ETH", "--stride", stride,
                      "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
-        assert "--stride" in capsys.readouterr().err
+        assert (f"argument --stride: stride must be >= 1, got {stride}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("stride", ["0", "-3"])
     def test_usage_error_bad_eval_stride(self, tmp_path, data_dir, checkpoint,
@@ -250,7 +253,8 @@ class TestExitCodes:
         code = main(["eval", "--checkpoint", str(checkpoint), "--data-dir",
                      str(data_dir), "--stride", stride, "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
-        assert "--stride" in capsys.readouterr().err
+        assert (f"argument --stride: stride must be >= 1, got {stride}"
+                in capsys.readouterr().err)
 
     def test_gradcheck_success(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == EXIT_OK
@@ -384,7 +388,10 @@ class TestEvalCommand:
         ])
         assert code == EXIT_OK
         lines = (out / "eval_report.tsv").read_text().strip().splitlines()
-        assert len(lines) == 1 + len(DATASET_NAMES)  # header + one row per dataset
+        assert lines[0] == "variant\tdataset\tseed\tade\tfde\tk"
+        # one row per dataset, labelled from the default-config checkpoint
+        assert [line.split("\t")[:3] for line in lines[1:]] == [
+            ["full", name, "0"] for name in sorted(DATASET_NAMES)]
 
     def test_variant_disagreeing_with_checkpoint_rejected(self, tmp_path, data_dir,
                                                            checkpoint, capsys):
@@ -425,9 +432,10 @@ class TestEvalCommand:
         params = load_checkpoint(str(checkpoint))
         scenes = _load_scenes(str(data_dir / "ETH.txt"), params.config,
                               stride=20, dataset="ETH")
-        report = evaluate(params, scenes, K=20, seed=7, dataset="ETH")
-        assert float(row[3]) == pytest.approx(report.ade, abs=1e-6)
-        assert float(row[4]) == pytest.approx(report.fde, abs=1e-6)
+        a, f, k = evaluate(params, scenes, K=20, seed=7)
+        assert float(row[3]) == pytest.approx(a, abs=1e-6)
+        assert float(row[4]) == pytest.approx(f, abs=1e-6)
+        assert int(row[5]) == k
 
 
 class TestPredictCommand:
@@ -552,6 +560,21 @@ class TestAttentionCommand:
         assert weights[("a", "a")] == 1.0
         assert weights[("a", "b")] == 0.0
         assert weights[("b", "b")] == 1.0
+
+    def test_split_track_named_once_per_piece(self, tmp_path, checkpoint):
+        # pedestrian 3 skips frame 3 of the window: its two pieces are two
+        # rows, so each needs its own name for the (from, to) pairs to be unique
+        scene = tmp_path / "gap.txt"
+        scene.write_text("\n".join(
+            f"{10 * t} {p} {0.3 * t:.1f} {p:.1f}"
+            for t in range(10) for p in range(4) if (p, t) != (3, 3)) + "\n")
+        out = tmp_path / "att"
+        assert main(["attention", "--checkpoint", str(checkpoint), "--scene", str(scene),
+                     "--timestep", "5", "--ped", "1", "--out", str(out)]) == EXIT_OK
+        pairs = [tuple(line.split(",")[:2]) for line in
+                 (out / "attention.csv").read_text().splitlines()[1:]]
+        assert len(pairs) == len(set(pairs)) == 4 * 5
+        assert {to for _, to in pairs} == {"0", "1", "2", "3@0", "3@40"}
 
     def test_bad_timestep_and_ped(self, tmp_path, data_dir, checkpoint):
         args = ["attention", "--checkpoint", str(checkpoint), "--scene",

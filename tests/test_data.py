@@ -176,6 +176,18 @@ class TestMakeScenes:
         assert scene.targets[ia] and not scene.targets[ib]
         assert scene.presence[ib].sum() == 7
 
+    def test_gap_pieces_named_by_first_frame(self, tmp_path):
+        # pedestrian 7 skips frames 30 and 40, so the window holds two pieces
+        # of its track; pedestrian 8, in one piece, keeps its plain id
+        frames = [0, 10, 20, 50, 60]
+        lines = [f"{f} 7 {i}.0 0.0" for i, f in enumerate(frames)]
+        lines += [f"{10 * t} 8 0.0 {t}.0" for t in range(7)]
+        scene = scene_window(load_dataset(_write(tmp_path, "\n".join(lines))), 0, 3, 4)
+        assert scene.ped_ids == ["7@0", "7@50", "8"]
+        np.testing.assert_array_equal(scene.presence[:2], [[1, 1, 1, 0, 0, 0, 0],
+                                                           [0, 0, 0, 0, 0, 1, 1]])
+        np.testing.assert_array_equal(scene.positions[1, 5:, 0], [3.0, 4.0])
+
     def test_bad_stride(self, tmp_path):
         raw = load_dataset(_write(tmp_path, "0 1 0.0 0.0\n"))
         with pytest.raises(DataFormatError):

@@ -60,8 +60,7 @@ def _eval_values():
         config = _config(variant, deterministic=deterministic, pred_len=4)
         params = init_params(config, np.random.default_rng(40))
         scenes = [_crowd(n, seed=50 + n, config=config) for n in EVAL_SIZES]
-        report = evaluate(params, scenes, K=20, seed=7)
-        values[f"{variant}/{deterministic}"] = [report.ade, report.fde]
+        values[f"{variant}/{deterministic}"] = evaluate(params, scenes, K=20, seed=7)[:2]
     return values
 
 

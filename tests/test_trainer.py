@@ -10,12 +10,11 @@ import startraj.model
 import startraj.trainer
 from startraj import (
     StarConfig, TrainSpec, ade, best_of_k, config_for_variant, evaluate, fde,
-    init_params, preprocess, scene_loss, train, write_reports,
+    init_params, preprocess, scene_loss, train,
 )
 from startraj.data import TrajectoryScene, merge_scenes
 from startraj.errors import DataFormatError, NonFiniteError
-from startraj.synthetic import make_synthetic_scenes, simulate_scene
-from startraj.trainer import EvalReport, REPORT_HEADER
+from startraj.synthetic import simulate_scene
 
 
 def _config(**kw):
@@ -26,7 +25,8 @@ def _config(**kw):
 
 
 def _scenes(count=2, n=2, seed=0, pred=3):
-    return make_synthetic_scenes(count, seed, n_peds=n, pred_len=pred)
+    rng = np.random.default_rng(seed)
+    return [simulate_scene(rng, n_peds=n, total_len=8 + pred) for _ in range(count)]
 
 
 def _oracle_ade(pred, truth, mask):
@@ -329,28 +329,16 @@ class TestTraining:
 
 
 class TestEvaluationReports:
-    def test_report_file_format(self, tmp_path):
-        path = str(tmp_path / "report.tsv")
-        write_reports(path, [
-            EvalReport("full", "ETH", 0, 0.5, 1.0, 20),
-            EvalReport("no_memory", "HOTEL", 0, 0.6, 1.1, 20),
-        ])
-        lines = open(path).read().strip().splitlines()
-        assert lines[0] == REPORT_HEADER
-        assert len(lines) == 3
-        assert lines[1].split("\t")[0] == "full"
-
     def test_evaluate_matches_library_metrics(self):
         # CLI/library no-drift contract at the library level: evaluate() over
         # one scene equals best_of_k directly
         config = _config()
         params = init_params(config, np.random.default_rng(17))
         scene = simulate_scene(np.random.default_rng(18), n_peds=2, total_len=11)
-        report = evaluate(params, [scene], K=1, seed=5, variant="full")
         a, f = best_of_k(preprocess(scene), params, K=1,
                          rng=np.random.default_rng(5))
-        assert report.ade == a and report.fde == f
-        assert report.k == 1  # deterministic config collapses K
+        # a deterministic config collapses K to 1
+        assert evaluate(params, [scene], K=1, seed=5) == (a, f, 1)
 
     def test_noise_free_model_samples_once(self, monkeypatch):
         # noise_dim 0 without `deterministic`: K samples would all be equal
@@ -365,15 +353,15 @@ class TestEvaluationReports:
             return real_rollout(*args, **kwargs)
 
         monkeypatch.setattr(startraj.trainer, "rollout", spy)
-        report = evaluate(params, scenes, K=20, seed=3)
+        a_eval, f_eval, k = evaluate(params, scenes, K=20, seed=3)
         monkeypatch.undo()
-        assert copies == [1] * len(scenes) and report.k == 1
+        assert copies == [1] * len(scenes) and k == 1
         sums = np.zeros(3)  # ade, fde and weight of K = 20 runs
         for scene in map(preprocess, scenes):
             n_targets = scene.targets.sum()
             a, f = best_of_k(scene, params, K=20)
             sums += [a * n_targets, f * n_targets, n_targets]
-        np.testing.assert_allclose([report.ade, report.fde], sums[:2] / sums[2],
+        np.testing.assert_allclose([a_eval, f_eval], sums[:2] / sums[2],
                                    rtol=0, atol=1e-12)
 
     def test_evaluate_empty_rejected(self):
@@ -392,11 +380,8 @@ class TestAblation:
         reports = {}
         for variant in ("full", "no_memory", "lstm_temporal", "single_encoder"):
             params, _ = train(spec, config_for_variant(variant, base), scenes)
-            reports[variant] = evaluate(params, scenes, K=1, seed=spec.seed, variant=variant)
-        assert {r.variant for r in reports.values()} == {
-            "full", "no_memory", "lstm_temporal", "single_encoder"
-        }
-        assert all(np.isfinite(r.ade) and np.isfinite(r.fde) for r in reports.values())
+            reports[variant] = evaluate(params, scenes, K=1, seed=spec.seed)
+        assert all(np.isfinite(a) and np.isfinite(f) for a, f, _ in reports.values())
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
