@@ -101,16 +101,18 @@ def load_dataset(path: str) -> RawTrajectories:
         if len(parts) != 4:
             raise DataFormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
         try:
-            frame = int(float(parts[0]))
+            frame = float(parts[0])
             ped = parts[1]
             x, y = float(parts[2]), float(parts[3])
-        except (ValueError, OverflowError) as exc:  # int(inf) overflows
+        except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from None
-        if abs(frame) > 2 ** 53:  # read as a float, so inexact beyond
+        if not abs(frame) <= 2 ** 53:  # inexact beyond as a float; also inf and nan
             raise DataFormatError(f"{path}:{lineno}: frame {parts[0]} out of range")
+        if not frame.is_integer():
+            raise DataFormatError(f"{path}:{lineno}: frame {parts[0]} is not an integer")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DataFormatError(f"{path}:{lineno}: non-finite coordinate")
-        per_ped.setdefault(ped, []).append((frame, x, y))
+        per_ped.setdefault(ped, []).append((int(frame), x, y))
 
     diffs = []
     for ped, obs in per_ped.items():

@@ -142,11 +142,12 @@ def run_suite(seed: int = 0) -> Dict[str, float]:
     gparams = TGConvParams.init(8, 2, np.random.default_rng(seed + 4))
     _jitter(gparams.parameters("tgconv"), rng)
     path = np.stack([np.arange(4.0), np.zeros(4)], axis=-1)[:, None]  # (4, 1, 2)
-    masks = build_graph(path, np.ones((4, 1), dtype=bool), [(4, [(0, 4)])], d=1.5)
+    layout = [(4, [(0, 4)])]
+    masks = build_graph(path, np.ones((4, 1), dtype=bool), layout, d=1.5)
     gh = _leaf(rng, 4, 1, 8)
     gw = Tensor(rng0(seed + 5, (4, 1, 8)))
     report["tgconv"] = check_gradients(
-        lambda: (spatial_block(gh, masks, gparams) * gw).sum(),
+        lambda: (spatial_block(gh, masks, gparams, layout) * gw).sum(),
         [("h", gh)] + gparams.parameters("tgconv"),
         max_entries_per_tensor=8,
     )

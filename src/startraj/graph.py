@@ -5,7 +5,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -78,24 +78,20 @@ class TGConvParams(AttentionParams):
                             ln2_gain=norm(1.0), ln2_bias=norm(0.0))
 
 
-def spatial_block(
-    h: Tensor,
-    masks: List[np.ndarray],
-    params: TGConvParams,
-    presence: Optional[np.ndarray] = None,
-    layout: Optional[Layout] = None,
-) -> Tensor:
+def spatial_block(h: Tensor, masks: List[np.ndarray], params: TGConvParams,
+                  layout: Layout) -> Tensor:
     """TGConv with shared weights at each timestep: every node attends over
     its graph neighbours plus itself; two skip connections, layer norm after
     each.
 
     h: (N, t, d_model); masks: build_graph's, used as given, over the t
-    steps and the layout, scene_layout of the rows (default one scene). A
-    node attends only within its scene, all scenes of one size in one
-    attention call. Absent pedestrians (presence False) pass through as zeros.
+    steps and the layout, scene_layout of the rows. A node attends only
+    within its scene, all scenes of one size in one attention call. The
+    masks are the only presence mask: an absent node attends to itself alone
+    and no node to it, so its input reaches no present output, and its own
+    output is left for the caller to ignore.
     """
     n, t, d = h.shape
-    layout = layout or [(n, [(0, n)])]
     need = [(t, sum(hi - lo for lo, hi in runs) // size, size, size) for size, runs in layout]
     shapes = [np.shape(m) for m in masks]
     if shapes != need or sum(s * size for _, s, size, _ in need) != n:
@@ -105,8 +101,7 @@ def spatial_block(
     for (size, runs), mask in zip(layout, masks):
         # (t, S, size, d) blocks by slices and reshapes; a lone scene keeps (t, size, d)
         lone = mask.shape[1] == 1
-        parts = [x if hi - lo == n else x[:, lo:hi] for lo, hi in runs]
-        xs = parts[0] if len(parts) == 1 else concat(parts, axis=1)  # (t, S * size, d)
+        xs = concat([x if hi - lo == n else x[:, lo:hi] for lo, hi in runs], axis=1)
         q, k, v = head_projections(xs if lone else xs.reshape(t, -1, size, d), params)
         att, _ = masked_attention(q, k, v, mask if lone else mask[:, :, None])
         merged = merge_heads(att, params)
@@ -115,8 +110,7 @@ def spatial_block(
         for lo, hi in runs:
             pieces[lo] = flat if len(runs) == 1 else flat[:, off:off + hi - lo]
             off += hi - lo
-    y = concat([pieces[lo] for lo in sorted(pieces)], axis=1) if len(pieces) > 1 else pieces[0]
+    y = concat([pieces[lo] for lo in sorted(pieces)], axis=1)
     a = layer_norm(y + x, params.ln1_gain, params.ln1_bias)
     out = layer_norm(linear(a, params.wo, params.bo) + a, params.ln2_gain, params.ln2_bias)
-    out = out.swapaxes(0, 1)
-    return out if presence is None else out * Tensor(presence[:, :, None].astype(np.float64))
+    return out.swapaxes(0, 1)

@@ -209,8 +209,11 @@ def embed_inputs(
 
 def temporal_recurrent(h: Tensor, params: GruParams, time_mask: np.ndarray) -> Tensor:
     """GRU over the time axis, vectorized across pedestrians; zero initial
-    hidden state, absent steps zeroed on output."""
+    hidden state. Absent steps are zeroed on input, since the hidden state
+    carries across them, and on output."""
     n, t, d = h.shape
+    keep = Tensor(time_mask[:, :, None].astype(np.float64))
+    h = h * keep
     hidden = Tensor(np.zeros((n, d)))
     outs = []
     for s in range(t):
@@ -220,8 +223,7 @@ def temporal_recurrent(h: Tensor, params: GruParams, time_mask: np.ndarray) -> T
         cand = (linear(x, params.wn, params.bn) + (r * hidden).matmul(params.un)).tanh()
         hidden = (1.0 - z) * cand + z * hidden
         outs.append(hidden)
-    out = T.stack(outs, axis=1)
-    return out * Tensor(time_mask[:, :, None].astype(np.float64))
+    return T.stack(outs, axis=1) * keep
 
 
 def _temporal(h, enc: Encoder, time_mask: np.ndarray) -> Tensor:
@@ -237,7 +239,7 @@ def encoder1(
     memory: Optional[Tensor],
     params: StarParams,
     presence: np.ndarray,
-    layout: Optional[Layout] = None,
+    layout: Layout,
     spatial_before: Optional[List[Tensor]] = None,
 ) -> Tensor:
     """Parallel spatial and temporal branches fused by a linear layer.
@@ -251,11 +253,10 @@ def encoder1(
     only; their output is appended to the list."""
     n, L, d = h_temporal.shape
     k = h_spatial.shape[1]
-    spatial = spatial_block(h_spatial, [m[L - k:] for m in masks], params.enc1.spatial,
-                            presence[:, L - k:], layout=layout)
+    spatial = spatial_block(h_spatial, [m[L - k:] for m in masks], params.enc1.spatial, layout)
     if spatial_before is not None:
         spatial_before.append(spatial)
-        spatial = concat(spatial_before, axis=1) if len(spatial_before) > 1 else spatial
+        spatial = concat(spatial_before, axis=1)
     if memory is not None:
         if memory.shape[1] != L - 1:
             raise ShapeMismatchError(
@@ -274,13 +275,13 @@ def encoder2(
     masks: List[np.ndarray],
     params: StarParams,
     presence: np.ndarray,
-    layout: Optional[Layout] = None,
+    layout: Layout,
 ) -> Tensor:
     """Spatial then temporal transformer. Identity passthrough when encoder 2
     is ablated."""
     if params.enc2 is None:
         return h
-    spatial = spatial_block(h, masks, params.enc2.spatial, presence, layout=layout)
+    spatial = spatial_block(h, masks, params.enc2.spatial, layout)
     return _temporal(spatial, params.enc2, presence)
 
 
@@ -381,11 +382,9 @@ def rollout(
         h_s, h_new = embed_inputs(history if fresh else history[:, -2:], params, rng, training)
         if not fresh:
             h_s, h_new = h_s[:, 1:], h_new[:, 1:]
-        pmask = Tensor(presence[:, -h_s.shape[1]:, None].astype(np.float64))  # 0 if absent
-        h_t = h_new * pmask if fresh else concat([h_t, h_new * pmask], axis=1)
-        fused = encoder1(h_s * pmask, h_t, masks, memory, params, presence, layout=layout,
-                         spatial_before=spatial)
-        enc = encoder2(fused, masks, params, presence, layout=layout)
+        h_t = h_new if fresh else concat([h_t, h_new], axis=1)
+        fused = encoder1(h_s, h_t, masks, memory, params, presence, layout, spatial)
+        enc = encoder2(fused, masks, params, presence, layout)
         if s == 0 and copies > 1:  # the copies share step 0's encoding
             tile = lambda x: concat([x] * copies, axis=0)
             enc, history, h_t, spatial = tile(enc), tile(history), tile(h_t), [tile(spatial[0])]
@@ -425,11 +424,10 @@ def encoder2_attention(scene: TrajectoryScene, params: StarParams) -> np.ndarray
     if params.enc2 is None:
         raise DataFormatError("model has no encoder-2 spatial transformer")
     params = params.frozen()
-    n = scene.n_peds
-    _, history, presence, masks = _observed(scene, params.config, [(n, [(0, n)])])
+    layout = scene_layout([scene.n_peds])
+    _, history, presence, masks = _observed(scene, params.config, layout)
     h_s, h_t = embed_inputs(history, params)
-    pmask = Tensor(presence[:, :, None].astype(np.float64))
-    fused = encoder1(h_s * pmask, h_t * pmask, masks, None, params, presence)
+    fused = encoder1(h_s, h_t, masks, None, params, presence, layout)
     q, k, v = head_projections(fused.swapaxes(0, 1), params.enc2.spatial)  # (t, heads, N, d_k)
     [mask] = masks  # (t, 1, N, N): one for every head
     return masked_attention(q, k, v, mask)[1].data

@@ -295,7 +295,10 @@ class Tensor:
 # composite ops
 # ----------------------------------------------------------------------
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join along axis; a lone input is returned as it is, with no tape node."""
     tensors = [Tensor._lift(t) for t in tensors]
+    if len(tensors) == 1:
+        return tensors[0]
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 

@@ -188,6 +188,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("frame", ["inf", "1e400"])
     def test_data_error_overflowing_frame_id(self, tmp_path, capsys, frame):
+        self._predict_second_frame(tmp_path, capsys, frame)
+
+    def test_data_error_fractional_frame_id(self, tmp_path, capsys):
+        self._predict_second_frame(tmp_path, capsys, "1.4")
+
+    def _predict_second_frame(self, tmp_path, capsys, frame):
+        """predict on a scene whose second line has the frame id `frame`
+        exits 2, naming that line."""
         ckpt = tmp_path / "c.json"
         config = StarConfig(d_model=8, heads=2, pred_len=2)
         save_checkpoint(str(ckpt), init_params(config, np.random.default_rng(0)))

@@ -39,8 +39,10 @@ ODD_VALUES = st.one_of(
 )
 SCENE_FIELDS = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "",
                                 "x", "1e300", "-0"])
-# frame ids far from the others, which a window scan would walk frame by frame
-FRAME_FIELDS = st.one_of(SCENE_FIELDS, st.sampled_from(["1e12", "-1e15", "9e15"]))
+# frame ids far from the others, which a window scan would walk frame by frame,
+# and fractional or integral float spellings of one
+FRAME_FIELDS = st.one_of(SCENE_FIELDS, st.sampled_from(["1e12", "-1e15", "9e15", "0.4", "2.9",
+                                                        "-0.5", "30.0", "3e1", "1e-3"]))
 # the tiny model and one-step run that the train fuzz mutates, line by line
 TINY_CONFIG = ["d_model = 8", "heads = 2", "pred_len = 2", "dropout = 0.0", "epochs = 1",
                "max_steps = 1", "augment = false"]

@@ -88,6 +88,17 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match=":2: frame .* out of range"):
             load_dataset(path)
 
+    def test_fractional_frame_rejected(self, tmp_path):
+        # 0.4 1.4 2.9 would truncate to the frames 0, 1 and 2
+        path = _write(tmp_path, "0.4 1 0.0 0.0\n1.4 1 1.0 0.0\n2.9 1 2.0 0.0\n")
+        with pytest.raises(DataFormatError, match=r":1: frame 0.4 is not an integer"):
+            load_dataset(path)
+
+    def test_integral_float_frame_loads(self, tmp_path):
+        raw = load_dataset(_write(tmp_path, "780.0 1 0.0 0.0\n790 1 1.0 0.0\n8.0e2 1 2.0 0.0\n"))
+        [tracklet] = raw.tracklets
+        assert tracklet.frames.tolist() == [780, 790, 800]
+
 
 class TestMakeScenes:
     def test_exact_window(self, tmp_path):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from startraj import TGConvParams, Tensor, build_graph, spatial_block
+from startraj.attention import TemporalBlockParams, temporal_block
 from startraj.graph import scene_layout
 from startraj.errors import DataFormatError, ShapeMismatchError
+from startraj.model import GruParams, temporal_recurrent
 
 
 def _graph(xy, d, present=None):
@@ -34,9 +36,9 @@ def _allow(graph):
     return graph[0] | np.eye(graph.shape[-1], dtype=bool)
 
 
-def _spatial(h, graphs, params, **kwargs):
+def _spatial(h, graphs, params):
     """spatial_block over one scene whose (t, N, N) mask is graphs."""
-    return spatial_block(Tensor(h), [graphs[:, None]], params, **kwargs).numpy()
+    return spatial_block(Tensor(h), [graphs[:, None]], params, scene_layout([len(h)])).numpy()
 
 
 def _tgconv(h, graph, params):
@@ -296,17 +298,53 @@ class TestSpatialBlock:
         h = Tensor(rng.standard_normal((1, 3, 8)))
         mask = _graph([(0.0, 0.0)], d=1.0)[:, None]  # one step for three
         three = np.concatenate([mask] * 3)
+        layout = scene_layout([1])
         for wrong in ([mask], [mask[0]], [three[..., :0]], [three] * 2, [], three[:, 0]):
             with pytest.raises(ShapeMismatchError):
-                spatial_block(h, wrong, params)
-        spatial_block(h, [three], params)  # the matching mask
+                spatial_block(h, wrong, params, layout)
+        spatial_block(h, [three], params, layout)  # the matching mask
 
-    def test_absent_pedestrians_zeroed(self):
+
+class TestAbsentSlots:
+    """build_graph's masks are TGConv's only presence mask, and the temporal
+    blocks read time_mask: whatever an absent (pedestrian, step) slot holds
+    reaches no present output, no weight gradient and no input gradient."""
+
+    SIZES, T, D = (3, 2, 4), 5, 8
+
+    def _case(self, block, rng):
+        """Presence with absent slots, a never-present row 0 and an
+        always-present row 1, and the block as a function of its input."""
+        n = sum(self.SIZES)
+        presence = rng.random((n, self.T)) > 0.3
+        presence[0], presence[1] = False, True
+        if block == "spatial_block":
+            layout = scene_layout(self.SIZES)
+            masks = build_graph(rng.uniform(-2.0, 2.0, (n, self.T, 2)), presence, layout, 2.5)
+            params = TGConvParams.init(self.D, 2, rng)
+            return presence, params, lambda h: spatial_block(h, masks, params, layout)
+        if block == "temporal_block":
+            params = TemporalBlockParams.init(self.D, 2, rng)
+            return presence, params, lambda h: temporal_block(h, params, presence)
+        params = GruParams.init(self.D, rng)
+        return presence, params, lambda h: temporal_recurrent(h, params, presence)
+
+    @pytest.mark.parametrize("block", ["spatial_block", "temporal_block", "temporal_recurrent"])
+    def test_absent_inputs_change_no_present_bit(self, block):
         rng = np.random.default_rng(11)
-        params = TGConvParams.init(8, 2, rng)
-        graphs = np.concatenate([_graph([(100.0 * i, 0.0) for i in range(2)], d=1.0)] * 3)
-        presence = np.array([[True, True, True], [True, False, True]])
-        h = rng.standard_normal((2, 3, 8))
-        out = _spatial(h, graphs, params, presence=presence)
-        np.testing.assert_array_equal(out[1, 1], 0.0)
-        assert np.any(out[0, 1] != 0.0)
+        presence, params, run = self._case(block, rng)
+        here = presence[:, :, None]
+        h = rng.standard_normal(presence.shape + (self.D,))
+        w = Tensor(rng.standard_normal(h.shape) * here)  # a loss over present outputs only
+        runs = []
+        for fill in (0.0, 100.0 * rng.standard_normal(h.shape), -3.0):
+            x = Tensor(np.where(here, h, fill), requires_grad=True)
+            for _, p in params.parameters():
+                p.grad = None
+            out = run(x)
+            (out * w).sum().backward()
+            assert np.all(x.grad[~presence] == 0.0)
+            runs.append([out.numpy()[presence], x.grad] + [p.grad for _, p in params.parameters()])
+        for other in runs[1:]:
+            for got, expected in zip(other, runs[0], strict=True):
+                np.testing.assert_array_equal(got, expected)

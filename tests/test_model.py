@@ -16,6 +16,7 @@ from startraj import (
 )
 from startraj.data import merge_scenes
 from startraj.errors import DataFormatError, NonFiniteError, ShapeMismatchError
+from startraj.graph import scene_layout
 from startraj.model import (
     VARIANT_FLAGS, GruParams, encoder2, encoder2_attention, temporal_recurrent,
 )
@@ -51,9 +52,9 @@ def memory_trace(monkeypatch):
     reads, writes = [], []
     enc1, enc2 = startraj.model.encoder1, startraj.model.encoder2
 
-    def read_spy(h_s, h_t, graphs, memory, params, presence, **kwargs):
+    def read_spy(h_s, h_t, graphs, memory, *args):
         reads.append(memory)
-        return enc1(h_s, h_t, graphs, memory, params, presence, **kwargs)
+        return enc1(h_s, h_t, graphs, memory, *args)
 
     def write_spy(*args, **kwargs):
         writes.append(enc2(*args, **kwargs))
@@ -197,20 +198,20 @@ class TestEncoders:
         presence = scene.presence[:, : config.obs_len]
         graphs = _observed_graphs(scene, config)
         h_s, h_t = embed_inputs(Tensor(scene.positions[:, : config.obs_len]), params)
-        return config, params, scene, graphs, presence, h_s, h_t
+        return config, params, scene_layout([3]), graphs, presence, h_s, h_t
 
     def test_memory_step_mismatch_rejected(self):
-        config, params, scene, graphs, presence, h_s, h_t = self._setup()
+        config, params, layout, graphs, presence, h_s, h_t = self._setup()
         mem = Tensor(np.zeros((3, 3, config.d_model)))  # needs obs_len-1 = 7
         with pytest.raises(ShapeMismatchError):
-            encoder1(h_s, h_t, graphs, mem, params, presence)
+            encoder1(h_s, h_t, graphs, mem, params, presence, layout)
 
     def test_zero_fusion_weights_constant_output(self):
         # [TRIVIAL]
-        config, params, scene, graphs, presence, h_s, h_t = self._setup()
+        config, params, layout, graphs, presence, h_s, h_t = self._setup()
         params.fusion.w.data[:] = 0.0
         params.fusion.b.data[:] = 3.0
-        out = encoder1(h_s, h_t, graphs, None, params, presence).numpy()
+        out = encoder1(h_s, h_t, graphs, None, params, presence, layout).numpy()
         np.testing.assert_array_equal(out[presence], 3.0)
 
     def test_encoder1_compose_oracle(self):
@@ -218,9 +219,9 @@ class TestEncoders:
         from startraj.graph import spatial_block
         from startraj.attention import temporal_block
 
-        config, params, scene, graphs, presence, h_s, h_t = self._setup()
-        out = encoder1(h_s, h_t, graphs, None, params, presence).numpy()
-        spatial = spatial_block(h_s, graphs, params.enc1.spatial, presence).numpy()
+        config, params, layout, graphs, presence, h_s, h_t = self._setup()
+        out = encoder1(h_s, h_t, graphs, None, params, presence, layout).numpy()
+        spatial = spatial_block(h_s, graphs, params.enc1.spatial, layout).numpy()
         temporal = temporal_block(h_t, params.enc1.temporal, presence).numpy()
         expect = (np.concatenate([spatial, temporal], axis=-1)
                   @ params.fusion.w.numpy() + params.fusion.b.numpy())
@@ -232,13 +233,13 @@ class TestEncoders:
         # memory + current last-step embedding
         from startraj.attention import temporal_block
 
-        config, params, scene, graphs, presence, h_s, h_t = self._setup()
+        config, params, layout, graphs, presence, h_s, h_t = self._setup()
         L = config.obs_len
         mem_content = Tensor(np.random.default_rng(6).standard_normal((3, L - 1, 8)))
-        out = encoder1(h_s, h_t, graphs, mem_content, params, presence).numpy()
+        out = encoder1(h_s, h_t, graphs, mem_content, params, presence, layout).numpy()
         seq = np.concatenate([mem_content.numpy(), h_t.numpy()[:, L - 1 : L]], axis=1)
         from startraj.graph import spatial_block
-        spatial = spatial_block(h_s, graphs, params.enc1.spatial, presence).numpy()
+        spatial = spatial_block(h_s, graphs, params.enc1.spatial, layout).numpy()
         temporal = temporal_block(Tensor(seq), params.enc1.temporal, presence).numpy()
         expect = (np.concatenate([spatial, temporal], axis=-1)
                   @ params.fusion.w.numpy() + params.fusion.b.numpy())
@@ -250,7 +251,7 @@ class TestEncoders:
         config = _config(use_encoder2=False)
         params = init_params(config, np.random.default_rng(7))
         h = Tensor(np.random.default_rng(8).standard_normal((2, 4, 8)))
-        out = encoder2(h, [], params, np.ones((2, 4), dtype=bool))
+        out = encoder2(h, [], params, np.ones((2, 4), dtype=bool), scene_layout([2]))
         assert out is h
         assert params.enc2 is None
 
@@ -272,9 +273,9 @@ class TestEncoders:
         from startraj.graph import spatial_block
         from startraj.attention import temporal_block
 
-        config, params, scene, graphs, presence, h_s, h_t = self._setup()
-        out = encoder2(h_t, graphs, params, presence).numpy()
-        spatial = spatial_block(h_t, graphs, params.enc2.spatial, presence)
+        config, params, layout, graphs, presence, h_s, h_t = self._setup()
+        out = encoder2(h_t, graphs, params, presence, layout).numpy()
+        spatial = spatial_block(h_t, graphs, params.enc2.spatial, layout)
         expect = temporal_block(spatial, params.enc2.temporal, presence).numpy()
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
@@ -393,10 +394,9 @@ class TestRollout:
         graphs = _observed_graphs(scene, config)
         presence = scene.presence[:, : config.obs_len]
         h_s, h_t = embed_inputs(Tensor(scene.positions[:, : config.obs_len]), params)
-        h_s = h_s * Tensor(presence[:, :, None].astype(float))
-        h_t = h_t * Tensor(presence[:, :, None].astype(float))
-        fused = encoder1(h_s, h_t, graphs, None, params, presence)
-        enc = encoder2(fused, graphs, params, presence)
+        layout = scene_layout([scene.n_peds])
+        fused = encoder1(h_s, h_t, graphs, None, params, presence, layout)
+        enc = encoder2(fused, graphs, params, presence, layout)
         np.testing.assert_array_equal(enc.numpy(), writes[0].numpy())
 
     def test_non_finite_prediction_names_step(self):

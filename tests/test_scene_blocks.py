@@ -68,17 +68,16 @@ def _blocks(dense, layout):
 
 def _packed_graphs(rng, sizes, t, d=2.5, cross_scene=False):
     """(t, N, N) graphs over packed rows from random positions, with about one
-    node in six absent. Edges join only pedestrians of one scene unless
-    cross_scene."""
+    node in six absent: edgeless, so it attends to itself alone. Edges join
+    only pedestrians of one scene unless cross_scene."""
     n = sum(sizes)
     presence = rng.random((n, t)) > 0.15
     world = np.stack([rng.uniform(-3.0, 3.0, (n, 2)) for _ in range(t)], axis=1)
     layout = [(n, [(0, n)])] if cross_scene else scene_layout(sizes)
-    graphs = _dense(build_graph(world, presence, layout, d), layout, n)
-    return graphs, presence
+    return _dense(build_graph(world, presence, layout, d), layout, n)
 
 
-def _oracle(h, graphs, params, ids, presence):
+def _oracle(h, graphs, params, ids):
     """Dense masked TGConv over all N rows, one step and one head at a time:
     (N, t, d) output and (t, heads, N, N) weights."""
     def ln(x, gain, bias, eps=1e-5):
@@ -107,7 +106,7 @@ def _oracle(h, graphs, params, ids, presence):
         y = ln(att + x, params.ln1_gain.numpy(), params.ln1_bias.numpy())
         out[:, s] = ln(y @ params.wo.numpy() + params.bo.numpy() + y,
                        params.ln2_gain.numpy(), params.ln2_bias.numpy())
-    return out * presence[:, :, None], weights
+    return out, weights
 
 
 def _block_weights(calls, sizes):
@@ -133,7 +132,7 @@ def _dense_spatial_block(ids):
     spatial_block's arguments and reads the layout only to place the masks."""
     same_scene = ids[:, None] == ids[None, :]
 
-    def block(h, masks, params, presence=None, layout=None):
+    def block(h, masks, params, layout):
         graphs = _dense(masks, layout, h.shape[0])
         allow = (graphs | np.eye(h.shape[0], dtype=bool)) & same_scene
         x = h.swapaxes(0, 1)
@@ -141,10 +140,7 @@ def _dense_spatial_block(ids):
         att, _ = startraj.graph.masked_attention(q, k, v, allow[:, None])
         a = layer_norm(merge_heads(att, params) + x, params.ln1_gain, params.ln1_bias)
         out = layer_norm(linear(a, params.wo, params.bo) + a, params.ln2_gain, params.ln2_bias)
-        out = out.swapaxes(0, 1)
-        if presence is not None:
-            out = out * Tensor(presence[:, :, None].astype(np.float64))
-        return out
+        return out.swapaxes(0, 1)
 
     return block
 
@@ -217,9 +213,9 @@ class TestSceneLayout:
             seen["build_graph"].append(layout)
             return real_build(world, present, layout, d)
 
-        def block_spy(*args, layout=None, **kwargs):
+        def block_spy(h, masks, block_params, layout):
             seen["spatial_block"].append(layout)
-            return real_block(*args, layout=layout, **kwargs)
+            return real_block(h, masks, block_params, layout)
 
         monkeypatch.setattr(startraj.model, "scene_layout", layout_spy)
         monkeypatch.setattr(startraj.model, "build_graph", build_spy)
@@ -263,33 +259,30 @@ class TestSceneLayout:
     @pytest.mark.parametrize("training", [False, True])
     def test_spatial_block_steps_per_encoder(self, monkeypatch, training):
         # encoder 1's TGConv runs on the observed window, then outside training
-        # on the newest step alone, with that step's masks and presence;
-        # training re-encodes the full history, and encoder 2 always gets it
+        # on the newest step alone, with that step's masks; training
+        # re-encodes the full history, and encoder 2 always gets it
         batch = _batch((3, 2, 3), seed=43)
         config = StarConfig(d_model=8, heads=2, pred_len=3, deterministic=True, dropout=0.0)
         params = init_params(config, np.random.default_rng(1))
         calls = {"enc1": [], "enc2": []}
         real_block = startraj.model.spatial_block
 
-        def block_spy(h, masks, block_params, presence, **kwargs):
+        def block_spy(h, masks, block_params, layout):
             # an eval rollout runs on frozen copies, which share the arrays
             enc1 = block_params.wq.data is params.enc1.spatial.wq.data
             name = "enc1" if enc1 else "enc2"
-            calls[name].append((h.shape[1], [m.shape[0] for m in masks], presence.copy()))
-            return real_block(h, masks, block_params, presence, **kwargs)
+            calls[name].append((h.shape[1], [m.shape[0] for m in masks]))
+            return real_block(h, masks, block_params, layout)
 
         monkeypatch.setattr(startraj.model, "spatial_block", block_spy)
         rollout(batch.scene, params, rng=np.random.default_rng(0),
                 sizes=batch.sizes, training=training)
         obs, sizes = config.obs_len, len(scene_layout(batch.sizes))
         full = [obs + s for s in range(config.pred_len)]
-        assert [t for t, _, _ in calls["enc1"]] == (full if training else [obs, 1, 1])
-        assert [t for t, _, _ in calls["enc2"]] == full
-        for t, steps, presence in calls["enc1"] + calls["enc2"]:
-            assert steps == [t] * sizes and presence.shape == (batch.scene.n_peds, t)
-        if not training:  # a predicted step's presence: the rows that roll out
-            for _, _, presence in calls["enc1"][1:]:
-                np.testing.assert_array_equal(presence, batch.scene.rollout_mask[:, None])
+        assert [t for t, _ in calls["enc1"]] == (full if training else [obs, 1, 1])
+        assert [t for t, _ in calls["enc2"]] == full
+        for t, steps in calls["enc1"] + calls["enc2"]:
+            assert steps == [t] * sizes
 
 
 class TestBlockVsDense:
@@ -298,11 +291,11 @@ class TestBlockVsDense:
         rng = np.random.default_rng(sum(sizes))
         params = TGConvParams.init(8, 2, rng)
         ids = _ids(sizes)
-        graphs, presence = _packed_graphs(rng, sizes, t=3)
+        graphs = _packed_graphs(rng, sizes, t=3)
         h = rng.standard_normal((len(ids), 3, 8))
         layout = scene_layout(sizes)
-        out = spatial_block(Tensor(h), _blocks(graphs, layout), params, presence, layout=layout)
-        expect, expect_w = _oracle(h, graphs, params, ids, presence)
+        out = spatial_block(Tensor(h), _blocks(graphs, layout), params, layout)
+        expect, expect_w = _oracle(h, graphs, params, ids)
         np.testing.assert_allclose(out.numpy(), expect, rtol=0, atol=1e-12)
         blocks = _block_weights(spatial_weights, sizes)
         # every scene's block once, and no weight across scenes computed at all
@@ -320,24 +313,13 @@ class TestBlockVsDense:
         rng = np.random.default_rng(21)
         params = TGConvParams.init(8, 2, rng)
         ids = _ids(sizes)
-        graphs, presence = _packed_graphs(rng, sizes, t=2, d=4.0, cross_scene=True)
+        graphs = _packed_graphs(rng, sizes, t=2, d=4.0, cross_scene=True)
         assert (graphs & (ids[:, None] != ids[None, :])).any()
         h = rng.standard_normal((len(ids), 2, 8))
         layout = scene_layout(sizes)
-        out = spatial_block(Tensor(h), _blocks(graphs, layout), params, presence, layout=layout)
-        expect, _ = _oracle(h, graphs, params, ids, presence)
+        out = spatial_block(Tensor(h), _blocks(graphs, layout), params, layout)
+        expect, _ = _oracle(h, graphs, params, ids)
         np.testing.assert_allclose(out.numpy(), expect, rtol=0, atol=1e-12)
-
-    def test_default_layout_is_one_scene(self):
-        # [TRIVIAL] no layout and the explicit one-scene layout are the same call
-        rng = np.random.default_rng(22)
-        params = TGConvParams.init(8, 2, rng)
-        graphs, presence = _packed_graphs(rng, (5,), t=2)
-        h = Tensor(rng.standard_normal((5, 2, 8)))
-        layout = scene_layout([5])
-        masks = _blocks(graphs, layout)
-        one = spatial_block(h, masks, params, presence, layout=layout)
-        assert np.array_equal(spatial_block(h, masks, params, presence).numpy(), one.numpy())
 
     @pytest.mark.parametrize("sizes", [(3, 8, 5, 8, 2, 5), (1, 4, 1, 4)])
     def test_rollout_and_gradients_match_dense(self, sizes, monkeypatch, spatial_weights):
@@ -424,10 +406,10 @@ class TestLogitCells:
         monkeypatch.setattr(startraj.graph, "masked_attention", spy)
         rng = np.random.default_rng(30)
         params = TGConvParams.init(8, 2, rng)
-        graphs, presence = _packed_graphs(rng, sizes, t=3)
+        graphs = _packed_graphs(rng, sizes, t=3)
         layout = scene_layout(sizes)
         spatial_block(Tensor(rng.standard_normal((sum(sizes), 3, 8))), _blocks(graphs, layout),
-                      params, presence, layout=layout)
+                      params, layout)
         cells = sum(int(np.prod(q[:-1])) * k[-2] for q, k, _ in calls)
         assert cells == 3 * 2 * sum(n * n for n in sizes) == 3 * 2 * 1615
         # one call per scene size, none padded: the fifteen 1-ped scenes share

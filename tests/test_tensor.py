@@ -204,6 +204,12 @@ class TestBackward:
             lo, hi = np.split(u, 2, axis=axis)
             np.testing.assert_array_equal(x.grad, lo + hi)
 
+    def test_lone_concat_is_its_input(self):
+        # [TRIVIAL] nothing to join: the input itself, no copy and no tape node
+        x = parameter(np.arange(6.0).reshape(2, 3))
+        assert concat([x], axis=1) is x
+        assert concat([np.ones(2)]).numpy().tolist() == [1.0, 1.0]
+
     def test_non_finite_leaf_rejected(self):
         with pytest.raises(NonFiniteError):
             Tensor([1.0, np.nan])

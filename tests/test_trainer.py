@@ -1,6 +1,10 @@
 """Metrics, loss, training loop, best-of-K evaluation, and ablation rows
 built from config_for_variant, train and evaluate."""
 
+import hashlib
+import itertools
+import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -14,6 +18,7 @@ from startraj import (
 )
 from startraj.data import TrajectoryScene, merge_scenes
 from startraj.errors import DataFormatError, NonFiniteError
+from startraj.model import VARIANT_FLAGS
 from startraj.synthetic import simulate_scene
 
 
@@ -386,3 +391,63 @@ class TestAblation:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             config_for_variant("bogus", _config())
+
+
+ABSENT_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "absent_slots_expected.json")
+
+
+def _absent_slot_scenes():
+    """Eight scenes of 1-8 pedestrians over 8 + 3 steps, full of absent
+    slots. From three pedestrians up, row 0 starts at step 2 and row 1 leaves
+    after step 5; from four up, row 2 first appears at step 9, after the
+    observed window; from five up, row 3 leaves after step 8, during the
+    prediction; from six up, row 4 is absent at steps 3 and 4."""
+    rng = np.random.default_rng(70)
+    scenes = []
+    for n in (3, 1, 8, 5, 2, 8, 4, 6):
+        sim = simulate_scene(rng, n_peds=n, total_len=11)
+        presence = sim.presence.copy()
+        if n >= 3:
+            presence[0, :2] = presence[1, 6:] = False
+        if n >= 4:
+            presence[2, :9] = False
+        if n >= 5:
+            presence[3, 9:] = False
+        if n >= 6:
+            presence[4, 3:5] = False
+        positions = np.where(presence[:, :, None], sim.positions, 0.0)
+        scenes.append(TrajectoryScene(sim.ped_ids, positions, presence, sim.obs_len))
+    return scenes
+
+
+def _absent_slot_values():
+    """Per variant and teacher_forcing flag: the loss curve of a 6-step
+    train with the default dropout and rotation augmentation on packed
+    batches of up to three scenes, the sha256 of the trained parameters'
+    bytes, and evaluate's (ADE, FDE, k) with K = 5."""
+    scenes = _absent_slot_scenes()
+    spec = TrainSpec(scene_batch=3, epochs=2, seed=71)
+    values = {}
+    for variant, forced in itertools.product(VARIANT_FLAGS, [False, True]):
+        config = StarConfig(d_model=8, heads=2, obs_len=8, pred_len=3, noise_dim=4,
+                            graph_threshold=3.0, teacher_forcing=forced,
+                            **VARIANT_FLAGS[variant])
+        params, history = train(spec, config, scenes)
+        digest = hashlib.sha256(b"".join(p.data.tobytes() for _, p in params.parameters()))
+        values[f"{variant}/{forced}"] = {
+            "losses": [loss for _, loss in history],
+            "params_sha256": digest.hexdigest(),
+            "eval": list(evaluate(params, scenes, K=5, seed=72)),
+        }
+    return values
+
+
+class TestAbsentSlotsFixture:
+    def test_absent_slots_bit_identical(self):
+        # training with dropout and augmentation, then best-of-5, on scenes
+        # with late starters, leavers, a gap and a post-window entrant;
+        # recorded from _absent_slot_values before TGConv and the rollout's
+        # inputs stopped zeroing absent slots
+        with open(ABSENT_FIXTURE) as fh:
+            expected = json.load(fh)
+        assert _absent_slot_values() == expected
