@@ -83,30 +83,103 @@ class AttentionParams(Params):
         )
 
 
+# Logits per block of masked_attention's key-major softmax: 1 << 16 float64
+# logits, a 512 KiB buffer, a quarter of the 2 MiB per-core L2 of the 2-core
+# Xeon VM measured. Timed per call at the crowd and packed shapes, blocks of
+# 1 << 15 to 1 << 17 ran within 5 % of each other. Smaller blocks pay numpy's
+# per-call cost more often (1 << 12: the (80, 8, 19, 19) crowd logits took
+# 1.75x as long); larger ones fall out of L2 between the passes (1 << 18: the
+# (128, 8, 20, 20) packed logits took 1.8x as long). Only the block buffer
+# lives beside the weights, so peak memory does not grow with the logits.
+LOGIT_BLOCK = 1 << 16
+
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order numpy's pairwise sum adds a contiguous
+    last axis: a plain running sum below 8 terms; up to 128, eight running
+    sums of every eighth term added as a fixed tree, then the remainder; past
+    128, the two halves (the first a multiple of 8 long) summed apart. So
+    _pairwise_sum(x) is the sum over the last axis of a C-contiguous copy of
+    x.T, bit for bit; both add onto +0.0, so a column of -0.0 sums to +0.0."""
+    n = len(x)
+    if n < 8:
+        return x.sum(axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+    eights = n - n % 8
+    r = x[:eights].reshape((eights // 8, 8) + x.shape[1:]).sum(axis=0)
+    r = r[0::2] + r[1::2]
+    res = r[0::2] + r[1::2]
+    res = res[0] + res[1]
+    for row in x[eights:]:
+        res += row
+    return res
+
+
+def _key_major_softmax(qs: np.ndarray, kd: np.ndarray, allow: np.ndarray) -> np.ndarray:
+    """masked_attention's weights, row-major (..., t_q, t_k), from the scaled
+    queries qs and the keys kd (see masked_attention for the blocks)."""
+    lead, qt = qs.shape[:-2], qs.swapaxes(-1, -2)
+    if lead != kd.shape[:-2]:
+        lead = np.broadcast_shapes(lead, kd.shape[:-2])
+        qt, kd = np.broadcast_to(qt, lead + qt.shape[-2:]), np.broadcast_to(kd, lead + kd.shape[-2:])
+    w = np.empty(lead + (qt.shape[-1], kd.shape[-2]))
+    if allow.ndim > w.ndim or any(a != 1 and a != b for a, b in zip(allow.shape[::-1], w.shape[::-1])):
+        raise ShapeMismatchError(f"masked_attention: allow of {allow.shape} for logits of {w.shape}")
+    ws = w
+    if not lead:  # blocks run along the first leading axis: give 2-D inputs one
+        qt, kd, ws = qt[None], kd[None], w[None]
+    # the -inf fill, with one axis per logit axis so that a block can slice it
+    hide = None if allow.all() else ~allow.reshape((1,) * (ws.ndim - allow.ndim) + allow.shape)
+    rows, per_row, t_k = len(ws), math.prod(ws.shape[1:]), kd.shape[-2]
+    step = max(1, LOGIT_BLOCK // max(per_row, 1))
+    buf = np.empty(min(step, rows) * per_row)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        x = buf[:(hi - lo) * per_row].reshape(t_k, -1)  # key-major logits
+        logits = x.T.reshape(ws[lo:hi].shape)  # (block, ..., t_q, t_k) view
+        np.matmul(kd[lo:hi], qt[lo:hi], out=logits.swapaxes(-1, -2))
+        if hide is not None:
+            np.copyto(logits, -np.inf, where=hide[lo:hi] if len(hide) > 1 else hide)
+        np.subtract(x, x.max(axis=0), out=x)
+        np.exp(x, out=x)
+        np.divide(logits, _pairwise_sum(x).reshape(logits.shape[:-1] + (1,)), out=ws[lo:hi])
+    return w
+
+
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray) -> Tuple[Tensor, Tensor]:
     """Attention core shared by the temporal block and TGConv, one tape node.
 
     q, k, v: (..., t, d_k). allow: boolean, broadcastable to the logit shape
     (..., t_q, t_k); True marks usable keys. Logits are scaled by 1/sqrt(d_k);
     blocked ones are set to -inf, so their weights are exactly zero. Returns
-    (output, weights); the weights carry no gradient. The backward pass keeps
-    the expressions of the scale, QK^T, normalise and AV composite, bit for bit.
+    (output, weights); the weights carry no gradient.
+
+    The softmax runs key-major, over blocks of at most LOGIT_BLOCK logits
+    along the leading axis: each block's logits go into a (t_k, ..., t_q)
+    buffer as k (q / sqrt(d_k))^T, so that the max, the sum and the -inf
+    fill (skipped when allow blocks no key) each run over contiguous rows
+    instead of one short row per query. The sum adds in numpy's pairwise
+    order for a last-axis sum (_pairwise_sum), and the divide writes the
+    weights back row-major, so outputs and weights have the bits of the
+    row-major softmax. The backward pass keeps the expressions of the scale,
+    QK^T, normalise and AV composite, bit for bit.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeMismatchError(f"masked_attention: q, k, v of {q.shape}, {k.shape}, {v.shape}")
     allow = np.asarray(allow, dtype=bool)
-    dead = ~allow.any(axis=-1)
-    if dead.any():
-        row = np.argwhere(dead)[0]
+    live = allow.any(axis=-1)
+    if not live.all():
+        row = np.argwhere(~live)[0]
         raise MaskError(f"attention query row {tuple(row)} has every key masked")
     # scaling q by 1/sqrt(d_k) scales every logit before normalising while
     # touching the small (t, d_k) side instead of the (t_q, t_k) logit matrix
     scale = 1.0 / math.sqrt(q.shape[-1])
-    w = np.matmul(q.data * scale, np.swapaxes(k.data, -1, -2))  # logits, then weights in place
-    np.copyto(w, -np.inf, where=~allow)
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    # the scaled q and the block buffer die before w @ v is allocated: an
+    # output allocated above a live buffer left a hole in the heap behind it,
+    # which raised packed training's peak RSS by 1.6 %
+    w = _key_major_softmax(q.data * scale, k.data, allow)
 
     def bwd(g):
         gw = _unbroadcast(np.matmul(g, np.swapaxes(v.data, -1, -2)), w.shape)

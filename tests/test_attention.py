@@ -4,6 +4,8 @@ Independent oracles: plain-numpy attention/softmax compositions written in
 this file.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,11 @@ from startraj import (
     AttentionParams, TemporalBlockParams, Tensor, linear, parameter,
     positional_encoding, temporal_block,
 )
-from startraj.attention import head_projections, masked_attention, merge_heads
-from startraj.errors import MaskError, ShapeMismatchError
+from startraj.attention import (
+    LOGIT_BLOCK, _pairwise_sum, head_projections, masked_attention, merge_heads,
+)
+from startraj.errors import MaskError, NonFiniteError, ShapeMismatchError
+from startraj.tensor import _unbroadcast
 
 
 def _unmasked(q, k, v):
@@ -293,3 +298,174 @@ class TestMaskedAttentionBackward:
         for got, expect in zip((q.grad, k.grad, v.grad),
                                _oracle_grads(q.data, k.data, v.data, allow, g)):
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
+def _row_major_attention(q, k, v, allow):
+    """The oracle: masked_attention as it was before its softmax ran
+    key-major, one short row per query."""
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeMismatchError(f"masked_attention: q, k, v of {q.shape}, {k.shape}, {v.shape}")
+    allow = np.asarray(allow, dtype=bool)
+    dead = ~allow.any(axis=-1)
+    if dead.any():
+        row = np.argwhere(dead)[0]
+        raise MaskError(f"attention query row {tuple(row)} has every key masked")
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    w = np.matmul(q.data * scale, np.swapaxes(k.data, -1, -2))
+    np.copyto(w, -np.inf, where=~allow)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gw = _unbroadcast(np.matmul(g, np.swapaxes(v.data, -1, -2)), w.shape)
+        v._accumulate(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape))
+        gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        q._accumulate(_unbroadcast(np.matmul(gl, k.data), q.shape) * scale)
+        qs = q.data * scale
+        gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)
+        k._accumulate(_unbroadcast(gk, k.shape))
+
+    return Tensor(np.matmul(w, v.data), _parents=(q, k, v), _backward=bwd), Tensor(w)
+
+
+def _head_split(rng, lead, t, d_k, spread=3.0):
+    """A (lead..., heads, t, d_k) array laid out as head_projections leaves
+    it: a swapaxes view of (lead..., t, heads, d_k) rows."""
+    *outer, heads = lead
+    return (rng.standard_normal((*outer, t, heads, d_k)) * spread).swapaxes(-3, -2)
+
+
+def _attention_and_grads(fn, q, k, v, allow, g):
+    leaves = [parameter(a) for a in (q, k, v)]
+    out, w = fn(*leaves, allow)
+    (out * Tensor(g)).sum().backward()
+    return [out.numpy(), w.numpy()] + [t.grad for t in leaves]
+
+
+class TestKeyMajorSoftmax:
+    """masked_attention's key-major, blocked softmax against the row-major
+    body it replaced: outputs, weights and q/k/v gradients bit for bit."""
+
+    @staticmethod
+    def _assert_same(q, k, v, allow, seed=0):
+        g = np.random.default_rng(seed).standard_normal(q.shape[:-1] + v.shape[-1:])
+        got = _attention_and_grads(masked_attention, q, k, v, allow, g)
+        expect = _attention_and_grads(_row_major_attention, q, k, v, allow, g)
+        for a, b in zip(got, expect):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("t_k", [1, 2, 7, 8, 9, 15, 16, 17, 19, 40])
+    @pytest.mark.parametrize("d_k", [2, 4, 16])
+    def test_shapes_of_every_caller(self, t_k, d_k):
+        rng = np.random.default_rng(100 * t_k + d_k)
+        # 2-D inputs, with a query count other than t_k and a partial mask
+        q, k, v = (rng.standard_normal((t, d_k)) * 3 for t in (5, t_k, t_k))
+        allow = rng.random((5, t_k)) < 0.6
+        allow[:, 0] = True
+        self._assert_same(q, k, v, allow)
+        # temporal (N, heads, t, t) logits with a dense (N, 1, 1, t) mask
+        n = 6
+        q, k, v = (_head_split(rng, (n, 8), t_k, d_k) for _ in range(3))
+        self._assert_same(q, k, v, np.ones((n, 1, 1, t_k), dtype=bool))
+        # a lone spatial block with a (t, 1, n, n) mask
+        allow = (rng.random((3, 1, t_k, t_k)) < 0.4) | np.eye(t_k, dtype=bool)
+        q, k, v = (_head_split(rng, (3, 8), t_k, d_k) for _ in range(3))
+        self._assert_same(q, k, v, allow)
+        # packed blocks with a (t, S, 1, n, n) mask
+        allow = (rng.random((3, 4, 1, t_k, t_k)) < 0.4) | np.eye(t_k, dtype=bool)
+        q, k, v = (_head_split(rng, (3, 4, 8), t_k, d_k) for _ in range(3))
+        self._assert_same(q, k, v, allow)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_logits_span_blocks(self, dense):
+        # 19 x 19 logits over 8 heads per row of the leading axis: two full
+        # blocks and a partial third
+        t, heads = 19, 8
+        step = LOGIT_BLOCK // (heads * t * t)
+        n = 2 * step + step // 2
+        assert n * heads * t * t > 2 * LOGIT_BLOCK and n % step != 0
+        rng = np.random.default_rng(7)
+        q, k, v = (_head_split(rng, (n, heads), t, 4) for _ in range(3))
+        allow = np.ones((n, 1, 1, t), dtype=bool)
+        if not dense:  # a mask per row of the leading axis; each query keeps itself
+            allow = (rng.random((n, 1, t, t)) < 0.5) | np.eye(t, dtype=bool)
+        self._assert_same(q, k, v, allow)
+
+    def test_broadcast_leading_shapes(self):
+        # q with fewer leading axes than k, and one key count past 128
+        rng = np.random.default_rng(8)
+        q = rng.standard_normal((3, 1, 5, 4))
+        k, v = (rng.standard_normal((3, 2, 150, 4)) for _ in range(2))
+        allow = (rng.random((5, 150)) < 0.5) | (np.arange(150) == 0)
+        self._assert_same(q, k, v, allow)
+        self._assert_same(q[0, 0], k, v, np.ones((1, 150), dtype=bool))
+
+    @pytest.mark.parametrize("lead, t_q", [((0, 8), 5), ((3, 0), 5), ((3, 8), 0), ((), 0)])
+    def test_empty_axes(self, lead, t_q):
+        q = np.ones(lead + (t_q, 4))
+        k = v = np.ones(lead + (5, 4))
+        self._assert_same(q, k, v, np.ones((1,) * len(lead) + (t_q, 5), dtype=bool))
+
+    def test_dead_row_names_the_same_row(self):
+        rng = np.random.default_rng(9)
+        q, k, v = (Tensor(rng.standard_normal((2, 3, 5, 4))) for _ in range(3))
+        allow = np.ones((2, 1, 5, 5), dtype=bool)
+        allow[1, 0, 3] = False
+        messages = []
+        for fn in (masked_attention, _row_major_attention):
+            with pytest.raises(MaskError) as err:
+                fn(q, k, v, allow)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_shape_mismatch(self):
+        q = Tensor(np.ones((3, 4)))
+        with pytest.raises(ShapeMismatchError):
+            masked_attention(q, Tensor(np.ones((3, 5))), Tensor(np.ones((3, 4))),
+                             np.ones((3, 3), bool))
+        with pytest.raises(ShapeMismatchError):
+            masked_attention(q, Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))),
+                             np.ones((3, 3), bool))
+
+    @pytest.mark.parametrize("fill", [True, False])
+    def test_allow_that_does_not_fit_the_logits(self, fill):
+        # a mask for 4 keys against 3, with or without a blocked key
+        allow = np.ones((2, 4), dtype=bool)
+        allow[:, 3] = not fill
+        with pytest.raises(ShapeMismatchError, match="allow"):
+            masked_attention(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))),
+                             Tensor(np.ones((3, 4))), allow)
+
+    def test_infinite_logit_is_non_finite(self):
+        # finite inputs whose product overflows to a +inf logit
+        q = Tensor(np.full((2, 1), 1e200))
+        k = Tensor(np.array([[1e200], [0.0], [1.0]]))
+        with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+            masked_attention(q, k, Tensor(np.ones((3, 2))), np.ones((2, 3), dtype=bool))
+
+
+class TestPairwiseSum:
+    """_pairwise_sum over axis 0 against numpy's sum over a contiguous last
+    axis, bit for bit."""
+
+    @staticmethod
+    def _rows(rng, m):
+        return {
+            "exp of wide normals": lambda n: np.exp(rng.standard_normal((n, m)) * 30),
+            "zeros": lambda n: np.zeros((n, m)),
+            "negative zeros": lambda n: np.full((n, m), -0.0),
+            "subnormals": lambda n: rng.integers(0, 1 << 20, (n, m)) * 5e-324,
+            "near 1e300": lambda n: rng.uniform(0.5, 1.5, (n, m)) * 1e300,
+        }
+
+    @pytest.mark.parametrize("n", list(range(1, 65)) + [128, 129, 150, 300])
+    def test_matches_numpy_last_axis_sum(self, n):
+        rng = np.random.default_rng(n)
+        with np.errstate(over="ignore"):
+            for kind, make in self._rows(rng, 37).items():
+                x = make(n)
+                expect = np.sum(np.ascontiguousarray(x.T), axis=-1)
+                got = _pairwise_sum(x)
+                np.testing.assert_array_equal(got, expect, err_msg=kind)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(expect), err_msg=kind)
