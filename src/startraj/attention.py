@@ -172,7 +172,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray) -> Tupl
     live = allow.any(axis=-1)
     if not live.all():
         row = np.argwhere(~live)[0]
-        raise MaskError(f"attention query row {tuple(row)} has every key masked")
+        raise MaskError(f"attention query row {tuple(int(i) for i in row)} has every key masked")
     # scaling q by 1/sqrt(d_k) scales every logit before normalising while
     # touching the small (t, d_k) side instead of the (t_q, t_k) logit matrix
     scale = 1.0 / math.sqrt(q.shape[-1])
@@ -184,8 +184,11 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray) -> Tupl
     def bwd(g):
         gw = _unbroadcast(np.matmul(g, np.swapaxes(v.data, -1, -2)), w.shape)
         v._accumulate(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape))
-        gl = w * (gw - (gw * w).sum(axis=-1, keepdims=True))  # logit gradient
-        q._accumulate(_unbroadcast(np.matmul(gl, k.data), q.shape) * scale)
+        gw -= (gw * w).sum(axis=-1, keepdims=True)
+        gl = np.multiply(gw, w, out=gw)  # the logit gradient, w * (gw - rowsum)
+        gq = _unbroadcast(np.matmul(gl, k.data), q.shape)
+        gq *= scale
+        q._accumulate(gq)
         qs = q.data * scale  # recomputed, not saved: the forward's bits
         gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)  # (qs^T gl)^T
         k._accumulate(_unbroadcast(gk, k.shape))

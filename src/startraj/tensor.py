@@ -16,6 +16,14 @@ in place, so no two parents may be handed the same memory: ``concat`` hands
 each its own slice, and ``__add__``, the only op that passes ``g`` to both
 sides, copies the second operand's share when the first has just adopted it
 (``x + x``, or a constant first operand).
+
+In place: an op allocates each result once and finishes its expression in
+place (``out = x @ W; out += b``), but writes only into arrays it has just
+made itself. An array that is a tape node's ``.data``, or that was handed to
+a parent, is never written. Each in-place step keeps the out-of-place
+expression's operation order, so every bit stays, and each array handed on
+keeps the memory layout the out-of-place expression gave it: numpy's sums add
+in layout order, so a changed layout changes later bits.
 """
 
 from __future__ import annotations
@@ -208,10 +216,6 @@ class Tensor:
             a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,), _backward=bwd
         )
 
-    def mean(self, axis=None, keepdims: bool = False):
-        n = self.size if axis is None else int(np.prod(np.take(self.shape, axis)))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -334,25 +338,33 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     shift. Backward recomputes the normalized rows from x.data."""
 
     def normalize():  # (x - mean) * inv_std over the last axis, and inv_std
-        centered = x.data - x.data.mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
-        return centered * inv_std, inv_std
+        norm = x.data - x.data.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt((norm * norm).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+        norm *= inv_std
+        return norm, inv_std
 
-    norm, _ = normalize()
+    out, _ = normalize()
+    out *= gain.data
+    out += bias.data
 
     def bwd(g):
         norm, inv_std = normalize()  # the forward's expressions, so its bits
-        dn = g * gain.data
-        dx = inv_std * (
-            dn
-            - dn.mean(axis=-1, keepdims=True)
-            - norm * (dn * norm).mean(axis=-1, keepdims=True)
-        )
-        x._accumulate(dx)
         gain._accumulate(_unbroadcast(g * norm, gain.shape))
         bias._accumulate(_unbroadcast(g, bias.shape))
+        # inv_std * (dn - mean(dn) - norm * mean(dn * norm)), in place on dn
+        dn = g * gain.data
+        m2 = (dn * norm).mean(axis=-1, keepdims=True)
+        dn -= dn.mean(axis=-1, keepdims=True)
+        norm *= m2
+        dn -= norm
+        dn *= inv_std
+        # dn is laid out like g, which TGConv's closing swapaxes hands on
+        # transposed; the out-of-place expression gave x a C-ordered gradient
+        # (every caller's x.data is C-ordered), and later sums add in layout
+        # order
+        x._accumulate(np.ascontiguousarray(dn))
 
-    return Tensor(norm * gain.data + bias.data, _parents=(x, gain, bias), _backward=bwd)
+    return Tensor(out, _parents=(x, gain, bias), _backward=bwd)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -360,7 +372,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     one tape node with the matmul-then-add composite's gradients, bit for bit."""
     if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise ShapeMismatchError(f"linear: incompatible shapes {x.shape} x {weight.shape}")
-    out = np.matmul(x.data, weight.data) + bias.data
+    out = np.matmul(x.data, weight.data)
+    out += bias.data
 
     def bwd(g):
         bias._accumulate(_unbroadcast(g, bias.shape))
@@ -376,7 +389,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout, for training; identity at rate 0."""
     if rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    keep = (rng.random(x.shape) >= rate).astype(np.float64)
+    keep /= 1.0 - rate
     return x * Tensor(keep)
 
 

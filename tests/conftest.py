@@ -37,3 +37,17 @@ def skewed_q_gradient(monkeypatch):
         return real(q_skewed, *args)
 
     monkeypatch.setattr(startraj.gradcheck, "masked_attention", skewed)
+
+
+@pytest.fixture
+def read_only_tensors(monkeypatch):
+    """A switch: once called, every Tensor made until the test ends holds
+    read-only data, so an op that writes into an array a tape node already
+    holds raises ValueError instead of corrupting it."""
+    real = Tensor.__init__
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        self.data.flags.writeable = False
+
+    return lambda: monkeypatch.setattr(Tensor, "__init__", init)

@@ -309,7 +309,7 @@ def _row_major_attention(q, k, v, allow):
     dead = ~allow.any(axis=-1)
     if dead.any():
         row = np.argwhere(dead)[0]
-        raise MaskError(f"attention query row {tuple(row)} has every key masked")
+        raise MaskError(f"attention query row {tuple(int(i) for i in row)} has every key masked")
     scale = 1.0 / math.sqrt(q.shape[-1])
     w = np.matmul(q.data * scale, np.swapaxes(k.data, -1, -2))
     np.copyto(w, -np.inf, where=~allow)
@@ -336,24 +336,34 @@ def _head_split(rng, lead, t, d_k, spread=3.0):
     return (rng.standard_normal((*outer, t, heads, d_k)) * spread).swapaxes(-3, -2)
 
 
-def _attention_and_grads(fn, q, k, v, allow, g):
+def _attention_and_grads(fn, q, k, v, allow, g, swapped):
+    """Output, weights and q/k/v gradients under the loss sum(out * g). With
+    `swapped`, the loss reads out through merge_heads' swapaxes(-3, -2), so
+    the upstream gradient arrives as a transposed view."""
     leaves = [parameter(a) for a in (q, k, v)]
     out, w = fn(*leaves, allow)
-    (out * Tensor(g)).sum().backward()
+    if swapped:
+        (out.swapaxes(-3, -2) * Tensor(g.swapaxes(-3, -2))).sum().backward()
+    else:
+        (out * Tensor(g)).sum().backward()
     return [out.numpy(), w.numpy()] + [t.grad for t in leaves]
 
 
 class TestKeyMajorSoftmax:
     """masked_attention's key-major, blocked softmax against the row-major
-    body it replaced: outputs, weights and q/k/v gradients bit for bit."""
+    body it replaced: outputs, weights and q/k/v gradients bit for bit and
+    with the same strides, under a C-contiguous and (from 3-D on) a
+    transposed upstream gradient."""
 
     @staticmethod
     def _assert_same(q, k, v, allow, seed=0):
         g = np.random.default_rng(seed).standard_normal(q.shape[:-1] + v.shape[-1:])
-        got = _attention_and_grads(masked_attention, q, k, v, allow, g)
-        expect = _attention_and_grads(_row_major_attention, q, k, v, allow, g)
-        for a, b in zip(got, expect):
-            np.testing.assert_array_equal(a, b)
+        for swapped in (False, True) if g.ndim > 2 else (False,):
+            got = _attention_and_grads(masked_attention, q, k, v, allow, g, swapped)
+            expect = _attention_and_grads(_row_major_attention, q, k, v, allow, g, swapped)
+            for a, b in zip(got, expect):
+                np.testing.assert_array_equal(a, b)
+                assert a.strides == b.strides, swapped
 
     @pytest.mark.parametrize("t_k", [1, 2, 7, 8, 9, 15, 16, 17, 19, 40])
     @pytest.mark.parametrize("d_k", [2, 4, 16])
@@ -418,6 +428,7 @@ class TestKeyMajorSoftmax:
                 fn(q, k, v, allow)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+        assert messages[0] == "attention query row (1, 0, 3) has every key masked"
 
     def test_shape_mismatch(self):
         q = Tensor(np.ones((3, 4)))

@@ -16,7 +16,7 @@ from startraj import (
     StarConfig, TrainSpec, ade, best_of_k, config_for_variant, evaluate, fde,
     init_params, preprocess, scene_loss, train,
 )
-from startraj.data import TrajectoryScene, merge_scenes
+from startraj.data import TrajectoryScene, merge_scenes, pack_batches
 from startraj.errors import DataFormatError, NonFiniteError
 from startraj.model import VARIANT_FLAGS
 from startraj.synthetic import simulate_scene
@@ -440,6 +440,32 @@ def _absent_slot_values():
             "eval": list(evaluate(params, scenes, K=5, seed=72)),
         }
     return values
+
+
+def _step_and_eval_values(variant):
+    """A training loss and every parameter's gradient (no optimizer step,
+    which writes the weights by design), then best-of-5, for one variant on
+    packed scenes with absent slots, dropout and noise."""
+    config = StarConfig(d_model=8, heads=2, obs_len=8, pred_len=3, noise_dim=4,
+                        graph_threshold=3.0, **VARIANT_FLAGS[variant])
+    params = init_params(config, np.random.default_rng(73))
+    scenes = _absent_slot_scenes()
+    batch = pack_batches([preprocess(s) for s in scenes], budget=16, max_scenes=3)[0]
+    loss = scene_loss(batch, params, np.random.default_rng(74))
+    loss.backward()
+    grads = [p.grad.tobytes() for _, p in params.parameters()]
+    evals = [best_of_k(s, params, K=5, rng=np.random.default_rng(75)) for s in scenes[:3]]
+    return loss.item(), grads, evals
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_FLAGS))
+def test_no_op_writes_into_a_tensor(variant, read_only_tensors):
+    # every op writes in place only into arrays it has just made: with every
+    # tensor's data read-only from creation, a training step and best-of-K
+    # run and give the unguarded values
+    expect = _step_and_eval_values(variant)
+    read_only_tensors()
+    assert _step_and_eval_values(variant) == expect
 
 
 class TestAbsentSlotsFixture:
