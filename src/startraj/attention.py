@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import MaskError, ShapeMismatchError
-from .tensor import Tensor, _unbroadcast, layer_norm, linear, parameter
+from .tensor import Tensor, layer_norm, linear, parameter
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -117,47 +117,44 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray:
     return res
 
 
-def _key_major_softmax(qs: np.ndarray, kd: np.ndarray, allow: np.ndarray) -> np.ndarray:
+def _key_major_softmax(qs: np.ndarray, kd: np.ndarray, allow: Optional[np.ndarray]) -> np.ndarray:
     """masked_attention's weights, row-major (..., t_q, t_k), from the scaled
-    queries qs and the keys kd (see masked_attention for the blocks)."""
-    lead, qt = qs.shape[:-2], qs.swapaxes(-1, -2)
-    if lead != kd.shape[:-2]:
-        lead = np.broadcast_shapes(lead, kd.shape[:-2])
-        qt, kd = np.broadcast_to(qt, lead + qt.shape[-2:]), np.broadcast_to(kd, lead + kd.shape[-2:])
-    w = np.empty(lead + (qt.shape[-1], kd.shape[-2]))
-    if allow.ndim > w.ndim or any(a != 1 and a != b for a, b in zip(allow.shape[::-1], w.shape[::-1])):
-        raise ShapeMismatchError(f"masked_attention: allow of {allow.shape} for logits of {w.shape}")
-    ws = w
-    if not lead:  # blocks run along the first leading axis: give 2-D inputs one
-        qt, kd, ws = qt[None], kd[None], w[None]
-    # the -inf fill, with one axis per logit axis so that a block can slice it
-    hide = None if allow.all() else ~allow.reshape((1,) * (ws.ndim - allow.ndim) + allow.shape)
-    rows, per_row, t_k = len(ws), math.prod(ws.shape[1:]), kd.shape[-2]
-    step = max(1, LOGIT_BLOCK // max(per_row, 1))
+    queries qs and the keys kd, with allow None when it blocks no key (see
+    masked_attention for the blocks)."""
+    qt = qs.swapaxes(-1, -2)
+    w = np.empty(qs.shape[:-1] + kd.shape[-2:-1])
+    hide = None if allow is None else ~allow  # the -inf fill, sliced per block
+    rows, per_row, t_k = len(w), math.prod(w.shape[1:]), kd.shape[-2]
+    step = max(1, LOGIT_BLOCK // per_row)
     buf = np.empty(min(step, rows) * per_row)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         x = buf[:(hi - lo) * per_row].reshape(t_k, -1)  # key-major logits
-        logits = x.T.reshape(ws[lo:hi].shape)  # (block, ..., t_q, t_k) view
+        logits = x.T.reshape(w[lo:hi].shape)  # (block, ..., t_q, t_k) view
         np.matmul(kd[lo:hi], qt[lo:hi], out=logits.swapaxes(-1, -2))
         if hide is not None:
-            np.copyto(logits, -np.inf, where=hide[lo:hi] if len(hide) > 1 else hide)
+            np.copyto(logits, -np.inf, where=hide[lo:hi])
         np.subtract(x, x.max(axis=0), out=x)
         np.exp(x, out=x)
-        np.divide(logits, _pairwise_sum(x).reshape(logits.shape[:-1] + (1,)), out=ws[lo:hi])
+        np.divide(logits, _pairwise_sum(x).reshape(logits.shape[:-1] + (1,)), out=w[lo:hi])
     return w
 
 
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray) -> Tuple[Tensor, Tensor]:
     """Attention core shared by the temporal block and TGConv, one tape node.
 
-    q, k, v: (..., t, d_k). allow: boolean, broadcastable to the logit shape
-    (..., t_q, t_k); True marks usable keys. Logits are scaled by 1/sqrt(d_k);
-    blocked ones are set to -inf, so their weights are exactly zero. Returns
-    (output, weights); the weights carry no gradient.
+    q, k, v: (lead..., t, d_k), one leading shape with at least one axis:
+    (N, heads) in the temporal block, (t, heads) or (t, S, heads) in TGConv.
+    allow: boolean, of the logits' rank (lead..., t_q, t_k) and their
+    first-axis length, every other axis 1 or the logits'; True marks usable
+    keys. Any other shape, or an empty axis other than the keys', raises
+    ShapeMismatchError; a query row with no usable key raises MaskError.
+    Logits are scaled by 1/sqrt(d_k); blocked ones are set to -inf, so their
+    weights are exactly zero. Returns (output, weights); the weights carry
+    no gradient.
 
     The softmax runs key-major, over blocks of at most LOGIT_BLOCK logits
-    along the leading axis: each block's logits go into a (t_k, ..., t_q)
+    along the first axis: each block's logits go into a (t_k, ..., t_q)
     buffer as k (q / sqrt(d_k))^T, so that the max, the sum and the -inf
     fill (skipped when allow blocks no key) each run over contiguous rows
     instead of one short row per query. The sum adds in numpy's pairwise
@@ -166,32 +163,40 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray) -> Tupl
     row-major softmax. The backward pass keeps the expressions of the scale,
     QK^T, normalise and AV composite, bit for bit.
     """
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise ShapeMismatchError(f"masked_attention: q, k, v of {q.shape}, {k.shape}, {v.shape}")
+    sq, sk, sv = q.shape, k.shape, v.shape
+    if len(sq) < 3 or 0 in sq[:-1] or sq[:-2] != sk[:-2] or sk[:-1] != sv[:-1] or sq[-1] != sk[-1]:
+        raise ShapeMismatchError(f"masked_attention: q, k, v of {sq}, {sk}, {sv}")
     allow = np.asarray(allow, dtype=bool)
-    live = allow.any(axis=-1)
-    if not live.all():
-        row = np.argwhere(~live)[0]
-        raise MaskError(f"attention query row {tuple(int(i) for i in row)} has every key masked")
+    shape = sq[:-1] + sk[-2:-1]  # the logits'
+    if allow.ndim != len(shape) or allow.shape[0] != shape[0] or any(
+            a != 1 and a != b for a, b in zip(allow.shape[1:], shape[1:])):
+        raise ShapeMismatchError(f"masked_attention: allow of {allow.shape} for logits of {shape}")
+    # one pass over allow when it blocks no key; with no key, every row is dead
+    dense = shape[-1] > 0 and allow.all()
+    if not dense:
+        live = allow.any(axis=-1)
+        if not live.all():
+            row = tuple(int(i) for i in np.argwhere(~live)[0])
+            raise MaskError(f"attention query row {row} has every key masked")
     # scaling q by 1/sqrt(d_k) scales every logit before normalising while
     # touching the small (t, d_k) side instead of the (t_q, t_k) logit matrix
-    scale = 1.0 / math.sqrt(q.shape[-1])
+    scale = 1.0 / math.sqrt(sq[-1])
     # the scaled q and the block buffer die before w @ v is allocated: an
     # output allocated above a live buffer left a hole in the heap behind it,
     # which raised packed training's peak RSS by 1.6 %
-    w = _key_major_softmax(q.data * scale, k.data, allow)
+    w = _key_major_softmax(q.data * scale, k.data, None if dense else allow)
 
     def bwd(g):
-        gw = _unbroadcast(np.matmul(g, np.swapaxes(v.data, -1, -2)), w.shape)
-        v._accumulate(_unbroadcast(np.matmul(np.swapaxes(w, -1, -2), g), v.shape))
+        gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        v._accumulate(np.matmul(np.swapaxes(w, -1, -2), g))
         gw -= (gw * w).sum(axis=-1, keepdims=True)
         gl = np.multiply(gw, w, out=gw)  # the logit gradient, w * (gw - rowsum)
-        gq = _unbroadcast(np.matmul(gl, k.data), q.shape)
+        gq = np.matmul(gl, k.data)
         gq *= scale
         q._accumulate(gq)
         qs = q.data * scale  # recomputed, not saved: the forward's bits
         gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)  # (qs^T gl)^T
-        k._accumulate(_unbroadcast(gk, k.shape))
+        k._accumulate(gk)
 
     return Tensor(np.matmul(w, v.data), _parents=(q, k, v), _backward=bwd), Tensor(w)
 

@@ -144,11 +144,9 @@ def _check_held_out(name: str, files: Dict[str, str], data_dir: str) -> None:
         raise DataFormatError(f"held-out dataset {name}: no {name}.txt under {data_dir}")
 
 
-def _load_scenes(path: str, config: StarConfig, stride: int,
-                 dataset: str) -> List[TrajectoryScene]:
+def _load_scenes(path: str, config: StarConfig, stride: int) -> List[TrajectoryScene]:
     raw = load_dataset(path)
-    return make_scenes(raw, obs=config.obs_len, pred=config.pred_len,
-                       stride=stride, dataset=dataset)
+    return make_scenes(raw, obs=config.obs_len, pred=config.pred_len, stride=stride)
 
 
 def scene_from_file(path: str, config: StarConfig) -> TrajectoryScene:
@@ -247,8 +245,8 @@ def cmd_train(args) -> int:
     _check_held_out(args.held_out, files, args.data_dir)
     train_files = {k: v for k, v in files.items() if k != args.held_out}
     scenes = []
-    for name, path in sorted(train_files.items()):
-        scenes.extend(_load_scenes(path, config, stride=args.stride, dataset=name))
+    for name in sorted(train_files):
+        scenes.extend(_load_scenes(train_files[name], config, stride=args.stride))
     os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, "loss_curve.txt")
     params, history = train(spec, config, scenes, out_dir=args.out,
@@ -274,7 +272,7 @@ def cmd_eval(args) -> int:
     if args.held_out is not None:
         _check_held_out(args.held_out, files, args.data_dir)
         files = {args.held_out: files[args.held_out]}
-    results = {name: evaluate(params, _load_scenes(path, config, args.stride, name),
+    results = {name: evaluate(params, _load_scenes(path, config, args.stride),
                               K=args.samples, seed=args.seed)
                for name, path in sorted(files.items())}
     os.makedirs(args.out, exist_ok=True)

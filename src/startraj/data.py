@@ -47,7 +47,6 @@ class TrajectoryScene:
     positions: np.ndarray   # (N, T, 2)
     presence: np.ndarray    # (N, T) bool
     obs_len: int
-    dataset: str = ""
     origins: Optional[np.ndarray] = None  # (N, 2); set by preprocess
 
     @property
@@ -144,7 +143,7 @@ def _to_tracklet(ped: str, run: List[Tuple[int, float, float]]) -> Tracklet:
 
 
 def scene_window(
-    raw: RawTrajectories, start: int, obs: int, pred: int, dataset: str = ""
+    raw: RawTrajectories, start: int, obs: int, pred: int
 ) -> TrajectoryScene:
     """The (obs+pred)-frame window of the recording that opens at frame
     `start`, over every pedestrian seen in at least one of its frames. A
@@ -162,10 +161,7 @@ def scene_window(
     pieces = Counter(t.ped_id for t, _ in members)
     ids = [t.ped_id if pieces[t.ped_id] == 1 else f"{t.ped_id}@{t.frames[0]}"
            for t, _ in members]
-    return TrajectoryScene(
-        ped_ids=ids, positions=positions,
-        presence=presence, obs_len=obs, dataset=dataset,
-    )
+    return TrajectoryScene(ped_ids=ids, positions=positions, presence=presence, obs_len=obs)
 
 
 def make_scenes(
@@ -173,7 +169,6 @@ def make_scenes(
     obs: int = 8,
     pred: int = 12,
     stride: int = 1,
-    dataset: str = "",
 ) -> List[TrajectoryScene]:
     """Slide (obs+pred)-frame windows over the recording; keep windows with at
     least one pedestrian observed for the whole window. Co-present pedestrians
@@ -188,7 +183,7 @@ def make_scenes(
     lo = min(int(t.frames[0]) for t in raw.tracklets)
     starts = {int(f) for t in raw.tracklets for f in t.frames[:max(0, len(t.frames) - total + 1)]
               if (f - lo) % every == 0}
-    return [scene_window(raw, start, obs, pred, dataset) for start in sorted(starts)]
+    return [scene_window(raw, start, obs, pred) for start in sorted(starts)]
 
 
 def preprocess(scene: TrajectoryScene) -> TrajectoryScene:
@@ -210,8 +205,7 @@ def preprocess(scene: TrajectoryScene) -> TrajectoryScene:
     )
     return TrajectoryScene(
         ped_ids=list(scene.ped_ids), positions=shifted,
-        presence=scene.presence.copy(), obs_len=scene.obs_len,
-        dataset=scene.dataset, origins=origins,
+        presence=scene.presence.copy(), obs_len=scene.obs_len, origins=origins,
     )
 
 
@@ -224,8 +218,7 @@ def augment_rotation(scene: TrajectoryScene, rng: np.random.Generator) -> Trajec
     origins = scene.origins @ rot if scene.origins is not None else None
     return TrajectoryScene(
         ped_ids=list(scene.ped_ids), positions=positions,
-        presence=scene.presence.copy(), obs_len=scene.obs_len,
-        dataset=scene.dataset, origins=origins,
+        presence=scene.presence.copy(), obs_len=scene.obs_len, origins=origins,
     )
 
 
@@ -253,7 +246,6 @@ def merge_scenes(scenes: Sequence[TrajectoryScene]) -> Batch:
         positions=np.concatenate([s.positions for s in scenes]),
         presence=np.concatenate([s.presence for s in scenes]),
         obs_len=obs,
-        dataset=scenes[0].dataset,
         origins=np.concatenate([s.origins for s in scenes]) if shifted else None,
     )
     return Batch(scene=merged, sizes=np.array([s.n_peds for s in scenes], dtype=np.int64))

@@ -99,7 +99,10 @@ def spatial_block(h: Tensor, masks: List[np.ndarray], params: TGConvParams,
     x = h.swapaxes(0, 1)  # (t, N, d)
     pieces = {}  # first row of a run -> its (t, rows, d) attention output
     for (size, runs), mask in zip(layout, masks):
-        # (t, S, size, d) blocks by slices and reshapes; a lone scene keeps (t, size, d)
+        # (t, S, size, d) blocks by slices and reshapes; a lone scene keeps (t,
+        # size, d), as the (t, 1, size, d) form rounds differently: it moved
+        # the v1 fixture's gradients by up to 2.3e-15 relative and gradcheck's
+        # seed-4 encoder_stack and full_rollout errors
         lone = mask.shape[1] == 1
         xs = concat([x if hi - lo == n else x[:, lo:hi] for lo, hi in runs], axis=1)
         q, k, v = head_projections(xs if lone else xs.reshape(t, -1, size, d), params)

@@ -45,6 +45,5 @@ def simulate_scene(
         positions=track,
         presence=np.ones((n_peds, total_len), dtype=bool),
         obs_len=obs_len,
-        dataset="synthetic",
     )
 

@@ -127,8 +127,6 @@ class Tensor:
 
         return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
 
-    __radd__ = __add__
-
     def __neg__(self):
         a = self
 
@@ -153,8 +151,6 @@ class Tensor:
 
         return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
 
-    __rmul__ = __mul__
-
     def matmul(self, other: "Tensor") -> "Tensor":
         other = self._lift(other)
         a, b = self, other
@@ -170,8 +166,6 @@ class Tensor:
             b._accumulate(_unbroadcast(gb, b.shape))
 
         return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward=bwd)
-
-    __matmul__ = matmul
 
     # ------------------------------------------------------------------
     # elementwise nonlinearities
@@ -205,16 +199,13 @@ class Tensor:
     # ------------------------------------------------------------------
     # reductions and reshaping
     # ------------------------------------------------------------------
-    def sum(self, axis=None, keepdims: bool = False):
+    def sum(self):
         a = self
 
         def bwd(g):
-            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(gg, a.shape).copy())
+            a._accumulate(np.full(a.shape, g))
 
-        return Tensor(
-            a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,), _backward=bwd
-        )
+        return Tensor(a.data.sum(), _parents=(a,), _backward=bwd)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -335,7 +326,11 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and
-    shift. Backward recomputes the normalized rows from x.data."""
+    shift. Backward recomputes the normalized rows from x.data.
+
+    x.data must be C-ordered, as every caller's is: backward hands x a
+    C-ordered gradient, the out-of-place expression's layout (and so, for
+    later sums, its bits) only when x.data is C-ordered."""
 
     def normalize():  # (x - mean) * inv_std over the last axis, and inv_std
         norm = x.data - x.data.mean(axis=-1, keepdims=True)
@@ -359,9 +354,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dn -= norm
         dn *= inv_std
         # dn is laid out like g, which TGConv's closing swapaxes hands on
-        # transposed; the out-of-place expression gave x a C-ordered gradient
-        # (every caller's x.data is C-ordered), and later sums add in layout
-        # order
+        # transposed; x takes the C order of its data (see above), as later
+        # sums add in layout order
         x._accumulate(np.ascontiguousarray(dn))
 
     return Tensor(out, _parents=(x, gain, bias), _backward=bwd)

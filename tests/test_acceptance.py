@@ -60,11 +60,11 @@ class TestAcceptance:
                 # sequence attention with a random time mask
                 t = int(rng.integers(2, 10))
                 d_k = int(rng.integers(2, 8))
-                q, k, v = (rng.standard_normal((t, d_k)) for _ in range(3))
+                q, k, v = (rng.standard_normal((1, t, d_k)) for _ in range(3))
                 mask = rng.random((t, t)) < 0.6
                 mask[np.arange(t), np.arange(t)] = True
-                _, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
-                w = w.numpy()
+                _, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask[None])
+                w = w.numpy()[0]
                 allow = mask
             else:
                 # graph attention over a random interaction graph

@@ -20,11 +20,16 @@ from startraj.errors import MaskError, NonFiniteError, ShapeMismatchError
 from startraj.tensor import _unbroadcast
 
 
+def _attention(q, k, v, mask):
+    """masked_attention on (t, d_k) arrays and a (t_q, t_k) mask, through one
+    leading axis of length 1: output and weights, without it."""
+    out, w = masked_attention(Tensor(q[None]), Tensor(k[None]), Tensor(v[None]), mask[None])
+    return out.numpy()[0], w.numpy()[0]
+
+
 def _unmasked(q, k, v):
     """Scaled dot-product attention over (t, d_k) arrays with every key usable."""
-    mask = np.ones((q.shape[0], k.shape[0]), dtype=bool)
-    out, _ = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
-    return out.numpy()
+    return _attention(q, k, v, np.ones((q.shape[0], k.shape[0]), dtype=bool))[0]
 
 
 def _oracle_attention(q, k, v, mask, d_k):
@@ -59,17 +64,16 @@ class TestScaledAttention:
         d_k = 5
         q, k, v = (rng.standard_normal((3, d_k)) for _ in range(3))
         mask = np.ones((3, 3), dtype=bool)
-        out, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
+        out, w = _attention(q, k, v, mask)
         expect_out, expect_w = _oracle_attention(q, k, v, mask, d_k)
-        np.testing.assert_allclose(w.numpy(), expect_w, atol=1e-12)
-        np.testing.assert_allclose(out.numpy(), expect_out, atol=1e-12)
+        np.testing.assert_allclose(w, expect_w, atol=1e-12)
+        np.testing.assert_allclose(out, expect_out, atol=1e-12)
 
     def test_masked_weights_exactly_zero(self):
         rng = np.random.default_rng(3)
         q, k, v = (rng.standard_normal((3, 4)) for _ in range(3))
         mask = np.array([[True, False, True]] * 3)
-        _, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
-        w = w.numpy()
+        _, w = _attention(q, k, v, mask)
         assert np.all(w[:, 1] == 0.0)  # bit-exact zero, not just small
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -78,18 +82,19 @@ class TestScaledAttention:
         q, k, v = (rng.standard_normal((3, 4)) for _ in range(3))
         mask = np.ones((3, 3), dtype=bool)
         mask[2] = False
-        with pytest.raises(MaskError, match="2"):
-            masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
+        with pytest.raises(MaskError, match=r"\(0, 2\)"):
+            _attention(q, k, v, mask)
 
 
 def _multi_head(h, p):
     """Unmasked self-attention on (t, d_model) inputs through the calls that
     temporal_block and TGConv make: projections split into heads, the
-    attention core, the head merge and the output projection."""
-    q, k, v = head_projections(Tensor(h), p)
+    attention core, the head merge and the output projection, on one
+    sequence with a (1, 1, t, t) mask, as temporal_block passes it."""
+    q, k, v = head_projections(Tensor(h[None]), p)
     t = h.shape[0]
-    out, _ = masked_attention(q, k, v, np.ones((t, t), dtype=bool))
-    return linear(merge_heads(out, p), p.wo, p.bo).numpy()
+    out, _ = masked_attention(q, k, v, np.ones((1, 1, t, t), dtype=bool))
+    return linear(merge_heads(out, p), p.wo, p.bo).numpy()[0]
 
 
 class TestMultiHead:
@@ -243,8 +248,7 @@ class TestAttentionNormalizationProperty:
             q, k, v = (rng.standard_normal((t, d_k)) for _ in range(3))
             mask = rng.random((t, t)) < 0.7
             mask[np.arange(t), np.arange(t)] = True  # keep every row alive
-            _, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
-            w = w.numpy()
+            _, w = _attention(q, k, v, mask)
             assert np.all(w[~mask] == 0.0)
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -252,12 +256,12 @@ class TestAttentionNormalizationProperty:
         # [TRIVIAL] a blocked key gets weight exactly 0 even when its logit
         # tops an allowed one by more than 1e9 (a finite -1e9 fill would hand
         # it all the weight); d_k = 1 and q = 1 make the keys the logits
-        q, v = Tensor(np.ones((1, 1))), Tensor(np.array([[1.0], [2.0]]))
+        q, v = np.ones((1, 1)), np.array([[1.0], [2.0]])
         allow = np.array([[True, False]])
         for allowed, blocked in ((-2e9, 0.0), (0.0, 2e9)):
-            out, w = masked_attention(q, Tensor([[allowed], [blocked]]), v, allow)
-            np.testing.assert_array_equal(w.numpy(), [[1.0, 0.0]])
-            np.testing.assert_array_equal(out.numpy(), [[1.0]])
+            out, w = _attention(q, np.array([[allowed], [blocked]]), v, allow)
+            np.testing.assert_array_equal(w, [[1.0, 0.0]])
+            np.testing.assert_array_equal(out, [[1.0]])
 
 
 def _oracle_grads(q, k, v, allow, g):
@@ -283,7 +287,7 @@ class TestMaskedAttentionBackward:
     @pytest.mark.parametrize("lead, mask_lead", [
         ((3, 2), (3, 1)),  # (t, heads) with a (t, 1, n, n) mask
         ((2, 3, 2), (2, 3, 1)),  # (t, S, heads) with a (t, S, 1, n, n) mask
-        ((4,), ()),  # one (n, n) mask for every batch row
+        ((4,), (4,)),  # (N,) rows with an (N, n, n) mask, one per row
     ])
     def test_gradients_match_jacobian_oracle(self, lead, mask_lead):
         # [DERIVED] partial masks broadcast over heads, against _oracle_grads
@@ -352,13 +356,13 @@ def _attention_and_grads(fn, q, k, v, allow, g, swapped):
 class TestKeyMajorSoftmax:
     """masked_attention's key-major, blocked softmax against the row-major
     body it replaced: outputs, weights and q/k/v gradients bit for bit and
-    with the same strides, under a C-contiguous and (from 3-D on) a
-    transposed upstream gradient."""
+    with the same strides, under a C-contiguous and a transposed upstream
+    gradient."""
 
     @staticmethod
     def _assert_same(q, k, v, allow, seed=0):
         g = np.random.default_rng(seed).standard_normal(q.shape[:-1] + v.shape[-1:])
-        for swapped in (False, True) if g.ndim > 2 else (False,):
+        for swapped in (False, True):
             got = _attention_and_grads(masked_attention, q, k, v, allow, g, swapped)
             expect = _attention_and_grads(_row_major_attention, q, k, v, allow, g, swapped)
             for a, b in zip(got, expect):
@@ -369,11 +373,6 @@ class TestKeyMajorSoftmax:
     @pytest.mark.parametrize("d_k", [2, 4, 16])
     def test_shapes_of_every_caller(self, t_k, d_k):
         rng = np.random.default_rng(100 * t_k + d_k)
-        # 2-D inputs, with a query count other than t_k and a partial mask
-        q, k, v = (rng.standard_normal((t, d_k)) * 3 for t in (5, t_k, t_k))
-        allow = rng.random((5, t_k)) < 0.6
-        allow[:, 0] = True
-        self._assert_same(q, k, v, allow)
         # temporal (N, heads, t, t) logits with a dense (N, 1, 1, t) mask
         n = 6
         q, k, v = (_head_split(rng, (n, 8), t_k, d_k) for _ in range(3))
@@ -403,19 +402,13 @@ class TestKeyMajorSoftmax:
         self._assert_same(q, k, v, allow)
 
     def test_broadcast_leading_shapes(self):
-        # q with fewer leading axes than k, and one key count past 128
+        # the one case past 128 keys, where _pairwise_sum sums two halves
+        # apart, under a (3, 1, 5, 150) mask broadcast over the heads' axis
         rng = np.random.default_rng(8)
-        q = rng.standard_normal((3, 1, 5, 4))
+        q = rng.standard_normal((3, 2, 5, 4))
         k, v = (rng.standard_normal((3, 2, 150, 4)) for _ in range(2))
-        allow = (rng.random((5, 150)) < 0.5) | (np.arange(150) == 0)
+        allow = (rng.random((3, 1, 5, 150)) < 0.5) | (np.arange(150) == 0)
         self._assert_same(q, k, v, allow)
-        self._assert_same(q[0, 0], k, v, np.ones((1, 150), dtype=bool))
-
-    @pytest.mark.parametrize("lead, t_q", [((0, 8), 5), ((3, 0), 5), ((3, 8), 0), ((), 0)])
-    def test_empty_axes(self, lead, t_q):
-        q = np.ones(lead + (t_q, 4))
-        k = v = np.ones(lead + (5, 4))
-        self._assert_same(q, k, v, np.ones((1,) * len(lead) + (t_q, 5), dtype=bool))
 
     def test_dead_row_names_the_same_row(self):
         rng = np.random.default_rng(9)
@@ -431,29 +424,52 @@ class TestKeyMajorSoftmax:
         assert messages[0] == "attention query row (1, 0, 3) has every key masked"
 
     def test_shape_mismatch(self):
-        q = Tensor(np.ones((3, 4)))
+        q = Tensor(np.ones((2, 3, 4)))
         with pytest.raises(ShapeMismatchError):
-            masked_attention(q, Tensor(np.ones((3, 5))), Tensor(np.ones((3, 4))),
-                             np.ones((3, 3), bool))
+            masked_attention(q, Tensor(np.ones((2, 3, 5))), Tensor(np.ones((2, 3, 4))),
+                             np.ones((2, 3, 3), bool))
         with pytest.raises(ShapeMismatchError):
-            masked_attention(q, Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))),
-                             np.ones((3, 3), bool))
+            masked_attention(q, Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 2, 4))),
+                             np.ones((2, 3, 3), bool))
+
+    @pytest.mark.parametrize("case", [
+        "unequal leading shapes", "2-D inputs", "mask of lower rank",
+        "mask first axis 1", "empty query axis",
+    ])
+    def test_inputs_outside_the_contract(self, case):
+        # every caller passes one leading shape for q, k and v, and a mask of
+        # the logits' rank and first-axis length; nothing is broadcast to fit
+        rng = np.random.default_rng(10)
+        q, k, v = (rng.standard_normal((2, 3, 5, 4)) for _ in range(3))
+        allow = np.ones((2, 1, 5, 5), dtype=bool)
+        if case == "unequal leading shapes":
+            q = q[:, :1]
+        elif case == "2-D inputs":
+            q, k, v, allow = q[0, 0], k[0, 0], v[0, 0], allow[0, 0]
+        elif case == "mask of lower rank":
+            allow = allow[0]
+        elif case == "mask first axis 1":
+            allow = allow[:1]
+        else:
+            q, allow = q[:, :, :0], allow[:, :, :0]
+        with pytest.raises(ShapeMismatchError):
+            masked_attention(Tensor(q), Tensor(k), Tensor(v), allow)
 
     @pytest.mark.parametrize("fill", [True, False])
     def test_allow_that_does_not_fit_the_logits(self, fill):
         # a mask for 4 keys against 3, with or without a blocked key
-        allow = np.ones((2, 4), dtype=bool)
-        allow[:, 3] = not fill
+        allow = np.ones((1, 2, 4), dtype=bool)
+        allow[..., 3] = not fill
         with pytest.raises(ShapeMismatchError, match="allow"):
-            masked_attention(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))),
-                             Tensor(np.ones((3, 4))), allow)
+            masked_attention(Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 3, 4))),
+                             Tensor(np.ones((1, 3, 4))), allow)
 
     def test_infinite_logit_is_non_finite(self):
         # finite inputs whose product overflows to a +inf logit
-        q = Tensor(np.full((2, 1), 1e200))
-        k = Tensor(np.array([[1e200], [0.0], [1.0]]))
+        q = Tensor(np.full((1, 2, 1), 1e200))
+        k = Tensor(np.array([[[1e200], [0.0], [1.0]]]))
         with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
-            masked_attention(q, k, Tensor(np.ones((3, 2))), np.ones((2, 3), dtype=bool))
+            masked_attention(q, k, Tensor(np.ones((1, 3, 2))), np.ones((1, 2, 3), dtype=bool))
 
 
 class TestPairwiseSum:

@@ -438,8 +438,7 @@ class TestEvalCommand:
         assert code == EXIT_OK
         row = (out / "eval_report.tsv").read_text().strip().splitlines()[1].split("\t")
         params = load_checkpoint(str(checkpoint))
-        scenes = _load_scenes(str(data_dir / "ETH.txt"), params.config,
-                              stride=20, dataset="ETH")
+        scenes = _load_scenes(str(data_dir / "ETH.txt"), params.config, stride=20)
         a, f, k = evaluate(params, scenes, K=20, seed=7)
         assert float(row[3]) == pytest.approx(a, abs=1e-6)
         assert float(row[4]) == pytest.approx(f, abs=1e-6)

@@ -66,12 +66,12 @@ class TestMatmul:
 def _softmax(logits) -> np.ndarray:
     """Softmax of a 1-D logit list, read off masked_attention: one query of
     width 1 against keys holding the logits, so that each logit reaches the
-    exp-normalise unscaled (1/sqrt(1) = 1)."""
+    exp-normalise unscaled (1/sqrt(1) = 1), on one leading axis of length 1."""
     x = np.asarray(logits, dtype=np.float64)
-    allow = np.ones((1, x.size), dtype=bool)
-    _, w = masked_attention(Tensor(np.ones((1, 1))), Tensor(x[:, None]),
-                            Tensor(np.zeros((x.size, 1))), allow)
-    return w.numpy()[0]
+    allow = np.ones((1, 1, x.size), dtype=bool)
+    _, w = masked_attention(Tensor(np.ones((1, 1, 1))), Tensor(x[None, :, None]),
+                            Tensor(np.zeros((1, x.size, 1))), allow)
+    return w.numpy()[0, 0]
 
 
 class TestSoftmax:
@@ -99,8 +99,8 @@ class TestSoftmax:
     def test_empty_axis_error(self):
         # no key at all leaves every query row without a usable key
         with pytest.raises(MaskError):
-            masked_attention(Tensor(np.ones((3, 1))), Tensor(np.zeros((0, 1))),
-                             Tensor(np.zeros((0, 2))), np.ones((3, 0), dtype=bool))
+            masked_attention(Tensor(np.ones((1, 3, 1))), Tensor(np.zeros((1, 0, 1))),
+                             Tensor(np.zeros((1, 0, 2))), np.ones((1, 3, 0), dtype=bool))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=8))
@@ -145,7 +145,7 @@ class TestLayerNorm:
 class TestBackward:
     def test_non_scalar_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            parameter(np.zeros((2, 2))).sum(axis=0).backward()
+            parameter(np.zeros((2, 2))).relu().backward()
 
     def test_linear_grad_is_broadcast_input(self):
         # [DERIVED] d/dW sum(x W) = x^T 1 (finite differences agree below)
@@ -224,11 +224,12 @@ class TestBackward:
         b = parameter(rng.standard_normal((4, 3)))
         c = parameter(rng.standard_normal((3, 3)))
 
-        allow = np.array([[True, False, True], [False, True, False], [True, True, True]])
+        allow = np.array([[[True, False, True], [False, True, False], [True, True, True]]])
 
         def loss():
             m = a.matmul(b)
-            s, _ = masked_attention(m, c, m + c, allow)
+            s, _ = masked_attention(m.reshape(1, 3, 3), c.reshape(1, 3, 3),
+                                    (m + c).reshape(1, 3, 3), allow)
             e = (m * m + 0.5).tanh() - m
             t = m.tanh() + m.sigmoid() + linear(m, c, b[0]).relu()
             return (s * e).sum() + (t * t).sum() * (1.0 / t.size)
@@ -436,7 +437,7 @@ class TestTapeNodes:
     def test_masked_attention_adds_one_node(self):
         rng = np.random.default_rng(10)
         q, k, v = (parameter(rng.standard_normal((2, 3, 4))) for _ in range(3))
-        allow = np.array([[True, False, True]] * 3)  # (3, 3), broadcast over 2
+        allow = np.array([[[True, False, True]] * 3] * 2)  # (2, 3, 3), one per row
         out, weights = masked_attention(q, k, v, allow)
         assert _tape_nodes(out) == 3 + 1
         assert not weights.requires_grad and weights._parents == ()
@@ -459,7 +460,7 @@ class TestTapeRelease:
     def test_swept_node_released_before_sweep_ends(self):
         rng = np.random.default_rng(12)
         x = parameter(rng.standard_normal((2, 3, 4)))
-        allow = np.array([[True, False, True], [False, True, True], [True, True, True]])
+        allow = np.array([[[True, False, True], [False, True, True], [True, True, True]]] * 2)
         seen = {}
 
         def spy(g):

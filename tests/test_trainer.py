@@ -10,6 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import startraj.attention
+import startraj.graph
 import startraj.model
 import startraj.trainer
 from startraj import (
@@ -466,6 +468,27 @@ def test_no_op_writes_into_a_tensor(variant, read_only_tensors):
     expect = _step_and_eval_values(variant)
     read_only_tensors()
     assert _step_and_eval_values(variant) == expect
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_FLAGS))
+def test_layer_norm_inputs_are_c_ordered(variant, monkeypatch):
+    # layer_norm hands x a C-ordered gradient, which keeps the out-of-place
+    # layout only for a C-ordered x.data: every call in a training step on
+    # packed scenes with absent slots, TGConv's and the temporal block's, has one
+    orders = []
+    for module in (startraj.attention, startraj.graph):
+        def spy(x, gain, bias, real=module.layer_norm):
+            orders.append(x.data.flags.c_contiguous)
+            return real(x, gain, bias)
+
+        monkeypatch.setattr(module, "layer_norm", spy)
+    config = StarConfig(d_model=8, heads=2, obs_len=8, pred_len=3, noise_dim=4,
+                        graph_threshold=3.0, **VARIANT_FLAGS[variant])
+    params = init_params(config, np.random.default_rng(73))
+    batch = pack_batches([preprocess(s) for s in _absent_slot_scenes()], budget=16,
+                         max_scenes=3)[0]
+    scene_loss(batch, params, np.random.default_rng(74)).backward()
+    assert orders and all(orders), orders
 
 
 class TestAbsentSlotsFixture:
