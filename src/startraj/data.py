@@ -189,7 +189,8 @@ def make_scenes(
 def preprocess(scene: TrajectoryScene) -> TrajectoryScene:
     """Shift each pedestrian's coordinates by its own last-observation-frame
     position. Graph geometry stays in world coordinates (per-pedestrian shifts
-    are not isometries of pairwise distances)."""
+    are not isometries of pairwise distances). A pedestrian present at no step
+    raises DataFormatError."""
     if scene.origins is not None:
         return scene
     n, total = scene.n_peds, scene.total_len
@@ -198,8 +199,10 @@ def preprocess(scene: TrajectoryScene) -> TrajectoryScene:
         obs_steps = np.flatnonzero(scene.presence[i, : scene.obs_len])
         if obs_steps.size:
             origins[i] = scene.positions[i, obs_steps[-1]]
-        else:
+        elif scene.presence[i].any():
             origins[i] = scene.positions[i, np.flatnonzero(scene.presence[i])[0]]
+        else:
+            raise DataFormatError(f"pedestrian {scene.ped_ids[i]!r} is present at no step")
     shifted = np.where(
         scene.presence[:, :, None], scene.positions - origins[:, None, :], 0.0
     )

@@ -248,9 +248,9 @@ def encoder1(
     covers steps 1..L-1), the temporal branch consumes it verbatim,
     concatenated along time with the current embedding at step L.
 
-    TGConv sees one step's graph at a time, so with spatial_before, the list of
-    its outputs over the first L - k steps, h_spatial holds the last k steps
-    only; their output is appended to the list."""
+    TGConv sees one step's graph at a time, so with spatial_before (the eval
+    rollout's cache of its outputs over the first L - k steps), h_spatial holds
+    the last k steps only; their output is appended to the list."""
     n, L, d = h_temporal.shape
     k = h_spatial.shape[1]
     spatial = spatial_block(h_spatial, [m[L - k:] for m in masks], params.enc1.spatial, layout)
@@ -320,20 +320,20 @@ def rollout(
     """Autoregressive prediction: encode the growing history, decode one
     step, and append it and its masks; the observed window's masks are built
     once. sizes (default one scene) holds each packed scene's pedestrian
-    count in row order: all positive, summing to N.
+    count in row order: integers, all positive, summing to N.
 
     Returns (N, pred_len, 2) positions in the origin-shifted frame; rows for
     pedestrians without a full observation window are zero.
 
-    Only `training` and params.config set the mode. Training tapes, re-embeds
-    and re-encodes the whole history each step (dropout resamples it), draws
-    each step's noise as it decodes and, under teacher_forcing, appends the
-    scene's ground truth to the history instead of the prediction. Otherwise
-    the rollout runs on params.frozen(), with no tape; each step embeds and
-    runs encoder 1's TGConv on the newest step alone, bit-exactly, while the
-    temporal branches, the fusion and encoder 2 see the full history. All
-    the noise is drawn before the first step, in the order that per-step
-    draws take it.
+    Only `training` and params.config set the mode. Every step embeds the
+    whole history (in training, dropout resamples it). Training tapes and
+    re-encodes all of it, draws each step's noise as it decodes and, under
+    teacher_forcing, appends the scene's ground truth to the history instead
+    of the prediction. Otherwise the rollout runs on params.frozen(), with no
+    tape; after step 0, encoder 1's TGConv runs on the newest step alone and
+    appends to its cached outputs, bit-exactly, while the temporal branches,
+    the fusion and encoder 2 see the full history. All the noise is drawn
+    before the first step, in the order that per-step draws take it.
 
     copies > 1 (not in training) samples that many rollouts in one. Noise
     enters only at the decoder, so step 0 encodes the N rows once; its state
@@ -352,8 +352,8 @@ def rollout(
         raise ValueError("copies > 1 samples eval rollouts; training takes one")
     if not training:
         params = params.frozen()
-    sizes = np.array([scene.n_peds] if sizes is None else sizes, dtype=np.int64)
-    if not (sizes > 0).all() or sizes.sum() != scene.n_peds:
+    sizes = np.asarray([scene.n_peds] if sizes is None else sizes)
+    if sizes.dtype.kind not in "iu" or not (sizes > 0).all() or sizes.sum() != scene.n_peds:
         raise DataFormatError(f"scene sizes {sizes.tolist()} for {scene.n_peds} pedestrians")
     layout = scene_layout(sizes)
     scene, history, presence, masks = _observed(scene, config, layout)
@@ -369,37 +369,31 @@ def rollout(
     if not training and nd > 0:  # sample-major, as `copies` sequential rollouts draw it
         noises = rng.standard_normal((copies, config.pred_len, n, nd)).swapaxes(0, 1)
     origins = scene.origins
-    roll_col = Tensor(rollers[:, None].astype(np.float64))
     keep_memory = config.use_memory and config.use_encoder2
     memory: Optional[Tensor] = None
     spatial: Optional[List[Tensor]] = None if training else []  # encoder 1's TGConv outputs
     preds: List[Tensor] = []
 
     for s in range(config.pred_len):
-        fresh = training or s == 0  # embed the whole history, else the newest step
-        # numpy's matmul rounds a one-step input differently from the same rows
-        # of a longer one; embedding two steps and keeping the newest does not
-        h_s, h_new = embed_inputs(history if fresh else history[:, -2:], params, rng, training)
-        if not fresh:
-            h_s, h_new = h_s[:, 1:], h_new[:, 1:]
-        h_t = h_new if fresh else concat([h_t, h_new], axis=1)
+        h_s, h_t = embed_inputs(history, params, rng, training)
+        if spatial:  # encoder 1's TGConv has encoded every step but the newest
+            h_s = h_s[:, -1:]
         fused = encoder1(h_s, h_t, masks, memory, params, presence, layout, spatial)
         enc = encoder2(fused, masks, params, presence, layout)
         if s == 0 and copies > 1:  # the copies share step 0's encoding
             tile = lambda x: concat([x] * copies, axis=0)
-            enc, history, h_t, spatial = tile(enc), tile(history), tile(h_t), [tile(spatial[0])]
+            enc, history, spatial = tile(enc), tile(history), [tile(spatial[0])]
             presence, rollers, origins = (np.concatenate([a] * copies)
                                           for a in (presence, rollers, origins))
             masks = [np.concatenate([m] * copies, axis=1) for m in masks]
             layout = scene_layout(np.tile(sizes, copies))
-            roll_col = Tensor(rollers[:, None].astype(np.float64))
             n *= copies
         if keep_memory:
             memory = enc
         h_last = enc[:, -1, :]
         noise = None if nd == 0 else Tensor(
             rng.standard_normal((n, nd)) if training else noises[s].reshape(n, nd))
-        step = decode_step(h_last, noise, params) * roll_col
+        step = decode_step(h_last, noise, params) * Tensor(rollers[:, None].astype(np.float64))
         if not np.all(np.isfinite(step.data)):
             raise NonFiniteError(f"non-finite predicted position at rollout step {s}")
         preds.append(step)

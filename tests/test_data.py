@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from startraj import (
-    TrajectoryScene, augment_rotation, load_dataset, make_scenes, merge_scenes,
-    pack_batches, preprocess,
+    StarConfig, TrajectoryScene, augment_rotation, init_params, load_dataset, make_scenes,
+    merge_scenes, pack_batches, preprocess, rollout,
 )
 from startraj.data import scene_window
 from startraj.errors import DataFormatError
@@ -231,6 +231,25 @@ class TestPreprocess:
     def test_idempotent(self):
         prep = preprocess(_scene(seed=3))
         assert preprocess(prep) is prep
+
+    @staticmethod
+    def _never_present():
+        # a 4-pedestrian scene whose last row is present at no step, which
+        # scene_window never builds
+        base = _scene(n=4, seed=4)
+        presence = base.presence.copy()
+        presence[3] = False
+        return TrajectoryScene(ped_ids=list(base.ped_ids), positions=base.positions,
+                               presence=presence, obs_len=base.obs_len)
+
+    def test_pedestrian_present_at_no_step_rejected(self):
+        with pytest.raises(DataFormatError, match="pedestrian 'sim3' is present at no step"):
+            preprocess(self._never_present())
+
+    def test_rollout_rejects_pedestrian_present_at_no_step(self):
+        params = init_params(StarConfig(d_model=8, heads=2), np.random.default_rng(0))
+        with pytest.raises(DataFormatError, match="pedestrian 'sim3' is present at no step"):
+            rollout(self._never_present(), params)
 
 
 class TestAugmentRotation:

@@ -1,4 +1,4 @@
-"""The eval rollout embeds and TGConv-encodes each step once, and runs on
+"""The eval rollout runs encoder 1's TGConv on each step once, and runs on
 frozen parameters with no tape, whatever parameters it is given. Oracles:
 the full re-encode of every step, rebuilt here from the library's encoder
 pieces; rollouts on frozen parameters; and the training path, which still
@@ -11,6 +11,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import startraj.model
 import startraj.trainer
@@ -206,10 +208,11 @@ def test_best_of_k_is_argmin_over_taped_rollouts():
     assert all(p.grad is None and p.requires_grad for _, p in params.parameters())
 
 
-def _sequential(scene, params, copies, rng):
+def _sequential(scene, params, copies, rng, sizes=None):
     """The packed rollout's oracle: `copies` rollouts one after another on
     one generator, stacked along the rows."""
-    return np.concatenate([rollout(scene, params, rng=rng).numpy() for _ in range(copies)])
+    return np.concatenate([rollout(scene, params, rng=rng, sizes=sizes).numpy()
+                           for _ in range(copies)])
 
 
 class TestPackedSamples:
@@ -298,3 +301,65 @@ def test_evaluate_matches_recorded_values():
     assert list(got) == list(expected)
     for key, values in expected.items():
         np.testing.assert_allclose(got[key], values, rtol=1e-12, atol=1e-12, err_msg=key)
+
+
+PROPERTY_EXAMPLES = 100
+# (d_model, heads) pairs that StarConfig accepts
+WIDTHS = [(2, 1), (4, 1), (4, 2), (6, 3), (8, 2), (8, 4)]
+
+
+@st.composite
+def _packed_crowds(draw, obs_len, pred_len):
+    """1-3 scenes of 1-12 pedestrians, packed with merge_scenes. Each row is
+    either present throughout or present on a drawn set of steps (at least
+    one), so rows enter late, leave early and skip steps."""
+    total = obs_len + pred_len
+    scenes = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        n = draw(st.integers(min_value=1, max_value=12))
+        sim = simulate_scene(np.random.default_rng(draw(st.integers(0, 2 ** 16))),
+                             n_peds=n, total_len=total, obs_len=obs_len)
+        presence = sim.presence.copy()
+        for i in range(n):
+            if not draw(st.booleans()):
+                steps = draw(st.lists(st.booleans(), min_size=total, max_size=total))
+                steps[draw(st.integers(0, total - 1))] = True
+                presence[i] = steps
+        positions = np.where(presence[:, :, None], sim.positions, 0.0)
+        scenes.append(preprocess(TrajectoryScene(sim.ped_ids, positions, presence, obs_len)))
+    return merge_scenes(scenes)
+
+
+def test_eval_rollout_properties():
+    """Over drawn configs and packed scene mixes, the eval rollout equals the
+    full re-encode, and rollout(copies=c) equals c sequential rollouts, bit
+    for bit (a one-row batch only to 1e-9, as in TestPackedSamples). Runs
+    PROPERTY_EXAMPLES examples, derandomized."""
+    ran = []
+
+    @settings(max_examples=PROPERTY_EXAMPLES, derandomize=True, database=None, deadline=None)
+    @given(variant=st.sampled_from(sorted(VARIANT_FLAGS)), deterministic=st.booleans(),
+           width=st.sampled_from(WIDTHS), obs_len=st.integers(min_value=2, max_value=6),
+           pred_len=st.integers(min_value=1, max_value=4),
+           copies=st.integers(min_value=1, max_value=4), seed=st.integers(0, 2 ** 16),
+           data=st.data())
+    def check(variant, deterministic, width, obs_len, pred_len, copies, seed, data):
+        d_model, heads = width
+        config = _config(variant, deterministic=deterministic, d_model=d_model, heads=heads,
+                         obs_len=obs_len, pred_len=pred_len)
+        params = init_params(config, np.random.default_rng(seed))
+        batch = data.draw(_packed_crowds(obs_len, pred_len))
+        scene, sizes, n = batch.scene, batch.sizes, batch.scene.n_peds
+        got = rollout(scene, params, rng=np.random.default_rng(1), sizes=sizes).numpy()
+        want = _full_reencode(scene, params, np.random.default_rng(1), sizes=sizes)
+        np.testing.assert_array_equal(got, want)
+        got = rollout(scene, params, rng=np.random.default_rng(2), sizes=sizes,
+                      copies=copies).numpy()
+        want = _sequential(scene, params, copies, np.random.default_rng(2), sizes=sizes)
+        if n > 1 or copies == 1:
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        ran.append(n)
+
+    check()
+    assert len(ran) == PROPERTY_EXAMPLES

@@ -588,44 +588,44 @@ class TestCheckpoints:
     def test_wrong_version_rejected(self, tmp_path):
         config = _config()
         params = init_params(config, np.random.default_rng(32))
-        path = str(tmp_path / "ck.json")
+        path = tmp_path / "ck.json"
         save_checkpoint(path, params)
-        payload = json.loads(open(path).read())
+        payload = json.loads(path.read_text())
         payload["version"] = 99
-        open(path, "w").write(json.dumps(payload))
+        path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="version"):
             load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
         config = _config()
         params = init_params(config, np.random.default_rng(33))
-        path = str(tmp_path / "ck.json")
+        path = tmp_path / "ck.json"
         save_checkpoint(path, params)
-        payload = json.loads(open(path).read())
+        payload = json.loads(path.read_text())
         del payload["params"]["decoder.w"]
-        open(path, "w").write(json.dumps(payload))
+        path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="decoder.w"):
             load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         config = _config()
         params = init_params(config, np.random.default_rng(34))
-        path = str(tmp_path / "ck.json")
+        path = tmp_path / "ck.json"
         save_checkpoint(path, params)
-        payload = json.loads(open(path).read())
+        payload = json.loads(path.read_text())
         payload["params"]["decoder.b"]["shape"] = [3]
         payload["params"]["decoder.b"]["values"] = [0.0, 0.0, 0.0]
-        open(path, "w").write(json.dumps(payload))
+        path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="shape"):
             load_checkpoint(path)
 
     def test_non_finite_weight_rejected(self, tmp_path):
         params = init_params(_config(), np.random.default_rng(35))
-        path = str(tmp_path / "ck.json")
+        path = tmp_path / "ck.json"
         save_checkpoint(path, params)
-        payload = json.loads(open(path).read())
+        payload = json.loads(path.read_text())
         payload["params"]["enc1.spatial.wq"]["values"][3] = float("nan")
-        open(path, "w").write(json.dumps(payload))
+        path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="enc1.spatial.wq"):
             load_checkpoint(path)
 

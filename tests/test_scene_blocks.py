@@ -185,9 +185,10 @@ class TestSceneLayout:
             rollout(batch.scene, init_params(config, np.random.default_rng(0)),
                     sizes=np.array([2, count - 2]))
 
-    @pytest.mark.parametrize("sizes", [[4, 0], [0, 4], [5, -1]])
+    @pytest.mark.parametrize("sizes", [[4, 0], [0, 4], [5, -1], [2.5, 2.5], [True] * 4])
     def test_rollout_rejects_empty_scene(self, sizes, monkeypatch):
-        # sizes that sum to N still need every scene to hold a row
+        # sizes that sum to N still need every scene to hold a row, and sizes
+        # that are not integers are not truncated to some
         batch = _batch((2, 2), seed=40)
         config = StarConfig(d_model=8, heads=2, pred_len=3, deterministic=True, dropout=0.0)
         monkeypatch.setattr(startraj.model, "build_graph", None)

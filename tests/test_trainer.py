@@ -307,9 +307,9 @@ class TestTraining:
         (True, True, "truth"), (True, False, "prediction"), (False, True, "prediction"),
     ])
     def test_teacher_forcing_only_in_training(self, monkeypatch, forcing, training, fed):
-        # the history each rollout step embeds: steps past the observed window
-        # hold ground truth only under teacher forcing while training. Outside
-        # training a step after the first embeds the newest two steps only
+        # the history each rollout step embeds, whole in every mode: steps past
+        # the observed window hold ground truth only under teacher forcing
+        # while training
         config = _config(teacher_forcing=forcing)
         params = init_params(config, np.random.default_rng(20))
         batch = merge_scenes([preprocess(s) for s in _scenes(count=1, n=3, seed=20)])
@@ -325,8 +325,7 @@ class TestTraining:
                                sizes=batch.sizes, training=training)
         monkeypatch.undo()
         obs = config.obs_len
-        assert [h.shape[1] for h in histories] == ([obs, obs + 1, obs + 2] if training
-                                                   else [obs, 2, 2])
+        assert [h.shape[1] for h in histories] == [obs, obs + 1, obs + 2]
         truth = batch.scene.positions[:, obs:obs + 2]
         # deterministic and without dropout, a plain rollout predicts the same steps
         pred = startraj.model.rollout(batch.scene, params).numpy()[:, :2]
