@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------------
 # config files: flat key = value text, '#' comments
 # ----------------------------------------------------------------------
-_CONFIG_FIELDS = {f.name for f in fields(StarConfig)}
+_CONFIG_FIELDS = {f.name for f in fields(StarConfig)} | {"deterministic"}  # an InitVar
 _SPEC_FIELDS = {f.name for f in fields(TrainSpec)}
 
 

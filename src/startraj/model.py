@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass
 from numbers import Integral, Real
 from typing import List, Optional, Tuple
 
@@ -59,15 +59,16 @@ class StarConfig:
     use_memory: bool = True
     temporal_kind: str = "transformer"  # or "recurrent"
     use_encoder2: bool = True
-    deterministic: bool = False
+    deterministic: InitVar[bool] = False  # an input, not stored: True sets noise_dim 0
     teacher_forcing: bool = False
     ff_dim: Optional[int] = None
 
-    def __post_init__(self):
+    def __post_init__(self, deterministic):
         for name, low in (("d_model", 1), ("heads", 1), ("noise_dim", 0),
                           ("obs_len", 2), ("pred_len", 1)):
             require_int(name, getattr(self, name), low)
-        for name in ("use_memory", "use_encoder2", "deterministic", "teacher_forcing"):
+        require_bool("deterministic", deterministic)
+        for name in ("use_memory", "use_encoder2", "teacher_forcing"):
             require_bool(name, getattr(self, name))
         if self.ff_dim is not None:
             require_int("ff_dim", self.ff_dim, 1)
@@ -82,13 +83,12 @@ class StarConfig:
                 f"need an even d_model divisible by heads; got d_model "
                 f"{self.d_model}, heads {self.heads}"
             )
-        if self.temporal_kind == "recurrent":
-            # the recurrent ablation runs without graph memory
+        if deterministic:
+            self.noise_dim = 0
+        if self.temporal_kind == "recurrent" or not self.use_encoder2:
+            # the memory is encoder 2's transformer output; the recurrent
+            # ablation and a model without encoder 2 run without it
             self.use_memory = False
-
-    @property
-    def effective_noise_dim(self) -> int:
-        return 0 if self.deterministic else self.noise_dim
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -102,7 +102,7 @@ VARIANT_FLAGS = {
     "full": dict(use_memory=True, temporal_kind="transformer", use_encoder2=True),
     "no_memory": dict(use_memory=False, temporal_kind="transformer", use_encoder2=True),
     "lstm_temporal": dict(use_memory=False, temporal_kind="recurrent", use_encoder2=True),
-    "single_encoder": dict(use_memory=True, temporal_kind="transformer", use_encoder2=False),
+    "single_encoder": dict(use_memory=False, temporal_kind="transformer", use_encoder2=False),
 }
 
 
@@ -181,7 +181,7 @@ def init_params(config: StarConfig, rng: np.random.Generator) -> StarParams:
     embed_temporal = Linear.init(2, d, rng)
     enc1_spatial = TGConvParams.init(d, config.heads, rng)
     fusion = Linear.init(2 * d, d, rng)
-    decoder = Linear.init(d + config.effective_noise_dim, 2, rng)
+    decoder = Linear.init(d + config.noise_dim, 2, rng)
     enc1 = encoder(enc1_spatial)
     enc2 = encoder(TGConvParams.init(d, config.heads, rng)) if config.use_encoder2 else None
     return StarParams(config, embed_spatial, embed_temporal, enc1, fusion, enc2, decoder)
@@ -342,9 +342,9 @@ def rollout(
     k*N..(k+1)*N: `copies` sequential rollouts on the same generator, up to
     the rounding of a matmul over more rows.
 
-    The graph memory starts empty; with memory and encoder 2 enabled, each
-    step's encoder-2 output replaces it. Raises NonFiniteError at the first
-    step that decodes a non-finite position.
+    The graph memory starts empty; with use_memory, each step's encoder-2
+    output replaces it. Raises NonFiniteError at the first step that decodes
+    a non-finite position.
     """
     config = params.config
     require_int("copies", copies, 1)
@@ -365,11 +365,10 @@ def rollout(
         rng = np.random.default_rng(0)
 
     n = scene.n_peds
-    nd = config.effective_noise_dim
+    nd = config.noise_dim
     if not training and nd > 0:  # sample-major, as `copies` sequential rollouts draw it
         noises = rng.standard_normal((copies, config.pred_len, n, nd)).swapaxes(0, 1)
     origins = scene.origins
-    keep_memory = config.use_memory and config.use_encoder2
     memory: Optional[Tensor] = None
     spatial: Optional[List[Tensor]] = None if training else []  # encoder 1's TGConv outputs
     preds: List[Tensor] = []
@@ -377,7 +376,7 @@ def rollout(
     for s in range(config.pred_len):
         h_s, h_t = embed_inputs(history, params, rng, training)
         if spatial:  # encoder 1's TGConv has encoded every step but the newest
-            h_s = h_s[:, -1:]
+            h_s = Tensor(h_s.data[:, -1:].copy())  # a view would keep all L rows alive
         fused = encoder1(h_s, h_t, masks, memory, params, presence, layout, spatial)
         enc = encoder2(fused, masks, params, presence, layout)
         if s == 0 and copies > 1:  # the copies share step 0's encoding
@@ -388,7 +387,7 @@ def rollout(
             masks = [np.concatenate([m] * copies, axis=1) for m in masks]
             layout = scene_layout(np.tile(sizes, copies))
             n *= copies
-        if keep_memory:
+        if config.use_memory:
             memory = enc
         h_last = enc[:, -1, :]
         noise = None if nd == 0 else Tensor(

@@ -127,19 +127,18 @@ class Tensor:
 
         return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
 
-    def __neg__(self):
-        a = self
+    def __sub__(self, other):
+        other = self._lift(other)
+        a, b = self, other
 
         def bwd(g):
-            a._accumulate(-g)
+            a._accumulate(_unbroadcast(g, a.shape))
+            b._accumulate(-_unbroadcast(g, b.shape))
 
-        return Tensor(-a.data, _parents=(a,), _backward=bwd)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
+        return Tensor(a.data - b.data, _parents=(a, b), _backward=bwd)
 
     def __rsub__(self, other):
-        return self._lift(other) + (-self)
+        return self._lift(other) - self
 
     def __mul__(self, other):
         other = self._lift(other)

@@ -204,7 +204,7 @@ def evaluate(
         raise DataFormatError("empty evaluation set")
     require_int("K", K, 1)
     rng = np.random.default_rng(seed)
-    k_eff = 1 if params.config.effective_noise_dim == 0 else K
+    k_eff = 1 if params.config.noise_dim == 0 else K
     a_sum = f_sum = weight = 0.0
     for scene in scenes:
         n_targets = int(scene.targets.sum())

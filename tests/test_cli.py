@@ -5,6 +5,8 @@ All invocations go through cli.main() in-process.
 
 import json
 import os
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -12,11 +14,14 @@ import pytest
 
 import startraj.cli
 from startraj.cli import (
-    EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_config_file, main, scene_from_file,
+    _CONFIG_FIELDS, _SPEC_FIELDS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+    load_config_file, main, scene_from_file,
 )
 from startraj.data import DATASET_NAMES, preprocess
 from startraj.errors import DataFormatError, ShapeMismatchError
-from startraj.model import StarConfig, init_params, load_checkpoint, rollout, save_checkpoint
+from startraj.model import (
+    VARIANT_FLAGS, StarConfig, init_params, load_checkpoint, rollout, save_checkpoint,
+)
 
 
 def _without(d, key):
@@ -331,6 +336,37 @@ class TestConfigFiles:
             load_config_file(str(p))
 
 
+class TestReadme:
+    """README's config-file keys and `--variant` list name exactly the keys
+    that load_config_file accepts and the VARIANT_FLAGS names, so no setting
+    is added, dropped or renamed without its documentation."""
+
+    LINES = (pathlib.Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8").splitlines()
+
+    def test_config_file_keys(self, tmp_path):
+        found = re.search(r"Keys are the model fields +\(([^)]*)\) +plus training fields"
+                          r" +\(([^)]*)\)", " ".join(self.LINES))
+        assert found, "README's Config files section lists no keys"
+        model, training = (re.findall(r"`(\w+)`", group) for group in found.groups())
+        assert sorted(model) == sorted(_CONFIG_FIELDS)
+        assert sorted(training) == sorted(_SPEC_FIELDS)
+        cfg = tmp_path / "every_key.cfg"
+        cfg.write_text("".join(f"{key} = 1\n" for key in model + training))
+        assert set(load_config_file(str(cfg))) == _CONFIG_FIELDS | _SPEC_FIELDS
+
+    def test_variant_list(self):
+        # the bullets after the intro line, up to the first unindented text
+        start = self.LINES.index("`--variant` selects an ablation:") + 1
+        names = []
+        for line in self.LINES[start:]:
+            if line.startswith("- "):
+                names.append(re.match(r"- `(\w+)`", line).group(1))
+            elif line and not line.startswith("  "):
+                break
+        assert names == list(VARIANT_FLAGS)
+
+
 class TestTrainCommand:
     def test_artifacts_and_manifest(self, checkpoint):
         out = checkpoint.parent
@@ -386,6 +422,21 @@ class TestTrainCommand:
         ck = json.loads((out / "checkpoint_final.json").read_text())
         assert ck["config"]["use_memory"] is False
 
+    def test_deterministic_key_and_flag_store_noise_dim_0(self, tmp_path, data_dir,
+                                                          config_file, checkpoint):
+        # `deterministic = true` in the file (the checkpoint fixture's) and
+        # the flag are inputs: the written configs hold noise_dim 0 alone
+        flagged = tmp_path / "flagged.cfg"
+        flagged.write_text(config_file.read_text().replace("deterministic = true",
+                                                           "noise_dim = 3"))
+        out = tmp_path / "flag_out"
+        assert main(["train", "--config", str(flagged), "--data-dir", str(data_dir),
+                     "--held-out", "ETH", "--deterministic", "--out", str(out)]) == EXIT_OK
+        for run in (checkpoint.parent, out):
+            for name in ("checkpoint_final.json", "manifest.json"):
+                written = json.loads((run / name).read_text())["config"]
+                assert written["noise_dim"] == 0 and "deterministic" not in written
+
 
 class TestEvalCommand:
     def test_report_rows(self, tmp_path, data_dir, checkpoint):
@@ -413,14 +464,23 @@ class TestEvalCommand:
     @pytest.mark.parametrize("flags, label", [
         ({"use_memory": False}, "no_memory"),
         ({"temporal_kind": "recurrent", "use_encoder2": False}, "custom"),
+        ({"use_encoder2": False, "use_memory": True}, "single_encoder"),
+        ({"use_encoder2": False, "use_memory": False}, "single_encoder"),
     ])
     def test_rows_labelled_from_checkpoint(self, tmp_path, data_dir, flags, label):
+        # the config is written with `flags` as given, as earlier releases
+        # wrote use_memory true beside use_encoder2 false: a model without
+        # encoder 2 has no graph memory, whatever its file says
         ckpt = tmp_path / "c.json"
         config = StarConfig(d_model=8, heads=2, pred_len=2, deterministic=True, **flags)
         save_checkpoint(str(ckpt), init_params(config, np.random.default_rng(0)))
+        payload = json.loads(ckpt.read_text())
+        payload["config"].update(flags)
+        ckpt.write_text(json.dumps(payload))
         out = tmp_path / "o"
+        variant = [] if label == "custom" else ["--variant", label]
         assert main(["eval", "--checkpoint", str(ckpt), "--data-dir", str(data_dir),
-                     "--held-out", "ETH", "--out", str(out)]) == EXIT_OK
+                     "--held-out", "ETH", "--out", str(out)] + variant) == EXIT_OK
         rows = (out / "eval_report.tsv").read_text().strip().splitlines()[1:]
         assert [row.split("\t")[0] for row in rows] == [label]
 

@@ -16,10 +16,13 @@ from hypothesis import strategies as st
 
 import startraj.model
 import startraj.trainer
-from startraj import StarConfig, Tensor, best_of_k, evaluate, init_params, preprocess, rollout
+from startraj import (
+    StarConfig, Tensor, best_of_k, evaluate, init_params, preprocess, rollout, scene_loss,
+)
 from startraj.data import TrajectoryScene, merge_scenes
 from startraj.graph import build_graph, scene_layout
 from startraj.model import VARIANT_FLAGS, decode_step, embed_inputs, encoder1, encoder2
+from startraj.optim import zero_grads
 from startraj.synthetic import simulate_scene
 from startraj.trainer import ROW_BUDGET, ade, fde
 
@@ -84,9 +87,9 @@ def _full_reencode(scene, params, rng, sizes=None, truth_positions=None):
         fused = encoder1(h_s * pmask, h_t * pmask, masks, memory, params, presence,
                          layout=layout)
         enc = encoder2(fused, masks, params, presence, layout=layout)
-        if config.use_memory and config.use_encoder2:
+        if config.use_memory:
             memory = enc
-        nd = config.effective_noise_dim
+        nd = config.noise_dim
         noise = Tensor(rng.standard_normal((n, nd))) if nd > 0 else None
         step = decode_step(enc[:, -1, :], noise, params).numpy() * rollers[:, None]
         preds.append(step)
@@ -306,16 +309,17 @@ def test_evaluate_matches_recorded_values():
 PROPERTY_EXAMPLES = 100
 # (d_model, heads) pairs that StarConfig accepts
 WIDTHS = [(2, 1), (4, 1), (4, 2), (6, 3), (8, 2), (8, 4)]
+FF_DIMS = st.none() | st.integers(min_value=1, max_value=12)  # None: 4 * d_model
 
 
 @st.composite
-def _packed_crowds(draw, obs_len, pred_len):
-    """1-3 scenes of 1-12 pedestrians, packed with merge_scenes. Each row is
+def _crowds(draw, obs_len, pred_len, max_scenes):
+    """1 to max_scenes preprocessed scenes of 1-12 pedestrians. Each row is
     either present throughout or present on a drawn set of steps (at least
     one), so rows enter late, leave early and skip steps."""
     total = obs_len + pred_len
     scenes = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+    for _ in range(draw(st.integers(min_value=1, max_value=max_scenes))):
         n = draw(st.integers(min_value=1, max_value=12))
         sim = simulate_scene(np.random.default_rng(draw(st.integers(0, 2 ** 16))),
                              n_peds=n, total_len=total, obs_len=obs_len)
@@ -327,28 +331,29 @@ def _packed_crowds(draw, obs_len, pred_len):
                 presence[i] = steps
         positions = np.where(presence[:, :, None], sim.positions, 0.0)
         scenes.append(preprocess(TrajectoryScene(sim.ped_ids, positions, presence, obs_len)))
-    return merge_scenes(scenes)
+    return scenes
 
 
 def test_eval_rollout_properties():
-    """Over drawn configs and packed scene mixes, the eval rollout equals the
-    full re-encode, and rollout(copies=c) equals c sequential rollouts, bit
-    for bit (a one-row batch only to 1e-9, as in TestPackedSamples). Runs
-    PROPERTY_EXAMPLES examples, derandomized."""
+    """Over drawn configs and 1-3 scenes packed with merge_scenes, the eval
+    rollout equals the full re-encode, and rollout(copies=c) equals c
+    sequential rollouts, bit for bit (a one-row batch only to 1e-9, as in
+    TestPackedSamples). Runs PROPERTY_EXAMPLES examples, derandomized."""
     ran = []
 
     @settings(max_examples=PROPERTY_EXAMPLES, derandomize=True, database=None, deadline=None)
     @given(variant=st.sampled_from(sorted(VARIANT_FLAGS)), deterministic=st.booleans(),
-           width=st.sampled_from(WIDTHS), obs_len=st.integers(min_value=2, max_value=6),
+           width=st.sampled_from(WIDTHS), ff_dim=FF_DIMS,
+           obs_len=st.integers(min_value=2, max_value=6),
            pred_len=st.integers(min_value=1, max_value=4),
            copies=st.integers(min_value=1, max_value=4), seed=st.integers(0, 2 ** 16),
            data=st.data())
-    def check(variant, deterministic, width, obs_len, pred_len, copies, seed, data):
+    def check(variant, deterministic, width, ff_dim, obs_len, pred_len, copies, seed, data):
         d_model, heads = width
         config = _config(variant, deterministic=deterministic, d_model=d_model, heads=heads,
-                         obs_len=obs_len, pred_len=pred_len)
+                         ff_dim=ff_dim, obs_len=obs_len, pred_len=pred_len)
         params = init_params(config, np.random.default_rng(seed))
-        batch = data.draw(_packed_crowds(obs_len, pred_len))
+        batch = merge_scenes(data.draw(_crowds(obs_len, pred_len, max_scenes=3)))
         scene, sizes, n = batch.scene, batch.sizes, batch.scene.n_peds
         got = rollout(scene, params, rng=np.random.default_rng(1), sizes=sizes).numpy()
         want = _full_reencode(scene, params, np.random.default_rng(1), sizes=sizes)
@@ -363,3 +368,58 @@ def test_eval_rollout_properties():
 
     check()
     assert len(ran) == PROPERTY_EXAMPLES
+
+
+PACKING_EXAMPLES = 100
+
+
+def _trained(batch, params):
+    """A training rollout's rows, then scene_loss and every parameter's
+    gradient, each times the loss's normaliser: max(2 * target slots, 1)."""
+    scene = batch.scene
+    rows = rollout(scene, params, rng=np.random.default_rng(0), sizes=batch.sizes,
+                   training=True).numpy()
+    norm = max(2.0 * (scene.targets[:, None] & scene.presence[:, scene.obs_len:]).sum(), 1.0)
+    plist = params.parameters()
+    zero_grads(plist)
+    loss = scene_loss(batch, params, np.random.default_rng(0))
+    loss.backward()
+    return rows, [loss.item() * norm] + [p.grad * norm for _, p in plist]
+
+
+def test_packing_properties():
+    """Over drawn configs and 1-5 scenes packed with merge_scenes, a packed
+    training rollout's rows equal each scene's solo rollout within 1e-9, and
+    scene_loss and every parameter gradient, each times its normaliser,
+    equal the sums of the solo ones within 1e-9 relative: of the loss, and
+    of the largest gradient entry, since some entries (a key bias's, say)
+    are 0 up to rounding. dropout and noise_dim are 0, since both draw per
+    row. Runs PACKING_EXAMPLES examples, derandomized."""
+    ran = []
+
+    @settings(max_examples=PACKING_EXAMPLES, derandomize=True, database=None, deadline=None)
+    @given(variant=st.sampled_from(sorted(VARIANT_FLAGS)), teacher_forcing=st.booleans(),
+           width=st.sampled_from(WIDTHS), ff_dim=FF_DIMS,
+           obs_len=st.integers(min_value=2, max_value=6),
+           pred_len=st.integers(min_value=1, max_value=4), seed=st.integers(0, 2 ** 16),
+           data=st.data())
+    def check(variant, teacher_forcing, width, ff_dim, obs_len, pred_len, seed, data):
+        d_model, heads = width
+        config = _config(variant, noise_dim=0, teacher_forcing=teacher_forcing,
+                         d_model=d_model, heads=heads, ff_dim=ff_dim, obs_len=obs_len,
+                         pred_len=pred_len)
+        params = init_params(config, np.random.default_rng(seed))
+        scenes = data.draw(_crowds(obs_len, pred_len, max_scenes=5))
+        rows, sums = _trained(merge_scenes(scenes), params)
+        solo = [_trained(merge_scenes([s]), params) for s in scenes]
+        np.testing.assert_allclose(rows, np.concatenate([r for r, _ in solo]),
+                                   rtol=0, atol=1e-9)
+        loss, *grads = (sum(s[i] for _, s in solo) for i in range(len(sums)))
+        assert abs(sums[0] - loss) <= 1e-9 * loss
+        scale = max(np.abs(g).max() for g in grads)  # some entries are 0 up to rounding
+        for got, want in zip(sums[1:], grads, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
+        ran.append(len(scenes))
+
+    check()
+    assert len(ran) == PACKING_EXAMPLES

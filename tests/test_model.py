@@ -4,14 +4,15 @@ checkpoints, and the ablation variants."""
 import hashlib
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import startraj.model
 from startraj import (
-    StarConfig, Tensor, build_graph, config_for_variant, decode_step, embed_inputs,
-    encoder1, init_params, load_checkpoint, preprocess, rollout,
+    StarConfig, Tensor, best_of_k, build_graph, config_for_variant, decode_step,
+    embed_inputs, encoder1, init_params, load_checkpoint, preprocess, rollout,
     save_checkpoint, scene_loss,
 )
 from startraj.data import merge_scenes
@@ -104,6 +105,25 @@ class TestConfig:
     def test_recurrent_forces_memory_off(self):
         c = StarConfig(temporal_kind="recurrent", use_memory=True)
         assert not c.use_memory
+
+    def test_deterministic_is_stored_as_noise_dim_0(self):
+        # an input, not a field: a model without decoder noise is stored one way
+        c = StarConfig(deterministic=True, noise_dim=16)
+        assert asdict(c) == asdict(StarConfig(noise_dim=0))
+        assert c.noise_dim == 0 and "deterministic" not in asdict(c)
+        assert StarConfig(deterministic=False, noise_dim=16).noise_dim == 16
+
+    def test_memory_needs_encoder2(self):
+        # the memory is encoder 2's transformer output
+        assert StarConfig(use_encoder2=False, use_memory=True).use_memory is False
+        assert StarConfig(use_encoder2=True, use_memory=True).use_memory is True
+
+    @pytest.mark.parametrize("variant", [None, *VARIANT_FLAGS])
+    def test_stored_config_rebuilds_itself(self, variant):
+        for base in (StarConfig(), StarConfig(deterministic=True)):
+            c = base if variant is None else config_for_variant(variant, base)
+            assert StarConfig(**asdict(c)) == c
+            assert all(getattr(c, k) == v for k, v in VARIANT_FLAGS.get(variant, {}).items())
 
     def test_variant_flags(self):
         # full vs no_memory differ only in use_memory
@@ -578,6 +598,46 @@ class TestCheckpoints:
         assert not any("w_out" in name for name in payload["params"])
         again = rollout(scene, load_checkpoint(path), rng=np.random.default_rng(0))
         np.testing.assert_array_equal(again.numpy(), expected["rollout"])
+
+    # configs as releases before noise_dim 0 and use_memory were stored one
+    # way wrote them: canonical fields, then these entries
+    EARLIER_CONFIGS = {
+        "deterministic with noise_dim 16": (
+            dict(noise_dim=0), {"deterministic": True, "noise_dim": 16}),
+        "memory without encoder 2": (
+            dict(deterministic=False, noise_dim=4, use_encoder2=False),
+            {"deterministic": False, "use_memory": True}),
+    }
+
+    @pytest.mark.parametrize("case", [*EARLIER_CONFIGS, "v1 fixture"])
+    def test_earlier_configs_load_canonical(self, tmp_path, case):
+        # an earlier checkpoint loads the model that its canonical config
+        # saves: same config, same arrays, same rollout and best-of-K bytes
+        canonical_path, earlier_path = tmp_path / "canonical.json", tmp_path / "earlier.json"
+        if case == "v1 fixture":
+            earlier_path = os.path.join(FIXTURES, "v1_tiny_checkpoint.json")
+            with open(earlier_path) as fh:
+                written = json.load(fh)["config"]
+            config = StarConfig(**{k: v for k, v in written.items() if k != "deterministic"})
+            save_checkpoint(str(canonical_path), load_checkpoint(earlier_path))
+        else:
+            flags, entries = self.EARLIER_CONFIGS[case]
+            config = _config(**flags)
+            save_checkpoint(str(canonical_path), init_params(config, np.random.default_rng(4)))
+            payload = json.loads(canonical_path.read_text())
+            payload["config"].update(entries)
+            earlier_path.write_text(json.dumps(payload))
+        assert "deterministic" not in json.loads(canonical_path.read_text())["config"]
+        earlier = load_checkpoint(str(earlier_path))
+        canonical = load_checkpoint(str(canonical_path))
+        assert earlier.config == canonical.config == config
+        for (name, a), (_, b) in zip(earlier.parameters(), canonical.parameters(), strict=True):
+            assert a.data.tobytes() == b.data.tobytes(), name
+        scene = _scene(n=4, seed=6, config=config)
+        outs = [(rollout(scene, p, rng=np.random.default_rng(1)).numpy().tobytes(),
+                 best_of_k(scene, p, K=5, rng=np.random.default_rng(2)))
+                for p in (earlier, canonical)]
+        assert outs[0] == outs[1]
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
