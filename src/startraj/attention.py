@@ -160,7 +160,9 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray) -> Tupl
     instead of one short row per query. The sum adds in numpy's pairwise
     order for a last-axis sum (_pairwise_sum), and the divide writes the
     weights back row-major, so outputs and weights have the bits of the
-    row-major softmax. The backward pass keeps the expressions of the scale,
+    row-major softmax. The output is a (lead..., t_q, d_v) view of a buffer
+    laid out (lead[:-1]..., t_q, heads, d_v), which merge_heads reshapes
+    without a copy. The backward pass keeps the expressions of the scale,
     QK^T, normalise and AV composite, bit for bit.
     """
     sq, sk, sv = q.shape, k.shape, v.shape
@@ -198,7 +200,9 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray) -> Tupl
         gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)  # (qs^T gl)^T
         k._accumulate(gk)
 
-    return Tensor(np.matmul(w, v.data), _parents=(q, k, v), _backward=bwd), Tensor(w)
+    out = np.empty(sq[:-3] + (sq[-2], sq[-3], sv[-1])).swapaxes(-3, -2)
+    np.matmul(w, v.data, out=out)
+    return Tensor(out, _parents=(q, k, v), _backward=bwd), Tensor(w)
 
 
 def head_projections(
@@ -219,7 +223,9 @@ def head_projections(
 
 
 def merge_heads(out: Tensor, params: AttentionParams) -> Tensor:
-    """Inverse of the head split: (..., heads, t, d_k) -> (..., t, d_model)."""
+    """Inverse of the head split: (..., heads, t, d_k) -> (..., t, d_model).
+    On masked_attention's output, whose memory is already (..., t, heads,
+    d_k), the result is a view; any other layout is copied."""
     merged = out.swapaxes(-3, -2)
     return merged.reshape(merged.shape[:-2] + (params.d_model,))
 
@@ -287,8 +293,9 @@ def temporal_block(
     # step keys on all of its own steps; those outputs are zeroed below
     keys = time_mask | ~time_mask.any(axis=1, keepdims=True)
     att, _ = masked_attention(q, k, v, keys[:, None, None, :])
-    att = linear(merge_heads(att, params.attn), params.attn.wo, params.attn.bo)
-    y = layer_norm(x + att, params.ln1_gain, params.ln1_bias)
-    ff = linear(linear(y, params.w_ff1, params.b_ff1).relu(), params.w_ff2, params.b_ff2)
-    out = layer_norm(y + ff, params.ln2_gain, params.ln2_bias)
+    # x + att and y + ff, each as its linear's residual: float addition commutes
+    att = linear(merge_heads(att, params.attn), params.attn.wo, params.attn.bo, x)
+    y = layer_norm(att, params.ln1_gain, params.ln1_bias)
+    ff = linear(linear(y, params.w_ff1, params.b_ff1).relu(), params.w_ff2, params.b_ff2, y)
+    out = layer_norm(ff, params.ln2_gain, params.ln2_bias)
     return out * Tensor(time_mask[:, :, None].astype(np.float64))

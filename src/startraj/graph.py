@@ -115,5 +115,5 @@ def spatial_block(h: Tensor, masks: List[np.ndarray], params: TGConvParams,
             off += hi - lo
     y = concat([pieces[lo] for lo in sorted(pieces)], axis=1)
     a = layer_norm(y + x, params.ln1_gain, params.ln1_bias)
-    out = layer_norm(linear(a, params.wo, params.bo) + a, params.ln2_gain, params.ln2_bias)
+    out = layer_norm(linear(a, params.wo, params.bo, a), params.ln2_gain, params.ln2_bias)
     return out.swapaxes(0, 1)

@@ -218,9 +218,9 @@ def temporal_recurrent(h: Tensor, params: GruParams, time_mask: np.ndarray) -> T
     outs = []
     for s in range(t):
         x = h[:, s, :]
-        z = (linear(x, params.wz, params.bz) + hidden.matmul(params.uz)).sigmoid()
-        r = (linear(x, params.wr, params.br) + hidden.matmul(params.ur)).sigmoid()
-        cand = (linear(x, params.wn, params.bn) + (r * hidden).matmul(params.un)).tanh()
+        z = linear(x, params.wz, params.bz, hidden.matmul(params.uz)).sigmoid()
+        r = linear(x, params.wr, params.br, hidden.matmul(params.ur)).sigmoid()
+        cand = linear(x, params.wn, params.bn, (r * hidden).matmul(params.un)).tanh()
         hidden = (1.0 - z) * cand + z * hidden
         outs.append(hidden)
     return T.stack(outs, axis=1) * keep

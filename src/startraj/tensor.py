@@ -13,9 +13,12 @@ Gradient ownership: a node's ``.grad`` is its own until its closure returns,
 so the closure may hand that array, or views of it, on to its parents. A
 parent with no gradient yet adopts what it is handed and later adds into it
 in place, so no two parents may be handed the same memory: ``concat`` hands
-each its own slice, and ``__add__``, the only op that passes ``g`` to both
-sides, copies the second operand's share when the first has just adopted it
-(``x + x``, or a constant first operand).
+each its own slice, ``linear`` hands ``g`` itself to its ``residual`` alone,
+and ``__add__``, the only op that passes ``g`` to both sides, copies the
+second operand's share when the first has just adopted it (``x + x``
+included). ``concat``, ``linear``'s input and residual and both sides of
+``+``, ``-`` and ``*`` are handed nothing when they do not require grad: only
+parameters' gradients are ever read.
 
 In place: an op allocates each result once and finishes its expression in
 place (``out = x @ W; out += b``), but writes only into arrays it has just
@@ -120,10 +123,11 @@ class Tensor:
         a, b = self, other
 
         def bwd(g):
-            ga = _unbroadcast(g, a.shape)
-            gb = _unbroadcast(g, b.shape)
-            a._accumulate(ga)
-            b._accumulate(gb if gb is not a.grad else gb.copy())
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g, a.shape))
+            if b.requires_grad:
+                gb = _unbroadcast(g, b.shape)
+                b._accumulate(gb if gb is not a.grad else gb.copy())
 
         return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
 
@@ -132,8 +136,10 @@ class Tensor:
         a, b = self, other
 
         def bwd(g):
-            a._accumulate(_unbroadcast(g, a.shape))
-            b._accumulate(-_unbroadcast(g, b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g, a.shape))
+            if b.requires_grad:
+                b._accumulate(-_unbroadcast(g, b.shape))
 
         return Tensor(a.data - b.data, _parents=(a, b), _backward=bwd)
 
@@ -145,8 +151,10 @@ class Tensor:
         a, b = self, other
 
         def bwd(g):
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(g * b.data, a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g * a.data, b.shape))
 
         return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
 
@@ -298,9 +306,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def bwd(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            t._accumulate(g[tuple(idx)])
+            if t.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                t._accumulate(g[tuple(idx)])
 
     return Tensor(
         np.concatenate([t.data for t in tensors], axis=axis),
@@ -360,22 +369,36 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor(out, _parents=(x, gain, bias), _backward=bwd)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map on the last axis: x @ weight + bias, weight is (in, out), as
-    one tape node with the matmul-then-add composite's gradients, bit for bit."""
+def linear(x: Tensor, weight: Tensor, bias: Tensor, residual: Optional[Tensor] = None) -> Tensor:
+    """Affine map on the last axis: x @ weight + bias, weight is (in, out),
+    plus residual (of the result's shape) when given, as one tape node with
+    the gradients of the matmul-then-add composite and its `+ residual`, bit
+    for bit. A residual add taped as its own node would keep an extra
+    result-sized array alive until the backward pass."""
     if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise ShapeMismatchError(f"linear: incompatible shapes {x.shape} x {weight.shape}")
     out = np.matmul(x.data, weight.data)
     out += bias.data
+    parents = (x, weight, bias)
+    if residual is not None:
+        if residual.shape != out.shape:
+            raise ShapeMismatchError(f"linear: residual of {residual.shape} for {out.shape}")
+        out += residual.data
+        parents += (residual,)
 
     def bwd(g):
         bias._accumulate(_unbroadcast(g, bias.shape))
-        if x.requires_grad:
-            x._accumulate(_unbroadcast(np.matmul(g, weight.data.T), x.shape))
         gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
+        gx = np.matmul(g, weight.data.T) if x.requires_grad else None
+        # residual takes g itself, as the composite's add handed it first:
+        # after its last read here, since residual may be x and add into g
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(g)
+        if gx is not None:
+            x._accumulate(_unbroadcast(gx, x.shape))
         weight._accumulate(_unbroadcast(gw, weight.shape))
 
-    return Tensor(out, _parents=(x, weight, bias), _backward=bwd)
+    return Tensor(out, _parents=parents, _backward=bwd)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -353,11 +353,17 @@ def _attention_and_grads(fn, q, k, v, allow, g, swapped):
     return [out.numpy(), w.numpy()] + [t.grad for t in leaves]
 
 
+def _merged_strides(shape):
+    """Strides of masked_attention's (..., heads, t, d) output: a heads-swapped
+    view of a C-ordered (..., t, heads, d) buffer, merge_heads' layout."""
+    return np.empty(shape[:-3] + (shape[-2], shape[-3], shape[-1])).swapaxes(-3, -2).strides
+
+
 class TestKeyMajorSoftmax:
     """masked_attention's key-major, blocked softmax against the row-major
-    body it replaced: outputs, weights and q/k/v gradients bit for bit and
-    with the same strides, under a C-contiguous and a transposed upstream
-    gradient."""
+    body it replaced: outputs, weights and q/k/v gradients bit for bit and,
+    but for the output's merged-heads layout, with the same strides, under a
+    C-contiguous and a transposed upstream gradient."""
 
     @staticmethod
     def _assert_same(q, k, v, allow, seed=0):
@@ -367,6 +373,8 @@ class TestKeyMajorSoftmax:
             expect = _attention_and_grads(_row_major_attention, q, k, v, allow, g, swapped)
             for a, b in zip(got, expect):
                 np.testing.assert_array_equal(a, b)
+            assert got[0].strides == _merged_strides(got[0].shape), swapped
+            for a, b in zip(got[1:], expect[1:]):
                 assert a.strides == b.strides, swapped
 
     @pytest.mark.parametrize("t_k", [1, 2, 7, 8, 9, 15, 16, 17, 19, 40])
@@ -470,6 +478,26 @@ class TestKeyMajorSoftmax:
         k = Tensor(np.array([[[1e200], [0.0], [1.0]]]))
         with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
             masked_attention(q, k, Tensor(np.ones((1, 3, 2))), np.ones((1, 2, 3), dtype=bool))
+
+
+class TestMergedOutput:
+    """masked_attention writes its output in merge_heads' layout, so the
+    merge is a view: the tape holds the attention output once."""
+
+    @pytest.mark.parametrize("lead, allow_shape", [
+        ((6, 8), (6, 1, 1, 5)),  # temporal: (N, heads) rows, an (N, 1, 1, t) mask
+        ((3, 8), (3, 1, 5, 5)),  # a lone spatial block: (t, heads), a (t, 1, n, n) mask
+        ((3, 4, 8), (3, 4, 1, 5, 5)),  # packed spatial blocks: (t, S, heads), (t, S, 1, n, n)
+    ])
+    def test_merge_heads_is_a_view(self, lead, allow_shape):
+        rng = np.random.default_rng(len(lead))
+        params = AttentionParams.init(16, 8, rng)  # d_k = 2
+        q, k, v = (Tensor(_head_split(rng, lead, 5, 2)) for _ in range(3))
+        out, _ = masked_attention(q, k, v, np.ones(allow_shape, dtype=bool))
+        merged = merge_heads(out, params)
+        assert np.shares_memory(merged.numpy(), out.numpy())
+        expect = np.ascontiguousarray(np.swapaxes(out.numpy(), -3, -2)).reshape(merged.shape)
+        np.testing.assert_array_equal(merged.numpy(), expect)
 
 
 class TestPairwiseSum:

@@ -155,6 +155,16 @@ class TestBackward:
         x.matmul(w).sum().backward()
         np.testing.assert_allclose(w.grad, x.numpy().T @ np.ones((5, 3)), atol=1e-12)
 
+    def test_constant_operands_get_no_gradient(self):
+        # +, -, * and concat hand nothing to an operand that does not require
+        # grad, on either side; the other side's gradient is unchanged
+        x = parameter(np.arange(3.0))
+        c = Tensor(np.full(3, 2.0))
+        loss = ((x + c) + (c + x) + (x - c) + (c - x) + x * c + c * x).sum()
+        (loss + concat([c, x]).sum() + concat([x, c]).sum()).backward()
+        assert c.grad is None
+        np.testing.assert_array_equal(x.grad, np.full(3, 1 + 1 + 1 - 1 + 2 + 2 + 1 + 1.0))
+
     def test_constant_loss_zero_grads(self):
         # [TRIVIAL] loss independent of parameter -> zero gradient
         w = parameter(np.ones(3))
@@ -383,6 +393,42 @@ class TestLinearHelper:
                                    atol=1e-12)
         np.testing.assert_allclose(b.grad, g.sum(axis=(0, 1)), atol=1e-12)
 
+    def test_residual_matches_the_add_composite(self, read_only_tensors):
+        # linear(x, W, b, x), TGConv's f_out and skip connection, against
+        # linear(x, W, b) + x: the output and every gradient bit for bit and
+        # laid out alike. x * x is swept first, so x's gradient adds three
+        # parts, and the residual's g must come before g W^T, as in the
+        # composite
+        rng = np.random.default_rng(11)
+        arrays = [rng.standard_normal(s) for s in ((4, 5, 3), (3, 3), (3,))]
+        g = rng.standard_normal((4, 5, 3))
+        read_only_tensors()
+        results = []
+        for fused in (True, False):
+            x, w, b = (parameter(a) for a in arrays)
+            out = linear(x, w, b, x) if fused else linear(x, w, b) + x
+            ((x * x).sum() + (out * Tensor(g)).sum()).backward()
+            results.append((out.numpy(), x.grad, w.grad, b.grad))
+        for got, expect in zip(*results):
+            np.testing.assert_array_equal(got, expect)
+            assert got.strides == expect.strides
+
+    def test_residual_gradcheck(self):
+        # x as its own residual, as in TGConv, and a residual of its own, as
+        # in the temporal block and the GRU gates
+        rng = np.random.default_rng(12)
+        x, w, b, r = (parameter(rng.standard_normal(s)) for s in ((2, 3), (3, 3), (3,), (2, 3)))
+        g = Tensor(rng.standard_normal((2, 3)))
+        leaves = [("x", x), ("w", w), ("b", b)]
+        assert check_gradients(lambda: (linear(x, w, b, x) * g).sum(), leaves) < TOLERANCE
+        assert check_gradients(lambda: (linear(x, w, b, r) * g).sum(),
+                               leaves + [("r", r)]) < TOLERANCE
+
+    def test_residual_of_another_shape_rejected(self):
+        x, w, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(4))
+        with pytest.raises(ShapeMismatchError, match=r"residual of \(2, 3\) for \(2, 4\)"):
+            linear(x, w, b, x)
+
 
 def _tape_nodes(root: Tensor) -> int:
     """Tensors reachable from root through _parents, root included."""
@@ -433,6 +479,11 @@ class TestTapeNodes:
         rng = np.random.default_rng(9)
         x, w, b = (parameter(rng.standard_normal(s)) for s in ((3, 4), (4, 2), (2,)))
         assert _tape_nodes(linear(x, w, b)) == 3 + 1
+
+    def test_linear_with_residual_adds_one_node(self):
+        rng = np.random.default_rng(9)
+        x, w, b, r = (parameter(rng.standard_normal(s)) for s in ((3, 4), (4, 2), (2,), (3, 2)))
+        assert _tape_nodes(linear(x, w, b, r)) == 4 + 1
 
     def test_masked_attention_adds_one_node(self):
         rng = np.random.default_rng(10)
@@ -543,6 +594,12 @@ def _saving_attention(q, k, v, allow, d_k):
     return Tensor(np.matmul(w, v.data), _parents=(q, k, v), _backward=bwd), Tensor(w)
 
 
+def _merged_strides(shape):
+    """Strides of masked_attention's (..., heads, t, d) output: a heads-swapped
+    view of a C-ordered (..., t, heads, d) buffer, merge_heads' layout."""
+    return np.empty(shape[:-3] + (shape[-2], shape[-3], shape[-1])).swapaxes(-3, -2).strides
+
+
 def _outputs_and_grads(op, arrays, upstream, swap=None):
     """op's output and the gradient of every input under the loss
     sum(output * upstream), on fresh leaves holding `arrays`. With `swap`, a
@@ -565,12 +622,17 @@ class TestRecomputingClosures:
     C-contiguous and under a transposed upstream gradient."""
 
     @staticmethod
-    def _assert_same(new, old, arrays, upstream, swap=(0, 1)):
+    def _assert_same(new, old, arrays, upstream, swap=(0, 1), out_strides=None):
+        """out_strides: the output's strides given its shape, when they are
+        not the old op's."""
         for how in (None, swap) if upstream.ndim > 1 else (None,):
             got = _outputs_and_grads(new, arrays, upstream, how)
             expect = _outputs_and_grads(old, arrays, upstream, how)
             for a, b in zip([got[0]] + got[1], [expect[0]] + expect[1]):
                 np.testing.assert_array_equal(a, b)
+            strides = out_strides(got[0].shape) if out_strides else expect[0].strides
+            assert got[0].strides == strides, how
+            for a, b in zip(got[1], expect[1]):
                 assert a.strides == b.strides, how
 
     @settings(max_examples=25, deadline=None)
@@ -607,7 +669,7 @@ class TestRecomputingClosures:
         upstream = rng.standard_normal(shape)
         self._assert_same(lambda q, k, v: masked_attention(q, k, v, allow)[0],
                           lambda q, k, v: _saving_attention(q, k, v, allow, d_k)[0],
-                          arrays, upstream, swap=(-3, -2))
+                          arrays, upstream, swap=(-3, -2), out_strides=_merged_strides)
         _, w = masked_attention(*(Tensor(a) for a in arrays), allow)
         _, w_old = _saving_attention(*(Tensor(a) for a in arrays), allow, d_k)
         np.testing.assert_array_equal(w.numpy(), w_old.numpy())
