@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import MaskError, ShapeMismatchError
+from .errors import MaskError, NonFiniteError, ShapeMismatchError
 from .tensor import Tensor, layer_norm, linear, parameter
 
 
@@ -61,29 +61,22 @@ class AttentionParams(Params):
     wo: Tensor
     bo: Tensor
     head_count: int
-    d_model: int
-
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.head_count
 
     @classmethod
     def init(cls, d_model: int, head_count: int, rng: np.random.Generator, **extra):
         """Xavier projections and zero biases; `extra` fills the fields a
         subclass adds."""
         if d_model % head_count != 0:
-            raise ShapeMismatchError(
-                f"d_model {d_model} not divisible by head count {head_count}"
-            )
+            raise ShapeMismatchError(f"d_model {d_model} not divisible by head count {head_count}")
         mk = lambda: parameter(_xavier(rng, d_model, d_model))
         zb = lambda: parameter(np.zeros(d_model))
         return cls(
             wq=mk(), bq=zb(), wk=mk(), bk=zb(), wv=mk(), bv=zb(),
-            wo=mk(), bo=zb(), head_count=head_count, d_model=d_model, **extra,
+            wo=mk(), bo=zb(), head_count=head_count, **extra,
         )
 
 
-# Logits per block of masked_attention's key-major softmax: 1 << 16 float64
+# Logits per block of attention_weights' key-major softmax: 1 << 16 float64
 # logits, a 512 KiB buffer, a quarter of the 2 MiB per-core L2 of the 2-core
 # Xeon VM measured. Timed per call at the crowd and packed shapes, blocks of
 # 1 << 15 to 1 << 17 ran within 5 % of each other. Smaller blocks pay numpy's
@@ -117,14 +110,62 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray:
     return res
 
 
-def _key_major_softmax(qs: np.ndarray, kd: np.ndarray, allow: Optional[np.ndarray]) -> np.ndarray:
-    """masked_attention's weights, row-major (..., t_q, t_k), from the scaled
-    queries qs and the keys kd, with allow None when it blocks no key (see
-    masked_attention for the blocks)."""
-    qt = qs.swapaxes(-1, -2)
-    w = np.empty(qs.shape[:-1] + kd.shape[-2:-1])
-    hide = None if allow is None else ~allow  # the -inf fill, sliced per block
-    rows, per_row, t_k = len(w), math.prod(w.shape[1:]), kd.shape[-2]
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(lead..., t, d) -> (lead..., heads, t, d // heads), a view."""
+    return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-3, -2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(lead..., heads, t, d_k) -> (lead..., t, heads * d_k), a view or a copy."""
+    return x.swapaxes(-3, -2).reshape(x.shape[:-3] + (x.shape[-2], x.shape[-3] * x.shape[-1]))
+
+
+def attention_weights(q: Tensor, k: Tensor, allow: np.ndarray, heads: int) -> np.ndarray:
+    """masked_attention's softmax weights (lead..., heads, t_q, t_k), on no tape.
+
+    q (lead..., t_q, d_model) and k (lead..., t_k, d_model) share a leading
+    shape of at least one axis: (N,) in the temporal block, (t,) or (t, S)
+    in TGConv. allow: boolean (lead..., t_q, t_k), True for a usable key, one
+    mask for every head, of the logits' first axis, every other axis 1 or
+    the logits'. Any other shape, heads not dividing d_model, or an empty
+    axis but the keys' raises ShapeMismatchError; a query row with no usable
+    key raises MaskError, a non-finite weight NonFiniteError. Logits are
+    scaled by 1/sqrt(d_k), d_k = d_model / heads; blocked ones are -inf, so
+    their weights are exactly zero.
+
+    The softmax runs key-major, over blocks of at most LOGIT_BLOCK logits
+    along the first axis: each block's logits go into a (t_k, ..., t_q)
+    buffer as k (q / sqrt(d_k))^T, so that the max, the sum and the -inf
+    fill (skipped when allow blocks no key) each run over contiguous rows
+    instead of one short row per query. The sum adds in numpy's pairwise
+    order for a last-axis sum (_pairwise_sum), and the divide writes the
+    weights back row-major, so they have the bits of the row-major softmax.
+    A row's weights are finite exactly when its sum is (a finite row sums to
+    at least 1), so the finiteness check reads the sums alone.
+    """
+    sq, sk = q.shape, k.shape
+    if (len(sq) < 3 or 0 in sq[:-1] or sq[:-2] != sk[:-2] or sq[-1] != sk[-1]
+            or heads < 1 or sq[-1] % heads):
+        raise ShapeMismatchError(f"attention: q, k of {sq}, {sk} for {heads} heads")
+    allow = np.asarray(allow, dtype=bool)
+    shape = sq[:-1] + sk[-2:-1]  # the logits' but for the heads
+    if allow.ndim != len(shape) or allow.shape[0] != shape[0] or any(
+            a != 1 and a != b for a, b in zip(allow.shape[1:], shape[1:])):
+        raise ShapeMismatchError(f"attention: allow of {allow.shape} for logits of {shape}")
+    # one pass over allow when it blocks no key; with no key, every row is dead
+    dense = shape[-1] > 0 and allow.all()
+    if not dense:
+        live = allow.any(axis=-1)
+        if not live.all():
+            row = tuple(int(i) for i in np.argwhere(~live)[0])
+            raise MaskError(f"attention query row {row} has every key masked")
+    # scaling q by 1/sqrt(d_k) scales every logit before normalising while
+    # touching the small (t, d_k) side instead of the (t_q, t_k) logit matrix
+    qt = (_split_heads(q.data, heads) * (1.0 / math.sqrt(sq[-1] // heads))).swapaxes(-1, -2)
+    kd = _split_heads(k.data, heads)
+    w = np.empty(qt.shape[:-2] + (sq[-2], sk[-2]))
+    hide = None if dense else ~allow[..., None, :, :]  # the -inf fill, sliced per block
+    rows, per_row, t_k = len(w), math.prod(w.shape[1:]), sk[-2]
     step = max(1, LOGIT_BLOCK // per_row)
     buf = np.empty(min(step, rows) * per_row)
     for lo in range(0, rows, step):
@@ -136,98 +177,54 @@ def _key_major_softmax(qs: np.ndarray, kd: np.ndarray, allow: Optional[np.ndarra
             np.copyto(logits, -np.inf, where=hide[lo:hi])
         np.subtract(x, x.max(axis=0), out=x)
         np.exp(x, out=x)
-        np.divide(logits, _pairwise_sum(x).reshape(logits.shape[:-1] + (1,)), out=w[lo:hi])
+        total = _pairwise_sum(x)
+        if not np.isfinite(total).all():
+            raise NonFiniteError("non-finite attention weights")
+        np.divide(logits, total.reshape(logits.shape[:-1] + (1,)), out=w[lo:hi])
     return w
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray) -> Tuple[Tensor, Tensor]:
-    """Attention core shared by the temporal block and TGConv, one tape node.
-
-    q, k, v: (lead..., t, d_k), one leading shape with at least one axis:
-    (N, heads) in the temporal block, (t, heads) or (t, S, heads) in TGConv.
-    allow: boolean, of the logits' rank (lead..., t_q, t_k) and their
-    first-axis length, every other axis 1 or the logits'; True marks usable
-    keys. Any other shape, or an empty axis other than the keys', raises
-    ShapeMismatchError; a query row with no usable key raises MaskError.
-    Logits are scaled by 1/sqrt(d_k); blocked ones are set to -inf, so their
-    weights are exactly zero. Returns (output, weights); the weights carry
-    no gradient.
-
-    The softmax runs key-major, over blocks of at most LOGIT_BLOCK logits
-    along the first axis: each block's logits go into a (t_k, ..., t_q)
-    buffer as k (q / sqrt(d_k))^T, so that the max, the sum and the -inf
-    fill (skipped when allow blocks no key) each run over contiguous rows
-    instead of one short row per query. The sum adds in numpy's pairwise
-    order for a last-axis sum (_pairwise_sum), and the divide writes the
-    weights back row-major, so outputs and weights have the bits of the
-    row-major softmax. The output is a (lead..., t_q, d_v) view of a buffer
-    laid out (lead[:-1]..., t_q, heads, d_v), which merge_heads reshapes
-    without a copy. The backward pass keeps the expressions of the scale,
-    QK^T, normalise and AV composite, bit for bit.
-    """
-    sq, sk, sv = q.shape, k.shape, v.shape
-    if len(sq) < 3 or 0 in sq[:-1] or sq[:-2] != sk[:-2] or sk[:-1] != sv[:-1] or sq[-1] != sk[-1]:
-        raise ShapeMismatchError(f"masked_attention: q, k, v of {sq}, {sk}, {sv}")
-    allow = np.asarray(allow, dtype=bool)
-    shape = sq[:-1] + sk[-2:-1]  # the logits'
-    if allow.ndim != len(shape) or allow.shape[0] != shape[0] or any(
-            a != 1 and a != b for a, b in zip(allow.shape[1:], shape[1:])):
-        raise ShapeMismatchError(f"masked_attention: allow of {allow.shape} for logits of {shape}")
-    # one pass over allow when it blocks no key; with no key, every row is dead
-    dense = shape[-1] > 0 and allow.all()
-    if not dense:
-        live = allow.any(axis=-1)
-        if not live.all():
-            row = tuple(int(i) for i in np.argwhere(~live)[0])
-            raise MaskError(f"attention query row {row} has every key masked")
-    # scaling q by 1/sqrt(d_k) scales every logit before normalising while
-    # touching the small (t, d_k) side instead of the (t_q, t_k) logit matrix
-    scale = 1.0 / math.sqrt(sq[-1])
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray, heads: int) -> Tensor:
+    """Multi-head attention, the core of the temporal block and TGConv, as
+    one tape node: (lead..., t_q, d_v) outputs with the heads merged. q, k,
+    allow and heads as attention_weights takes them; v is (lead..., t_k,
+    d_v); head i reads and writes the i-th d / heads columns, its w @ v
+    through a head-split view of the C-ordered output. The backward pass
+    keeps the expressions of the scale, QK^T, normalise and AV composite, bit
+    for bit, and lays out the merged q, k and v gradients as the head split
+    and merge tape nodes did."""
     # the scaled q and the block buffer die before w @ v is allocated: an
     # output allocated above a live buffer left a hole in the heap behind it,
     # which raised packed training's peak RSS by 1.6 %
-    w = _key_major_softmax(q.data * scale, k.data, None if dense else allow)
+    w = attention_weights(q, k, allow, heads)
+    sq, sv = q.shape, v.shape
+    if sv[:-1] != k.shape[:-1] or sv[-1] % heads:
+        raise ShapeMismatchError(f"masked_attention: v of {sv} for k of {k.shape}, {heads} heads")
+    scale = 1.0 / math.sqrt(sq[-1] // heads)
+    qh, kh, vh = (_split_heads(x.data, heads) for x in (q, k, v))
 
     def bwd(g):
-        gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        v._accumulate(np.matmul(np.swapaxes(w, -1, -2), g))
+        g = _split_heads(g, heads)
+        gw = np.matmul(g, np.swapaxes(vh, -1, -2))
+        v._accumulate(_merge_heads(np.matmul(np.swapaxes(w, -1, -2), g)))
         gw -= (gw * w).sum(axis=-1, keepdims=True)
         gl = np.multiply(gw, w, out=gw)  # the logit gradient, w * (gw - rowsum)
-        gq = np.matmul(gl, k.data)
+        gq = np.matmul(gl, kh)
         gq *= scale
-        q._accumulate(gq)
-        qs = q.data * scale  # recomputed, not saved: the forward's bits
+        q._accumulate(_merge_heads(gq))
+        qs = qh * scale  # recomputed, not saved: the forward's bits
         gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)  # (qs^T gl)^T
-        k._accumulate(gk)
+        k._accumulate(_merge_heads(gk))
 
-    out = np.empty(sq[:-3] + (sq[-2], sq[-3], sv[-1])).swapaxes(-3, -2)
-    np.matmul(w, v.data, out=out)
-    return Tensor(out, _parents=(q, k, v), _backward=bwd), Tensor(w)
-
-
-def head_projections(
-    h: Tensor, params: AttentionParams
-) -> Tuple[Tensor, Tensor, Tensor]:
-    """Queries, keys and values of (..., t, d_model) inputs, split into
-    heads: each (..., heads, t, d_k)."""
-    lead_t = h.shape[:-1]
-
-    def split(x: Tensor) -> Tensor:
-        return x.reshape(lead_t + (params.head_count, params.d_k)).swapaxes(-3, -2)
-
-    return (
-        split(linear(h, params.wq, params.bq)),
-        split(linear(h, params.wk, params.bk)),
-        split(linear(h, params.wv, params.bv)),
-    )
+    out = np.empty(sq[:-1] + sv[-1:])
+    np.matmul(w, vh, out=_split_heads(out, heads))
+    return Tensor(out, _parents=(q, k, v), _backward=bwd)
 
 
-def merge_heads(out: Tensor, params: AttentionParams) -> Tensor:
-    """Inverse of the head split: (..., heads, t, d_k) -> (..., t, d_model).
-    On masked_attention's output, whose memory is already (..., t, heads,
-    d_k), the result is a view; any other layout is copied."""
-    merged = out.swapaxes(-3, -2)
-    return merged.reshape(merged.shape[:-2] + (params.d_model,))
+def head_projections(h: Tensor, params: AttentionParams) -> Tuple[Tensor, Tensor, Tensor]:
+    """Queries, keys and values of (..., t, d_model) inputs, each (..., t, d_model)."""
+    return (linear(h, params.wq, params.bq), linear(h, params.wk, params.bk),
+            linear(h, params.wv, params.bv))
 
 
 def positional_encoding(t_max: int, d_model: int) -> np.ndarray:
@@ -292,9 +289,9 @@ def temporal_block(
     # queries at absent steps still need a key, and a row with no present
     # step keys on all of its own steps; those outputs are zeroed below
     keys = time_mask | ~time_mask.any(axis=1, keepdims=True)
-    att, _ = masked_attention(q, k, v, keys[:, None, None, :])
+    att = masked_attention(q, k, v, keys[:, None, :], params.attn.head_count)
     # x + att and y + ff, each as its linear's residual: float addition commutes
-    att = linear(merge_heads(att, params.attn), params.attn.wo, params.attn.bo, x)
+    att = linear(att, params.attn.wo, params.attn.bo, x)
     y = layer_norm(att, params.ln1_gain, params.ln1_bias)
     ff = linear(linear(y, params.w_ff1, params.b_ff1).relu(), params.w_ff2, params.b_ff2, y)
     out = layer_norm(ff, params.ln2_gain, params.ln2_bias)

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,7 +75,7 @@ def _parse_value(raw: str):
 
 
 def load_config_file(path: str) -> Dict[str, object]:
-    values: Dict[str, object] = {}
+    values: Dict[str, Tuple[int, object]] = {}  # key -> (line, value)
     for lineno, line in text_lines(path):
         s = line.strip()
         if not s or s.startswith("#"):
@@ -86,8 +86,10 @@ def load_config_file(path: str) -> Dict[str, object]:
         key = key.strip()
         if key not in _CONFIG_FIELDS | _SPEC_FIELDS:
             raise DataFormatError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _parse_value(raw)
-    return values
+        if key in values:
+            raise DataFormatError(f"{path}:{lineno}: key {key!r} repeats line {values[key][0]}")
+        values[key] = (lineno, _parse_value(raw))
+    return {key: value for key, (_, value) in values.items()}
 
 
 def _settings(cls, file_values: Dict[str, object], keys, flags: Dict[str, object]):

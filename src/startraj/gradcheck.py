@@ -97,14 +97,16 @@ def run_suite(seed: int = 0) -> Dict[str, float]:
 
     x = _leaf(rng, 3, 5)
     w = Tensor(rng0(seed + 1, (3, 5)))
-    # 2 scenes x 2 heads x 3 queries x 4 keys, a partial mask per scene broadcast over
-    # its heads, drawn apart from `rng`
+    # 2 scenes x 2 heads x 3 queries x 4 keys, a partial mask per scene for both heads,
+    # drawn apart from `rng`; per-head leaves merged going in, the output split back
     aq, ak, av, aw = (Tensor(rng0(seed + i, (2, 2, n, 4)), requires_grad=i < 18)
                       for i, n in ((15, 3), (16, 4), (17, 4), (18, 3)))
     allow = np.array([[[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 1, 0]],
-                      [[1, 1, 1, 1], [0, 0, 1, 1], [1, 0, 0, 1]]], dtype=bool)[:, None]
+                      [[1, 1, 1, 1], [0, 0, 1, 1], [1, 0, 0, 1]]], dtype=bool)
+    merge = lambda x: x.swapaxes(1, 2).reshape(2, x.shape[2], 8)
     report["masked_attention"] = check_gradients(
-        lambda: (masked_attention(aq, ak, av, allow)[0] * aw).sum(),
+        lambda: (masked_attention(merge(aq), merge(ak), merge(av), allow, 2)
+                 .reshape(2, 3, 2, 4).swapaxes(1, 2) * aw).sum(),
         [("q", aq), ("k", ak), ("v", av)])
 
     g = _leaf(rng, 5)

@@ -9,7 +9,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .attention import AttentionParams, head_projections, masked_attention, merge_heads
+from .attention import AttentionParams, head_projections, masked_attention
 from .errors import DataFormatError, ShapeMismatchError
 from .tensor import Tensor, concat, layer_norm, linear, parameter
 
@@ -106,9 +106,8 @@ def spatial_block(h: Tensor, masks: List[np.ndarray], params: TGConvParams,
         lone = mask.shape[1] == 1
         xs = concat([x if hi - lo == n else x[:, lo:hi] for lo, hi in runs], axis=1)
         q, k, v = head_projections(xs if lone else xs.reshape(t, -1, size, d), params)
-        att, _ = masked_attention(q, k, v, mask if lone else mask[:, :, None])
-        merged = merge_heads(att, params)
-        flat = merged if lone else merged.reshape(t, -1, d)  # (t, S * size, d)
+        att = masked_attention(q, k, v, mask[:, 0] if lone else mask, params.head_count)
+        flat = att if lone else att.reshape(t, -1, d)  # (t, S * size, d)
         off = 0  # first row of the run within flat
         for lo, hi in runs:
             pieces[lo] = flat if len(runs) == 1 else flat[:, off:off + hi - lo]

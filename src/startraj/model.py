@@ -14,9 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import tensor as T
-from .attention import (
-    Params, TemporalBlockParams, _xavier, head_projections, masked_attention, temporal_block,
-)
+from .attention import Params, TemporalBlockParams, _xavier, attention_weights, temporal_block
 from .data import TrajectoryScene, preprocess
 from .errors import DataFormatError, NonFiniteError, ShapeMismatchError
 from .graph import Layout, TGConvParams, build_graph, scene_layout, spatial_block
@@ -421,9 +419,9 @@ def encoder2_attention(scene: TrajectoryScene, params: StarParams) -> np.ndarray
     _, history, presence, masks = _observed(scene, params.config, layout)
     h_s, h_t = embed_inputs(history, params)
     fused = encoder1(h_s, h_t, masks, None, params, presence, layout)
-    q, k, v = head_projections(fused.swapaxes(0, 1), params.enc2.spatial)  # (t, heads, N, d_k)
-    [mask] = masks  # (t, 1, N, N): one for every head
-    return masked_attention(q, k, v, mask)[1].data
+    x, p, [mask] = fused.swapaxes(0, 1), params.enc2.spatial, masks  # mask: (t, 1, N, N)
+    return attention_weights(linear(x, p.wq, p.bq), linear(x, p.wk, p.bk), mask[:, 0],
+                             p.head_count)
 
 
 # ----------------------------------------------------------------------

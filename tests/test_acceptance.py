@@ -14,7 +14,7 @@ from startraj import (
     StarConfig, TGConvParams, Tensor, TrainSpec, ade, build_graph, config_for_variant,
     evaluate, fde, init_params, preprocess, rollout, spatial_block, train,
 )
-from startraj.attention import masked_attention
+from startraj.attention import attention_weights
 from startraj.data import merge_scenes, pack_batches
 from startraj.graph import scene_layout
 from startraj.gradcheck import TOLERANCE, run_suite
@@ -63,8 +63,7 @@ class TestAcceptance:
                 q, k, v = (rng.standard_normal((1, t, d_k)) for _ in range(3))
                 mask = rng.random((t, t)) < 0.6
                 mask[np.arange(t), np.arange(t)] = True
-                _, w = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask[None])
-                w = w.numpy()[0]
+                w = attention_weights(Tensor(q), Tensor(k), mask[None], 1)[0, 0]
                 allow = mask
             else:
                 # graph attention over a random interaction graph

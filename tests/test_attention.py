@@ -14,17 +14,19 @@ from startraj import (
     positional_encoding, temporal_block,
 )
 from startraj.attention import (
-    LOGIT_BLOCK, _pairwise_sum, head_projections, masked_attention, merge_heads,
+    LOGIT_BLOCK, _pairwise_sum, attention_weights, head_projections, masked_attention,
 )
 from startraj.errors import MaskError, NonFiniteError, ShapeMismatchError
 from startraj.tensor import _unbroadcast
 
 
 def _attention(q, k, v, mask):
-    """masked_attention on (t, d_k) arrays and a (t_q, t_k) mask, through one
-    leading axis of length 1: output and weights, without it."""
-    out, w = masked_attention(Tensor(q[None]), Tensor(k[None]), Tensor(v[None]), mask[None])
-    return out.numpy()[0], w.numpy()[0]
+    """One head of masked_attention and attention_weights on (t, d_k) arrays
+    and a (t_q, t_k) mask, through one leading axis of length 1: output and
+    weights, without it."""
+    q, k, v = (Tensor(a[None]) for a in (q, k, v))
+    out = masked_attention(q, k, v, mask[None], 1)
+    return out.numpy()[0], attention_weights(q, k, mask[None], 1)[0, 0]
 
 
 def _unmasked(q, k, v):
@@ -88,13 +90,13 @@ class TestScaledAttention:
 
 def _multi_head(h, p):
     """Unmasked self-attention on (t, d_model) inputs through the calls that
-    temporal_block and TGConv make: projections split into heads, the
-    attention core, the head merge and the output projection, on one
-    sequence with a (1, 1, t, t) mask, as temporal_block passes it."""
+    temporal_block and TGConv make: the projections, the multi-head
+    attention core and the output projection, on one sequence with a
+    (1, 1, t) mask, as temporal_block passes it."""
     q, k, v = head_projections(Tensor(h[None]), p)
     t = h.shape[0]
-    out, _ = masked_attention(q, k, v, np.ones((1, 1, t, t), dtype=bool))
-    return linear(merge_heads(out, p), p.wo, p.bo).numpy()[0]
+    out = masked_attention(q, k, v, np.ones((1, 1, t), dtype=bool), p.head_count)
+    return linear(out, p.wo, p.bo).numpy()[0]
 
 
 class TestMultiHead:
@@ -283,25 +285,41 @@ def _oracle_grads(q, k, v, allow, g):
     return dq, dk, dv
 
 
+def _split(a, heads):
+    """(..., t, d) -> (..., heads, t, d // heads), each head's columns, of an
+    array or, on the tape, a Tensor."""
+    return a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)).swapaxes(-3, -2)
+
+
+def _merge(a):
+    """_split's inverse: (..., heads, t, d_k) -> (..., t, heads * d_k)."""
+    a = a.swapaxes(-3, -2)
+    return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+
+
 class TestMaskedAttentionBackward:
+    @pytest.mark.parametrize("heads", [1, 2, 3])
     @pytest.mark.parametrize("lead, mask_lead", [
-        ((3, 2), (3, 1)),  # (t, heads) with a (t, 1, n, n) mask
-        ((2, 3, 2), (2, 3, 1)),  # (t, S, heads) with a (t, S, 1, n, n) mask
+        ((3,), (3,)),  # (t,) with a (t, n, n) mask
+        ((2, 3), (2, 3)),  # (t, S) with a (t, S, n, n) mask
         ((4,), (4,)),  # (N,) rows with an (N, n, n) mask, one per row
+        ((2, 3), (2, 1)),  # a mask broadcast over S
     ])
-    def test_gradients_match_jacobian_oracle(self, lead, mask_lead):
+    def test_gradients_match_jacobian_oracle(self, lead, mask_lead, heads):
         # [DERIVED] partial masks broadcast over heads, against _oracle_grads
-        rng = np.random.default_rng(sum(lead))
+        # per head
+        rng = np.random.default_rng(sum(lead) + 10 * heads)
         n, d_k = 4, 3
-        q, k, v = (parameter(rng.standard_normal(lead + (n, d_k))) for _ in range(3))
+        q, k, v = (parameter(rng.standard_normal(lead + (n, heads * d_k))) for _ in range(3))
         allow = rng.random(mask_lead + (n, n)) < 0.5
         allow[..., np.arange(n), np.arange(n)] = True  # every row keeps a key
-        g = rng.standard_normal(lead + (n, d_k))
-        out, _ = masked_attention(q, k, v, allow)
+        g = rng.standard_normal(lead + (n, heads * d_k))
+        out = masked_attention(q, k, v, allow, heads)
         (out * Tensor(g)).sum().backward()
-        for got, expect in zip((q.grad, k.grad, v.grad),
-                               _oracle_grads(q.data, k.data, v.data, allow, g)):
-            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+        expect = _oracle_grads(*(_split(a, heads) for a in (q.data, k.data, v.data)),
+                               allow[..., None, :, :], _split(g, heads))
+        for got, want in zip((q.grad, k.grad, v.grad), expect):
+            np.testing.assert_allclose(got, _merge(want), rtol=0, atol=1e-12)
 
 
 def _row_major_attention(q, k, v, allow):
@@ -333,66 +351,68 @@ def _row_major_attention(q, k, v, allow):
     return Tensor(np.matmul(w, v.data), _parents=(q, k, v), _backward=bwd), Tensor(w)
 
 
-def _head_split(rng, lead, t, d_k, spread=3.0):
-    """A (lead..., heads, t, d_k) array laid out as head_projections leaves
-    it: a swapaxes view of (lead..., t, heads, d_k) rows."""
-    *outer, heads = lead
-    return (rng.standard_normal((*outer, t, heads, d_k)) * spread).swapaxes(-3, -2)
+def _composite(q, k, v, allow, heads):
+    """The multi-head attention the fused op replaced, on the tape: the head
+    split head_projections made, _row_major_attention with the mask's heads
+    axis, and merge_heads. Output (merged) and weights."""
+    out, w = _row_major_attention(*(_split(x, heads) for x in (q, k, v)), allow[..., None, :, :])
+    return _merge(out), w.numpy()
 
 
-def _attention_and_grads(fn, q, k, v, allow, g, swapped):
+def _fused(q, k, v, allow, heads):
+    return masked_attention(q, k, v, allow, heads), attention_weights(q, k, allow, heads)
+
+
+def _attention_and_grads(fn, q, k, v, allow, heads, g, swapped):
     """Output, weights and q/k/v gradients under the loss sum(out * g). With
-    `swapped`, the loss reads out through merge_heads' swapaxes(-3, -2), so
-    the upstream gradient arrives as a transposed view."""
+    `swapped`, the loss reads out through a swapaxes(0, -2), so the upstream
+    gradient arrives as a transposed view, as a packed run's slice of
+    TGConv's output hands it on strided."""
     leaves = [parameter(a) for a in (q, k, v)]
-    out, w = fn(*leaves, allow)
+    out, w = fn(*leaves, allow, heads)
     if swapped:
-        (out.swapaxes(-3, -2) * Tensor(g.swapaxes(-3, -2))).sum().backward()
+        (out.swapaxes(0, -2) * Tensor(g.swapaxes(0, -2))).sum().backward()
     else:
         (out * Tensor(g)).sum().backward()
-    return [out.numpy(), w.numpy()] + [t.grad for t in leaves]
-
-
-def _merged_strides(shape):
-    """Strides of masked_attention's (..., heads, t, d) output: a heads-swapped
-    view of a C-ordered (..., t, heads, d) buffer, merge_heads' layout."""
-    return np.empty(shape[:-3] + (shape[-2], shape[-3], shape[-1])).swapaxes(-3, -2).strides
+    return [out.numpy(), w] + [t.grad for t in leaves]
 
 
 class TestKeyMajorSoftmax:
-    """masked_attention's key-major, blocked softmax against the row-major
-    body it replaced: outputs, weights and q/k/v gradients bit for bit and,
-    but for the output's merged-heads layout, with the same strides, under a
-    C-contiguous and a transposed upstream gradient."""
+    """The fused multi-head op, with its key-major, blocked softmax, against
+    the composite it replaced: the head split, the row-major body and the
+    head merge. Outputs, weights and q/k/v gradients bit for bit and with
+    the same strides, under a C-contiguous and a transposed upstream
+    gradient; the output is a C-ordered (..., t, d_model) array."""
 
     @staticmethod
-    def _assert_same(q, k, v, allow, seed=0):
+    def _assert_same(q, k, v, allow, heads, seed=0):
         g = np.random.default_rng(seed).standard_normal(q.shape[:-1] + v.shape[-1:])
         for swapped in (False, True):
-            got = _attention_and_grads(masked_attention, q, k, v, allow, g, swapped)
-            expect = _attention_and_grads(_row_major_attention, q, k, v, allow, g, swapped)
+            got = _attention_and_grads(_fused, q, k, v, allow, heads, g, swapped)
+            expect = _attention_and_grads(_composite, q, k, v, allow, heads, g, swapped)
             for a, b in zip(got, expect):
                 np.testing.assert_array_equal(a, b)
-            assert got[0].strides == _merged_strides(got[0].shape), swapped
+            assert got[0].flags.c_contiguous, swapped  # the composite's merge may not be
             for a, b in zip(got[1:], expect[1:]):
                 assert a.strides == b.strides, swapped
 
     @pytest.mark.parametrize("t_k", [1, 2, 7, 8, 9, 15, 16, 17, 19, 40])
-    @pytest.mark.parametrize("d_k", [2, 4, 16])
+    @pytest.mark.parametrize("d_k", [1, 2, 4, 16])
     def test_shapes_of_every_caller(self, t_k, d_k):
         rng = np.random.default_rng(100 * t_k + d_k)
-        # temporal (N, heads, t, t) logits with a dense (N, 1, 1, t) mask
+        wide = lambda *lead: rng.standard_normal(lead + (t_k, 8 * d_k)) * 3.0
+        # temporal (N, heads, t, t) logits with a dense (N, 1, t) mask
         n = 6
-        q, k, v = (_head_split(rng, (n, 8), t_k, d_k) for _ in range(3))
-        self._assert_same(q, k, v, np.ones((n, 1, 1, t_k), dtype=bool))
-        # a lone spatial block with a (t, 1, n, n) mask
-        allow = (rng.random((3, 1, t_k, t_k)) < 0.4) | np.eye(t_k, dtype=bool)
-        q, k, v = (_head_split(rng, (3, 8), t_k, d_k) for _ in range(3))
-        self._assert_same(q, k, v, allow)
-        # packed blocks with a (t, S, 1, n, n) mask
-        allow = (rng.random((3, 4, 1, t_k, t_k)) < 0.4) | np.eye(t_k, dtype=bool)
-        q, k, v = (_head_split(rng, (3, 4, 8), t_k, d_k) for _ in range(3))
-        self._assert_same(q, k, v, allow)
+        q, k, v = (wide(n) for _ in range(3))
+        self._assert_same(q, k, v, np.ones((n, 1, t_k), dtype=bool), 8)
+        # a lone spatial block with a (t, n, n) mask
+        allow = (rng.random((3, t_k, t_k)) < 0.4) | np.eye(t_k, dtype=bool)
+        q, k, v = (wide(3) for _ in range(3))
+        self._assert_same(q, k, v, allow, 8)
+        # packed blocks with a (t, S, n, n) mask
+        allow = (rng.random((3, 4, t_k, t_k)) < 0.4) | np.eye(t_k, dtype=bool)
+        q, k, v = (wide(3, 4) for _ in range(3))
+        self._assert_same(q, k, v, allow, 8)
 
     @pytest.mark.parametrize("dense", [True, False])
     def test_logits_span_blocks(self, dense):
@@ -403,42 +423,50 @@ class TestKeyMajorSoftmax:
         n = 2 * step + step // 2
         assert n * heads * t * t > 2 * LOGIT_BLOCK and n % step != 0
         rng = np.random.default_rng(7)
-        q, k, v = (_head_split(rng, (n, heads), t, 4) for _ in range(3))
-        allow = np.ones((n, 1, 1, t), dtype=bool)
+        q, k, v = (rng.standard_normal((n, t, heads * 4)) * 3.0 for _ in range(3))
+        allow = np.ones((n, 1, t), dtype=bool)
         if not dense:  # a mask per row of the leading axis; each query keeps itself
-            allow = (rng.random((n, 1, t, t)) < 0.5) | np.eye(t, dtype=bool)
-        self._assert_same(q, k, v, allow)
+            allow = (rng.random((n, t, t)) < 0.5) | np.eye(t, dtype=bool)
+        self._assert_same(q, k, v, allow, heads)
 
     def test_broadcast_leading_shapes(self):
         # the one case past 128 keys, where _pairwise_sum sums two halves
-        # apart, under a (3, 1, 5, 150) mask broadcast over the heads' axis
+        # apart, under a (3, 5, 150) mask broadcast over two heads
         rng = np.random.default_rng(8)
-        q = rng.standard_normal((3, 2, 5, 4))
-        k, v = (rng.standard_normal((3, 2, 150, 4)) for _ in range(2))
-        allow = (rng.random((3, 1, 5, 150)) < 0.5) | (np.arange(150) == 0)
-        self._assert_same(q, k, v, allow)
+        q = rng.standard_normal((3, 5, 8))
+        k, v = (rng.standard_normal((3, 150, 8)) for _ in range(2))
+        allow = (rng.random((3, 5, 150)) < 0.5) | (np.arange(150) == 0)
+        self._assert_same(q, k, v, allow, 2)
 
     def test_dead_row_names_the_same_row(self):
+        # the row in the caller's mask; the composite's mask had a heads axis
         rng = np.random.default_rng(9)
-        q, k, v = (Tensor(rng.standard_normal((2, 3, 5, 4))) for _ in range(3))
-        allow = np.ones((2, 1, 5, 5), dtype=bool)
-        allow[1, 0, 3] = False
+        q, k, v = (Tensor(rng.standard_normal((2, 5, 12))) for _ in range(3))
+        allow = np.ones((2, 5, 5), dtype=bool)
+        allow[1, 3] = False
         messages = []
-        for fn in (masked_attention, _row_major_attention):
+        for fn in (masked_attention, _composite):
             with pytest.raises(MaskError) as err:
-                fn(q, k, v, allow)
+                fn(q, k, v, allow, 3)
             messages.append(str(err.value))
-        assert messages[0] == messages[1]
-        assert messages[0] == "attention query row (1, 0, 3) has every key masked"
+        with pytest.raises(MaskError) as err:
+            attention_weights(q, k, allow, 3)
+        assert messages[0] == str(err.value) == "attention query row (1, 3) has every key masked"
+        assert messages[1] == "attention query row (1, 0, 3) has every key masked"
 
     def test_shape_mismatch(self):
         q = Tensor(np.ones((2, 3, 4)))
         with pytest.raises(ShapeMismatchError):
             masked_attention(q, Tensor(np.ones((2, 3, 5))), Tensor(np.ones((2, 3, 4))),
-                             np.ones((2, 3, 3), bool))
+                             np.ones((2, 3, 3), bool), 1)
         with pytest.raises(ShapeMismatchError):
             masked_attention(q, Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 2, 4))),
-                             np.ones((2, 3, 3), bool))
+                             np.ones((2, 3, 3), bool), 1)
+        # 4 columns do not split into 3 heads; 3 value columns not into 2
+        with pytest.raises(ShapeMismatchError, match="3 heads"):
+            attention_weights(q, q, np.ones((2, 3, 3), bool), 3)
+        with pytest.raises(ShapeMismatchError, match="2 heads"):
+            masked_attention(q, q, Tensor(np.ones((2, 3, 3))), np.ones((2, 3, 3), bool), 2)
 
     @pytest.mark.parametrize("case", [
         "unequal leading shapes", "2-D inputs", "mask of lower rank",
@@ -450,7 +478,7 @@ class TestKeyMajorSoftmax:
         rng = np.random.default_rng(10)
         q, k, v = (rng.standard_normal((2, 3, 5, 4)) for _ in range(3))
         allow = np.ones((2, 1, 5, 5), dtype=bool)
-        if case == "unequal leading shapes":
+        if case == "unequal leading shapes":  # (t, S) and (t, 1)
             q = q[:, :1]
         elif case == "2-D inputs":
             q, k, v, allow = q[0, 0], k[0, 0], v[0, 0], allow[0, 0]
@@ -461,7 +489,9 @@ class TestKeyMajorSoftmax:
         else:
             q, allow = q[:, :, :0], allow[:, :, :0]
         with pytest.raises(ShapeMismatchError):
-            masked_attention(Tensor(q), Tensor(k), Tensor(v), allow)
+            masked_attention(Tensor(q), Tensor(k), Tensor(v), allow, 2)
+        with pytest.raises(ShapeMismatchError):
+            attention_weights(Tensor(q), Tensor(k), allow, 2)
 
     @pytest.mark.parametrize("fill", [True, False])
     def test_allow_that_does_not_fit_the_logits(self, fill):
@@ -470,34 +500,35 @@ class TestKeyMajorSoftmax:
         allow[..., 3] = not fill
         with pytest.raises(ShapeMismatchError, match="allow"):
             masked_attention(Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 3, 4))),
-                             Tensor(np.ones((1, 3, 4))), allow)
+                             Tensor(np.ones((1, 3, 4))), allow, 2)
 
     def test_infinite_logit_is_non_finite(self):
         # finite inputs whose product overflows to a +inf logit
         q = Tensor(np.full((1, 2, 1), 1e200))
         k = Tensor(np.array([[[1e200], [0.0], [1.0]]]))
-        with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
-            masked_attention(q, k, Tensor(np.ones((1, 3, 2))), np.ones((1, 2, 3), dtype=bool))
+        with pytest.raises(NonFiniteError, match="non-finite attention weights"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            masked_attention(q, k, Tensor(np.ones((1, 3, 2))), np.ones((1, 2, 3), dtype=bool), 1)
 
 
 class TestMergedOutput:
-    """masked_attention writes its output in merge_heads' layout, so the
-    merge is a view: the tape holds the attention output once."""
+    """masked_attention writes each head's output through a head-split view of
+    one C-ordered (lead..., t, d_model) buffer: the merged output is the tape
+    node's own array, with each head's w @ v in its columns."""
 
     @pytest.mark.parametrize("lead, allow_shape", [
-        ((6, 8), (6, 1, 1, 5)),  # temporal: (N, heads) rows, an (N, 1, 1, t) mask
-        ((3, 8), (3, 1, 5, 5)),  # a lone spatial block: (t, heads), a (t, 1, n, n) mask
-        ((3, 4, 8), (3, 4, 1, 5, 5)),  # packed spatial blocks: (t, S, heads), (t, S, 1, n, n)
+        ((6,), (6, 1, 5)),  # temporal: (N,) rows, an (N, 1, t) mask
+        ((3,), (3, 5, 5)),  # a lone spatial block: (t,), a (t, n, n) mask
+        ((3, 4), (3, 4, 5, 5)),  # packed spatial blocks: (t, S), (t, S, n, n)
     ])
-    def test_merge_heads_is_a_view(self, lead, allow_shape):
+    def test_heads_are_written_merged(self, lead, allow_shape):
         rng = np.random.default_rng(len(lead))
-        params = AttentionParams.init(16, 8, rng)  # d_k = 2
-        q, k, v = (Tensor(_head_split(rng, lead, 5, 2)) for _ in range(3))
-        out, _ = masked_attention(q, k, v, np.ones(allow_shape, dtype=bool))
-        merged = merge_heads(out, params)
-        assert np.shares_memory(merged.numpy(), out.numpy())
-        expect = np.ascontiguousarray(np.swapaxes(out.numpy(), -3, -2)).reshape(merged.shape)
-        np.testing.assert_array_equal(merged.numpy(), expect)
+        q, k, v = (Tensor(rng.standard_normal(lead + (5, 16))) for _ in range(3))
+        allow = np.ones(allow_shape, dtype=bool)
+        out = masked_attention(q, k, v, allow, 8)  # d_k = 2
+        assert out.shape == lead + (5, 16) and out.numpy().flags.c_contiguous
+        w = attention_weights(q, k, allow, 8)
+        np.testing.assert_array_equal(out.numpy(), _merge(w @ _split(v.numpy(), 8)))
 
 
 class TestPairwiseSum:

@@ -180,6 +180,17 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert line.split()[0] in capsys.readouterr().err
 
+    def test_data_error_duplicate_config_key(self, tmp_path, data_dir, capsys):
+        # a key given twice is an error naming both lines, as in
+        # configparser's strict mode, not the last value silently kept
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("d_model = 32\npred_len = 2\n# smaller\nd_model = 16\n")
+        code = main(["train", "--config", str(cfg), "--data-dir", str(data_dir),
+                     "--held-out", "ETH", "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {cfg}:4: key 'd_model' repeats line 1\n"
+
     @pytest.mark.parametrize("command", [
         ["train", "--data-dir", "d", "--held-out", "ETH"],
         ["eval", "--checkpoint", "c.json", "--data-dir", "d"],
@@ -314,6 +325,22 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("layer", ["enc1.spatial", "enc2.spatial", "enc1.temporal.attn"])
+    def test_overflowing_attention_is_named(self, tmp_path, data_dir, checkpoint, capsys,
+                                            layer):
+        # finite query and key weights whose logits overflow
+        payload = json.loads(checkpoint.read_text())
+        for w in ("wq", "wk"):
+            entry = payload["params"][f"{layer}.{w}"]
+            entry["values"] = [1e300] * len(entry["values"])
+        huge_ck = tmp_path / "huge.json"
+        huge_ck.write_text(json.dumps(payload))
+        code = main(["predict", "--checkpoint", str(huge_ck), "--scene",
+                     str(data_dir / "ZARA1.txt"), "--out", str(tmp_path / "o")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric failure: non-finite attention weights\n"
 
 
 class TestConfigFiles:

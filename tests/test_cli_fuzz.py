@@ -118,7 +118,7 @@ def _run_on_data(argv, scene: bytes, mutated: bytes, where: str, config: str = "
         _main([arg.format(d=d) for arg in argv])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(command=COMMANDS, data=st.data())
 def test_mutated_checkpoint(base, command, data):
     payload = json.loads(json.dumps(base[0]))
@@ -147,7 +147,7 @@ def test_mutated_checkpoint(base, command, data):
     _run(command, json.dumps(payload), base[1])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(command=COMMANDS, data=st.data())
 def test_mutated_scene(base, command, data):
     _run(command, json.dumps(base[0]), _mutated(data, base[1]))
@@ -157,7 +157,7 @@ TRAIN = ["train", "--config", "{d}/tiny.cfg", "--data-dir", "{d}/data", "--held-
          "--out", "{d}/out"]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_mutated_train_config(base, data):
     lines = list(TINY_CONFIG)
@@ -173,14 +173,14 @@ def test_mutated_train_config(base, data):
     _run_on_data(TRAIN, base[1], base[1], "", config="\n".join(lines) + "\n")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), where=st.sampled_from(DATASET_NAMES[1:]))
 def test_mutated_train_data(base, data, where):
     _run_on_data(TRAIN, base[1], _mutated(data, base[1], FRAME_FIELDS), where,
                  config="\n".join(TINY_CONFIG) + "\n")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), where=st.sampled_from(DATASET_NAMES))
 def test_mutated_eval_data(base, data, where):
     with tempfile.TemporaryDirectory() as d:
@@ -206,7 +206,7 @@ def _recording(data, frames: int) -> str:
     return "\n".join(sorted(lines, key=lambda line: int(line.split()[0]))) + "\n"
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data(), variant=st.sampled_from(sorted(VARIANT_FLAGS)),
        deterministic=st.booleans(), teacher_forcing=st.booleans(),
        ff_dim=st.sampled_from([None, 4]), frames=st.integers(min_value=10, max_value=16))

@@ -55,7 +55,7 @@ def _oracle_masked_dense(h, allow, p):
         return (x - mu) / np.sqrt(var + eps) * gain + bias
 
     kh = p.head_count
-    d_k = p.d_model // kh
+    d_k = p.wq.shape[0] // kh
     q = h @ p.wq.numpy() + p.bq.numpy()
     k = h @ p.wk.numpy() + p.bk.numpy()
     v = h @ p.wv.numpy() + p.bv.numpy()

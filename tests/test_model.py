@@ -434,6 +434,21 @@ class TestRollout:
         with pytest.raises(NonFiniteError, match="tensor initialized with non-finite"):
             rollout(scene, params)
 
+    @pytest.mark.parametrize("layer", ["enc1.spatial", "enc2.spatial", "enc1.temporal.attn"])
+    def test_overflowing_attention_names_the_weights(self, layer):
+        # finite query and key weights whose logits overflow: the attention
+        # core names the failure, in the eval and in the training rollout
+        config = _config()
+        scene = _scene(n=3, seed=39, config=config)
+        params = init_params(config, np.random.default_rng(39))
+        named = dict(params.parameters())
+        for w in ("wq", "wk"):
+            named[f"{layer}.{w}"].data[:] = 1e300
+        for training in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NonFiniteError, match="^non-finite attention weights$"):
+                rollout(scene, params, training=training)
+
     def test_forced_rollout_needs_the_future(self):
         # teacher forcing reads pred_len - 1 future steps of ground truth; an
         # eval rollout reads none

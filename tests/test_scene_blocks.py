@@ -16,7 +16,7 @@ import startraj.graph
 import startraj.model
 from startraj import StarConfig, TGConvParams, Tensor, init_params, preprocess, rollout
 from startraj import scene_loss, spatial_block
-from startraj.attention import head_projections, masked_attention, merge_heads
+from startraj.attention import head_projections, masked_attention
 from startraj.data import TrajectoryScene, merge_scenes
 from startraj.errors import DataFormatError
 from startraj.graph import build_graph, scene_layout
@@ -137,8 +137,8 @@ def _dense_spatial_block(ids):
         allow = (graphs | np.eye(h.shape[0], dtype=bool)) & same_scene
         x = h.swapaxes(0, 1)
         q, k, v = head_projections(x, params)
-        att, _ = startraj.graph.masked_attention(q, k, v, allow[:, None])
-        a = layer_norm(merge_heads(att, params) + x, params.ln1_gain, params.ln1_bias)
+        att = startraj.graph.masked_attention(q, k, v, allow, params.head_count)
+        a = layer_norm(att + x, params.ln1_gain, params.ln1_bias)
         out = layer_norm(linear(a, params.wo, params.bo) + a, params.ln2_gain, params.ln2_bias)
         return out.swapaxes(0, 1)
 
@@ -400,9 +400,9 @@ class TestLogitCells:
         sizes = (1,) * 7 + (40,) + (1,) * 8
         calls = []
 
-        def spy(q, k, v, allow):
-            calls.append((q.shape, k.shape, np.shape(allow)))
-            return masked_attention(q, k, v, allow)
+        def spy(q, k, v, allow, heads):
+            calls.append((q.shape, k.shape, np.shape(allow), heads))
+            return masked_attention(q, k, v, allow, heads)
 
         monkeypatch.setattr(startraj.graph, "masked_attention", spy)
         rng = np.random.default_rng(30)
@@ -411,12 +411,12 @@ class TestLogitCells:
         layout = scene_layout(sizes)
         spatial_block(Tensor(rng.standard_normal((sum(sizes), 3, 8))), _blocks(graphs, layout),
                       params, layout)
-        cells = sum(int(np.prod(q[:-1])) * k[-2] for q, k, _ in calls)
+        cells = sum(int(np.prod(q[:-1])) * heads * k[-2] for q, k, _, heads in calls)
         assert cells == 3 * 2 * sum(n * n for n in sizes) == 3 * 2 * 1615
         # one call per scene size, none padded: the fifteen 1-ped scenes share
         # a call, the 40-ped scene has its own
-        by_size = {k[-2]: int(np.prod(q[:-1])) * k[-2] for q, k, _ in calls}
+        by_size = {k[-2]: int(np.prod(q[:-1])) * heads * k[-2] for q, k, _, heads in calls}
         assert len(calls) == 2 and by_size == {1: 3 * 2 * 15, 40: 3 * 2 * 1600}
-        for q, k, allow in calls:
+        for q, k, allow, _ in calls:  # the logits but for the heads
             logits = q[:-1] + (k[-2],)
             assert np.broadcast_shapes(allow, logits) == logits

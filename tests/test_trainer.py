@@ -467,8 +467,8 @@ def test_no_op_writes_into_a_tensor(variant, read_only_tensors):
     # tensor's data read-only from creation, a training step and best-of-K
     # run and give the unguarded values
     expect = _step_and_eval_values(variant)
-    read_only_tensors()
-    assert _step_and_eval_values(variant) == expect
+    with read_only_tensors():
+        assert _step_and_eval_values(variant) == expect
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANT_FLAGS))
