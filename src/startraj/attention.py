@@ -87,29 +87,6 @@ class AttentionParams(Params):
 LOGIT_BLOCK = 1 << 16
 
 
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in the order numpy's pairwise sum adds a contiguous
-    last axis: a plain running sum below 8 terms; up to 128, eight running
-    sums of every eighth term added as a fixed tree, then the remainder; past
-    128, the two halves (the first a multiple of 8 long) summed apart. So
-    _pairwise_sum(x) is the sum over the last axis of a C-contiguous copy of
-    x.T, bit for bit; both add onto +0.0, so a column of -0.0 sums to +0.0."""
-    n = len(x)
-    if n < 8:
-        return x.sum(axis=0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
-    eights = n - n % 8
-    r = x[:eights].reshape((eights // 8, 8) + x.shape[1:]).sum(axis=0)
-    r = r[0::2] + r[1::2]
-    res = r[0::2] + r[1::2]
-    res = res[0] + res[1]
-    for row in x[eights:]:
-        res += row
-    return res
-
-
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     """(lead..., t, d) -> (lead..., heads, t, d // heads), a view."""
     return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-3, -2)
@@ -135,13 +112,14 @@ def attention_weights(q: Tensor, k: Tensor, allow: np.ndarray, heads: int) -> np
 
     The softmax runs key-major, over blocks of at most LOGIT_BLOCK logits
     along the first axis: each block's logits go into a (t_k, ..., t_q)
-    buffer as k (q / sqrt(d_k))^T, so that the max, the sum and the -inf
-    fill (skipped when allow blocks no key) each run over contiguous rows
-    instead of one short row per query. The sum adds in numpy's pairwise
-    order for a last-axis sum (_pairwise_sum), and the divide writes the
-    weights back row-major, so they have the bits of the row-major softmax.
-    A row's weights are finite exactly when its sum is (a finite row sums to
-    at least 1), so the finiteness check reads the sums alone.
+    buffer as k (q / sqrt(d_k))^T, so that the -inf fill (skipped when allow
+    blocks no key), the max, the subtract and the exp each run over
+    contiguous rows instead of one short row per query. The exponentials
+    are then copied row-major into the weights, which numpy sums along
+    their last axis and divides in place, as the row-major softmax does, so
+    the weights have its bits. A row's weights are finite exactly when its
+    sum is (a finite row sums to at least 1), so the finiteness check reads
+    the sums alone.
     """
     sq, sk = q.shape, k.shape
     if (len(sq) < 3 or 0 in sq[:-1] or sq[:-2] != sk[:-2] or sq[-1] != sk[-1]
@@ -177,10 +155,11 @@ def attention_weights(q: Tensor, k: Tensor, allow: np.ndarray, heads: int) -> np
             np.copyto(logits, -np.inf, where=hide[lo:hi])
         np.subtract(x, x.max(axis=0), out=x)
         np.exp(x, out=x)
-        total = _pairwise_sum(x)
+        np.copyto(w[lo:hi], logits)
+        total = w[lo:hi].sum(axis=-1, keepdims=True)
         if not np.isfinite(total).all():
             raise NonFiniteError("non-finite attention weights")
-        np.divide(logits, total.reshape(logits.shape[:-1] + (1,)), out=w[lo:hi])
+        w[lo:hi] /= total
     return w
 
 

@@ -100,9 +100,13 @@ def spatial_block(h: Tensor, masks: List[np.ndarray], params: TGConvParams,
     pieces = {}  # first row of a run -> its (t, rows, d) attention output
     for (size, runs), mask in zip(layout, masks):
         # (t, S, size, d) blocks by slices and reshapes; a lone scene keeps (t,
-        # size, d), as the (t, 1, size, d) form rounds differently: it moved
-        # the v1 fixture's gradients by up to 2.3e-15 relative and gradcheck's
-        # seed-4 encoder_stack and full_rollout errors
+        # size, d), so its q, k and v projection gradients are added into x
+        # one by one, where the (t, 1, size, d) form sums the three in its
+        # reshape node and adds that sum to x. The output and this block's
+        # parameter gradients keep their bits either way, but h's gradient
+        # does not, and through it the v1 fixture's gradients moved by up to
+        # 2.3e-15 relative and gradcheck's seed-4 encoder_stack and
+        # full_rollout errors
         lone = mask.shape[1] == 1
         xs = concat([x if hi - lo == n else x[:, lo:hi] for lo, hi in runs], axis=1)
         q, k, v = head_projections(xs if lone else xs.reshape(t, -1, size, d), params)

@@ -459,7 +459,7 @@ def load_checkpoint(path: str) -> StarParams:
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     version = payload.get("version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):  # not 1.0 or true
         raise DataFormatError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         config = StarConfig.from_dict(payload["config"])

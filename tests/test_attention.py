@@ -14,7 +14,7 @@ from startraj import (
     positional_encoding, temporal_block,
 )
 from startraj.attention import (
-    LOGIT_BLOCK, _pairwise_sum, attention_weights, head_projections, masked_attention,
+    LOGIT_BLOCK, attention_weights, head_projections, masked_attention,
 )
 from startraj.errors import MaskError, NonFiniteError, ShapeMismatchError
 from startraj.tensor import _unbroadcast
@@ -396,7 +396,7 @@ class TestKeyMajorSoftmax:
             for a, b in zip(got[1:], expect[1:]):
                 assert a.strides == b.strides, swapped
 
-    @pytest.mark.parametrize("t_k", [1, 2, 7, 8, 9, 15, 16, 17, 19, 40])
+    @pytest.mark.parametrize("t_k", [1, 2, 7, 8, 9, 15, 16, 17, 19, 40, 128, 129])
     @pytest.mark.parametrize("d_k", [1, 2, 4, 16])
     def test_shapes_of_every_caller(self, t_k, d_k):
         rng = np.random.default_rng(100 * t_k + d_k)
@@ -430,13 +430,22 @@ class TestKeyMajorSoftmax:
         self._assert_same(q, k, v, allow, heads)
 
     def test_broadcast_leading_shapes(self):
-        # the one case past 128 keys, where _pairwise_sum sums two halves
-        # apart, under a (3, 5, 150) mask broadcast over two heads
+        # 150 keys, past the 128 terms where numpy's pairwise sum adds two
+        # halves apart, under a (3, 5, 150) mask broadcast over two heads
         rng = np.random.default_rng(8)
         q = rng.standard_normal((3, 5, 8))
         k, v = (rng.standard_normal((3, 150, 8)) for _ in range(2))
         allow = (rng.random((3, 5, 150)) < 0.5) | (np.arange(150) == 0)
         self._assert_same(q, k, v, allow, 2)
+
+    def test_underflowing_exponentials(self):
+        # q and k 30 times the normals: most weights are subnormal or zero
+        rng = np.random.default_rng(11)
+        q, k, v = (rng.standard_normal((6, 40, 16)) * s for s in (30.0, 30.0, 1.0))
+        allow = np.ones((6, 1, 40), dtype=bool)
+        w, tiny = attention_weights(Tensor(q), Tensor(k), allow, 8), np.finfo(np.float64).tiny
+        assert (w < tiny).mean() > 0.5 and ((0 < w) & (w < tiny)).any()
+        self._assert_same(q, k, v, allow, 8)
 
     def test_dead_row_names_the_same_row(self):
         # the row in the caller's mask; the composite's mask had a heads axis
@@ -532,26 +541,34 @@ class TestMergedOutput:
 
 
 class TestPairwiseSum:
-    """_pairwise_sum over axis 0 against numpy's sum over a contiguous last
-    axis, bit for bit."""
+    """The softmax sums each row with numpy's pairwise sum, whose order of
+    additions changes at 8 and at 128 terms: the fused op against the
+    row-major oracle, as TestKeyMajorSoftmax compares them, at every key
+    count from 1 to 64 and at 128, 129, 150 and 300, on exponentials that
+    underflow to subnormals or zero, on masked keys and on equal logits."""
 
     @staticmethod
-    def _rows(rng, m):
+    def _keys(rng, n):
+        """Per kind, keys (2, n, 1) and an allow mask (2, 3, n); with one
+        head of d_k 1, query row i's logits are its scale times the keys."""
+        dense = np.ones((2, 3, n), dtype=bool)
+        subnormal = rng.uniform(-745.0, -708.0, (2, n, 1))
+        subnormal[:, 0] = 0.0  # exp(0) = 1 beside exponentials of ~1e-310
         return {
-            "exp of wide normals": lambda n: np.exp(rng.standard_normal((n, m)) * 30),
-            "zeros": lambda n: np.zeros((n, m)),
-            "negative zeros": lambda n: np.full((n, m), -0.0),
-            "subnormals": lambda n: rng.integers(0, 1 << 20, (n, m)) * 5e-324,
-            "near 1e300": lambda n: rng.uniform(0.5, 1.5, (n, m)) * 1e300,
+            "wide logits": (rng.standard_normal((2, n, 1)) * 300.0, dense),
+            "subnormal exponentials": (subnormal, dense),
+            "masked keys": (rng.standard_normal((2, n, 1)) * 3.0,
+                            (rng.random((2, 3, n)) < 0.3) | (np.arange(n) == 0)),
+            "equal logits": (np.zeros((2, n, 1)), dense),
         }
 
     @pytest.mark.parametrize("n", list(range(1, 65)) + [128, 129, 150, 300])
     def test_matches_numpy_last_axis_sum(self, n):
         rng = np.random.default_rng(n)
-        with np.errstate(over="ignore"):
-            for kind, make in self._rows(rng, 37).items():
-                x = make(n)
-                expect = np.sum(np.ascontiguousarray(x.T), axis=-1)
-                got = _pairwise_sum(x)
-                np.testing.assert_array_equal(got, expect, err_msg=kind)
-                np.testing.assert_array_equal(np.signbit(got), np.signbit(expect), err_msg=kind)
+        q = np.broadcast_to(np.array([1.0, 0.5, -1.0])[:, None], (2, 3, 1))
+        for kind, (k, allow) in self._keys(rng, n).items():
+            v = rng.standard_normal((2, n, 1))
+            try:
+                TestKeyMajorSoftmax._assert_same(q, k, v, allow, 1, seed=n)
+            except AssertionError as exc:
+                raise AssertionError(kind) from exc

@@ -35,6 +35,8 @@ MALFORMED_CHECKPOINTS = {
     "bad-config-value": lambda p: {**p, "config": {**p["config"], "heads": 3}},
     "int-bool-setting": lambda p: {**p, "config": {**p["config"], "deterministic": 3}},
     "text-bool-setting": lambda p: {**p, "config": {**p["config"], "use_memory": "maybe"}},
+    "float-version": lambda p: {**p, "version": 2.0},
+    "bool-version": lambda p: {**p, "version": True},
     "missing-params": lambda p: _without(p, "params"),
     "missing-shape": lambda p: {**p, "params": {
         **p["params"], "decoder.b": _without(p["params"]["decoder.b"], "shape")}},

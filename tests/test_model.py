@@ -666,10 +666,12 @@ class TestCheckpoints:
         path = tmp_path / "ck.json"
         save_checkpoint(path, params)
         payload = json.loads(path.read_text())
-        payload["version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataFormatError, match="version"):
-            load_checkpoint(path)
+        # true == 1 and 2.0 == 2, but only an int names a version
+        for version in (99, True, 1.0, 2.0, "2"):
+            payload["version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(DataFormatError, match="unsupported checkpoint version"):
+                load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
         config = _config()

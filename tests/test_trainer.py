@@ -137,14 +137,22 @@ class TestBestOfK:
         assert f1 == fde(pred, truth, mask)
 
     def test_min_property(self):
-        # [TRIVIAL] minADE <= every individual sample's ADE
+        # the eval protocol: of K = 20 samples, drawn as sequential rollouts
+        # on one generator, the minimum ADE and the FDE of that same sample;
+        # on this seed it is not the minimum-FDE sample, so min(FDE) fails.
+        # best_of_k packs the samples, which rounds apart by ~3e-15 here
+        from startraj.model import rollout
+        from startraj.trainer import _scene_truth_and_mask
         scene, params = self._setup()
+        truth, mask = _scene_truth_and_mask(scene)
         rng = np.random.default_rng(5)
-        singles = [best_of_k(scene, params, K=1, rng=np.random.default_rng(50 + i))[0]
-                   for i in range(5)]
-        a20, _ = best_of_k(scene, params, K=20, rng=np.random.default_rng(6))
-        assert a20 <= min(best_of_k(scene, params, K=20,
-                                    rng=np.random.default_rng(6))[0] for _ in [0])
+        preds = [rollout(scene, params, rng=rng).numpy() for _ in range(20)]
+        ades = [ade(p, truth, mask) for p in preds]
+        fdes = [fde(p, truth, mask) for p in preds]
+        best = int(np.argmin(ades))
+        assert fdes[best] > min(fdes) + 0.1
+        got = best_of_k(scene, params, K=20, rng=np.random.default_rng(5))
+        np.testing.assert_allclose(got, (ades[best], fdes[best]), rtol=0, atol=1e-9)
 
     def test_nested_sample_monotonicity(self):
         # spec invariant via nested reuse: the K=20 min over a superset of the
