@@ -101,8 +101,8 @@ def attention_weights(q: Tensor, k: Tensor, allow: np.ndarray, heads: int) -> np
     """masked_attention's softmax weights (lead..., heads, t_q, t_k), on no tape.
 
     q (lead..., t_q, d_model) and k (lead..., t_k, d_model) share a leading
-    shape of at least one axis: (N,) in the temporal block, (t,) or (t, S)
-    in TGConv. allow: boolean (lead..., t_q, t_k), True for a usable key, one
+    shape of at least one axis: (N,) in the temporal block, (t, S) in
+    TGConv. allow: boolean (lead..., t_q, t_k), True for a usable key, one
     mask for every head, of the logits' first axis, every other axis 1 or
     the logits'. Any other shape, heads not dividing d_model, or an empty
     axis but the keys' raises ShapeMismatchError; a query row with no usable
@@ -258,20 +258,20 @@ def temporal_block(
 ) -> Tensor:
     """Per-pedestrian temporal transformer over (N, t, d_model) sequences.
 
-    time_mask (N, t): which steps exist per pedestrian; absent steps are
-    neither attended to nor emitted (their output rows are zeroed). A
-    pedestrian with no present step passes through as zeros.
+    time_mask (N, t): which steps exist per pedestrian. No step attends to an
+    absent one, so whatever an absent step holds reaches no present output;
+    absent steps' own outputs are left for the caller's masks to ignore. A
+    pedestrian with no present step attends over all of its own steps.
     """
     n, t, d = h.shape
     x = h + Tensor(positional_encoding(t, d))
     q, k, v = head_projections(x, params.attn)
     # queries at absent steps still need a key, and a row with no present
-    # step keys on all of its own steps; those outputs are zeroed below
+    # step keys on all of its own steps
     keys = time_mask | ~time_mask.any(axis=1, keepdims=True)
     att = masked_attention(q, k, v, keys[:, None, :], params.attn.head_count)
     # x + att and y + ff, each as its linear's residual: float addition commutes
     att = linear(att, params.attn.wo, params.attn.bo, x)
     y = layer_norm(att, params.ln1_gain, params.ln1_bias)
     ff = linear(linear(y, params.w_ff1, params.b_ff1).relu(), params.w_ff2, params.b_ff2, y)
-    out = layer_norm(ff, params.ln2_gain, params.ln2_bias)
-    return out * Tensor(time_mask[:, :, None].astype(np.float64))
+    return layer_norm(ff, params.ln2_gain, params.ln2_bias)

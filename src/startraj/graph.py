@@ -86,10 +86,11 @@ def spatial_block(h: Tensor, masks: List[np.ndarray], params: TGConvParams,
 
     h: (N, t, d_model); masks: build_graph's, used as given, over the t
     steps and the layout, scene_layout of the rows. A node attends only
-    within its scene, all scenes of one size in one attention call. The
-    masks are the only presence mask: an absent node attends to itself alone
-    and no node to it, so its input reaches no present output, and its own
-    output is left for the caller to ignore.
+    within its scene, all scenes of one size, a lone scene included, in one
+    attention call over (t, S, size, d_model) blocks. The masks are the only
+    presence mask: an absent node attends to itself alone and no node to it,
+    so its input reaches no present output, and its own output is left for
+    the masks downstream to ignore.
     """
     n, t, d = h.shape
     need = [(t, sum(hi - lo for lo, hi in runs) // size, size, size) for size, runs in layout]
@@ -99,19 +100,10 @@ def spatial_block(h: Tensor, masks: List[np.ndarray], params: TGConvParams,
     x = h.swapaxes(0, 1)  # (t, N, d)
     pieces = {}  # first row of a run -> its (t, rows, d) attention output
     for (size, runs), mask in zip(layout, masks):
-        # (t, S, size, d) blocks by slices and reshapes; a lone scene keeps (t,
-        # size, d), so its q, k and v projection gradients are added into x
-        # one by one, where the (t, 1, size, d) form sums the three in its
-        # reshape node and adds that sum to x. The output and this block's
-        # parameter gradients keep their bits either way, but h's gradient
-        # does not, and through it the v1 fixture's gradients moved by up to
-        # 2.3e-15 relative and gradcheck's seed-4 encoder_stack and
-        # full_rollout errors
-        lone = mask.shape[1] == 1
+        # (t, S, size, d) blocks by slices and reshapes
         xs = concat([x if hi - lo == n else x[:, lo:hi] for lo, hi in runs], axis=1)
-        q, k, v = head_projections(xs if lone else xs.reshape(t, -1, size, d), params)
-        att = masked_attention(q, k, v, mask[:, 0] if lone else mask, params.head_count)
-        flat = att if lone else att.reshape(t, -1, d)  # (t, S * size, d)
+        q, k, v = head_projections(xs.reshape(t, -1, size, d), params)
+        flat = masked_attention(q, k, v, mask, params.head_count).reshape(t, -1, d)
         off = 0  # first row of the run within flat
         for lo, hi in runs:
             pieces[lo] = flat if len(runs) == 1 else flat[:, off:off + hi - lo]

@@ -208,10 +208,10 @@ def embed_inputs(
 def temporal_recurrent(h: Tensor, params: GruParams, time_mask: np.ndarray) -> Tensor:
     """GRU over the time axis, vectorized across pedestrians; zero initial
     hidden state. Absent steps are zeroed on input, since the hidden state
-    carries across them, and on output."""
+    carries across them; their outputs are left for the caller's masks to
+    ignore."""
     n, t, d = h.shape
-    keep = Tensor(time_mask[:, :, None].astype(np.float64))
-    h = h * keep
+    h = h * Tensor(time_mask[:, :, None].astype(np.float64))
     hidden = Tensor(np.zeros((n, d)))
     outs = []
     for s in range(t):
@@ -221,7 +221,7 @@ def temporal_recurrent(h: Tensor, params: GruParams, time_mask: np.ndarray) -> T
         cand = linear(x, params.wn, params.bn, (r * hidden).matmul(params.un)).tanh()
         hidden = (1.0 - z) * cand + z * hidden
         outs.append(hidden)
-    return T.stack(outs, axis=1) * keep
+    return T.stack(outs, axis=1)
 
 
 def _temporal(h, enc: Encoder, time_mask: np.ndarray) -> Tensor:
@@ -240,7 +240,8 @@ def encoder1(
     layout: Layout,
     spatial_before: Optional[List[Tensor]] = None,
 ) -> Tensor:
-    """Parallel spatial and temporal branches fused by a linear layer.
+    """Parallel spatial and temporal branches fused by a linear layer. The
+    outputs of absent slots are left for the masks downstream to ignore.
 
     Given a graph memory (the previous rollout step's encoder-2 output, which
     covers steps 1..L-1), the temporal branch consumes it verbatim,
@@ -264,8 +265,7 @@ def encoder1(
     else:
         seq = h_temporal
     temporal = _temporal(seq, params.enc1, presence)
-    fused = linear(concat([spatial, temporal], axis=-1), params.fusion.w, params.fusion.b)
-    return fused * Tensor(presence[:, :, None].astype(np.float64))
+    return linear(concat([spatial, temporal], axis=-1), params.fusion.w, params.fusion.b)
 
 
 def encoder2(
@@ -419,9 +419,11 @@ def encoder2_attention(scene: TrajectoryScene, params: StarParams) -> np.ndarray
     _, history, presence, masks = _observed(scene, params.config, layout)
     h_s, h_t = embed_inputs(history, params)
     fused = encoder1(h_s, h_t, masks, None, params, presence, layout)
-    x, p, [mask] = fused.swapaxes(0, 1), params.enc2.spatial, masks  # mask: (t, 1, N, N)
-    return attention_weights(linear(x, p.wq, p.bq), linear(x, p.wk, p.bk), mask[:, 0],
-                             p.head_count)
+    n, t, d = fused.shape
+    x = fused.swapaxes(0, 1).reshape(t, 1, n, d)  # spatial_block's (t, S, n, d) form
+    p, [mask] = params.enc2.spatial, masks  # mask: (t, 1, N, N)
+    return attention_weights(linear(x, p.wq, p.bq), linear(x, p.wk, p.bk), mask,
+                             p.head_count)[:, 0]
 
 
 # ----------------------------------------------------------------------

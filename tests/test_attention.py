@@ -210,33 +210,52 @@ class TestTemporalBlock:
         assert np.array_equal(out_a[0], out_b[0])
 
     def test_masked_steps_do_not_leak(self):
-        # changing values at masked steps never changes unmasked outputs
+        # whatever masked steps hold changes no unmasked output and no weight
+        # gradient of a loss over unmasked outputs, and hands the masked
+        # inputs no gradient; masked outputs are left for the caller's masks
+        # to ignore, so they need only be finite
         p = self._params()
         rng = np.random.default_rng(12)
         h = rng.standard_normal((1, 6, 8))
         mask = np.array([[True, True, False, True, False, True]])
-        out_a = temporal_block(Tensor(h), p, mask).numpy()
-        h2 = h.copy()
-        h2[0, 2] = 99.0
-        h2[0, 4] = -99.0
-        out_b = temporal_block(Tensor(h2), p, mask).numpy()
-        np.testing.assert_array_equal(out_a[0, mask[0]], out_b[0, mask[0]])
-        # masked output rows are zeroed
-        np.testing.assert_array_equal(out_a[0, ~mask[0]], 0.0)
+        w = Tensor(rng.standard_normal(h.shape) * mask[:, :, None])
+        runs = []
+        for fill in (None, (99.0, -99.0), (0.0, 0.0)):
+            x = h.copy()
+            if fill is not None:
+                x[0, 2], x[0, 4] = fill
+            x = parameter(x)
+            for _, q in p.parameters():
+                q.grad = None
+            out = temporal_block(x, p, mask)
+            assert np.all(np.isfinite(out.numpy()))
+            (out * w).sum().backward()
+            assert np.all(x.grad[~mask] == 0.0)
+            runs.append([out.numpy()[mask], x.grad] + [q.grad for _, q in p.parameters()])
+        for other in runs[1:]:
+            for got, expected in zip(other, runs[0], strict=True):
+                np.testing.assert_array_equal(got, expected)
 
     def test_never_present_pedestrian_passes_as_zeros(self):
         # a pedestrian with no present step (one who enters after the
-        # window) emits exactly 0 and takes no gradient; the other row's bits
-        # are those of the same call with the empty row's mask all True
+        # window) attends over its own steps: whatever it holds, its output
+        # is finite, the other row keeps the bits of the same call with the
+        # empty row's mask all True, and a loss over present outputs hands
+        # it no gradient
         p = self._params()
-        h = parameter(np.random.default_rng(13).standard_normal((2, 3, 8)))
+        rng = np.random.default_rng(13)
+        h = rng.standard_normal((2, 3, 8))
         mask = np.array([[True, False, True], [False, False, False]])
-        out = temporal_block(h, p, mask)
-        np.testing.assert_array_equal(out.numpy()[1], 0.0)
-        full = temporal_block(h, p, np.array([[True, False, True], [True, True, True]]))
-        assert np.array_equal(out.numpy()[0], full.numpy()[0])
-        (out * out).sum().backward()
-        assert np.all(np.isfinite(h.grad)) and np.all(h.grad[1] == 0.0)
+        full = temporal_block(Tensor(h), p, np.array([[True, False, True], [True, True, True]]))
+        for scale in (1.0, 0.0, 1e3):
+            x = h.copy()
+            x[1] *= scale
+            x = parameter(x)
+            out = temporal_block(x, p, mask)
+            assert np.all(np.isfinite(out.numpy()[1]))
+            assert np.array_equal(out.numpy()[0], full.numpy()[0])
+            (out * Tensor(mask[:, :, None] * 1.0)).sum().backward()
+            assert np.all(np.isfinite(x.grad)) and np.all(x.grad[1] == 0.0)
 
 
 class TestAttentionNormalizationProperty:
@@ -405,7 +424,7 @@ class TestKeyMajorSoftmax:
         n = 6
         q, k, v = (wide(n) for _ in range(3))
         self._assert_same(q, k, v, np.ones((n, 1, t_k), dtype=bool), 8)
-        # a lone spatial block with a (t, n, n) mask
+        # one leading axis with a (t, n, n) mask, as the op accepts it
         allow = (rng.random((3, t_k, t_k)) < 0.4) | np.eye(t_k, dtype=bool)
         q, k, v = (wide(3) for _ in range(3))
         self._assert_same(q, k, v, allow, 8)
@@ -527,7 +546,7 @@ class TestMergedOutput:
 
     @pytest.mark.parametrize("lead, allow_shape", [
         ((6,), (6, 1, 5)),  # temporal: (N,) rows, an (N, 1, t) mask
-        ((3,), (3, 5, 5)),  # a lone spatial block: (t,), a (t, n, n) mask
+        ((3,), (3, 5, 5)),  # one leading axis (t,), a (t, n, n) mask
         ((3, 4), (3, 4, 5, 5)),  # packed spatial blocks: (t, S), (t, S, n, n)
     ])
     def test_heads_are_written_merged(self, lead, allow_shape):

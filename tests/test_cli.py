@@ -703,8 +703,9 @@ class TestEntrant:
     @pytest.mark.parametrize("variant", ["full", "no_memory", "lstm_temporal",
                                          "single_encoder"])
     def test_every_command_runs(self, tmp_path, capsys, variant):
-        # a pedestrian with no observed step passes through the temporal
-        # transformer as zeros and gets no prediction
+        # a pedestrian with no observed step attends over its own steps in
+        # the temporal transformer, reaches no other row and gets no
+        # prediction
         data = tmp_path / "data"
         data.mkdir()
         for name in DATASET_NAMES:

@@ -4,6 +4,9 @@ attention over all N packed rows that it replaced.
 Two oracles live here: a brute-force numpy TGConv that loops over steps and
 heads on the full N x N matrix, and the dense path rebuilt from the
 library's autodiff primitives, so that gradients can be compared too.
+
+Re-record the packed fixture (only when an output is meant to change):
+    PYTHONPATH=src python tests/test_scene_blocks.py
 """
 
 import json
@@ -115,9 +118,8 @@ def _block_weights(calls, sizes):
     size in scene_layout order, its scenes in row order."""
     blocks = []
     for (size, runs), (_, w) in zip(scene_layout(sizes), calls, strict=True):
-        starts = _starts(size, runs)
-        w = w.reshape(w.shape[0], len(starts), -1, size, size)  # a lone scene has no S axis
-        blocks += [(i, size, w[:, j]) for j, i in enumerate(starts)]
+        # w: (t, S, heads, size, size)
+        blocks += [(i, size, w[:, j]) for j, i in enumerate(_starts(size, runs))]
     return blocks
 
 
@@ -420,3 +422,11 @@ class TestLogitCells:
         for q, k, allow, _ in calls:  # the logits but for the heads
             logits = q[:-1] + (k[-2],)
             assert np.broadcast_shapes(allow, logits) == logits
+
+
+if __name__ == "__main__":
+    values = _packed_fixture_values(*_packed_fixture_case())
+    with open(PACKED_FIXTURE, "w") as fh:
+        json.dump(values, fh)
+    print(f"wrote the packed rollout, loss and {len(values['grads'])} gradients to "
+          f"{PACKED_FIXTURE}")

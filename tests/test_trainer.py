@@ -1,5 +1,9 @@
 """Metrics, loss, training loop, best-of-K evaluation, and ablation rows
-built from config_for_variant, train and evaluate."""
+built from config_for_variant, train and evaluate.
+
+Re-record the absent-slot fixture (only when an output is meant to change):
+    PYTHONPATH=src python tests/test_trainer.py
+"""
 
 import hashlib
 import itertools
@@ -15,12 +19,12 @@ import startraj.graph
 import startraj.model
 import startraj.trainer
 from startraj import (
-    StarConfig, TrainSpec, ade, best_of_k, config_for_variant, evaluate, fde,
-    init_params, preprocess, scene_loss, train,
+    StarConfig, Tensor, TrainSpec, ade, best_of_k, config_for_variant, evaluate, fde,
+    init_params, preprocess, rollout, scene_loss, train,
 )
 from startraj.data import TrajectoryScene, merge_scenes, pack_batches
 from startraj.errors import DataFormatError, NonFiniteError
-from startraj.model import VARIANT_FLAGS
+from startraj.model import VARIANT_FLAGS, encoder2_attention
 from startraj.synthetic import simulate_scene
 
 
@@ -284,13 +288,14 @@ class TestTraining:
     def test_backward_peak_is_the_forward_tape(self):
         # numpy reports its buffers to tracemalloc, so these are byte counts.
         # A packed step of 4 scenes x 4 peds at the default config holds
-        # 45.0 MB after the forward and backward adds 1.3 MB on top: each
+        # 42.7 MB after the forward and backward adds 1.1 MB on top: each
         # closure, and each gradient of a node with parents, is freed once
         # swept. Before that, backward added 72 MB to a 64.1 MB tape whose
         # closures also kept layer_norm's output, relu's mask and the scaled
         # queries; the tape was 51.7 MB while each attention output was
         # stored twice (again by merge_heads) and each residual add kept the
-        # linear output it summed.
+        # linear output it summed, and 44.8 MB while the encoders zeroed
+        # absent slots' outputs.
         rng = np.random.default_rng(0)
         batch = merge_scenes([preprocess(simulate_scene(rng, n_peds=4)) for _ in range(4)])
         params = init_params(StarConfig(), np.random.default_rng(1))
@@ -500,12 +505,79 @@ def test_layer_norm_inputs_are_c_ordered(variant, monkeypatch):
     assert orders and all(orders), orders
 
 
+def _noisy_absent_slots(monkeypatch):
+    """Write finite noise into the absent slots of every temporal block's and
+    encoder 1's outputs, which are left for the masks downstream to ignore.
+    Returns a list that receives (function name, absent slots written) per
+    call."""
+    noise, written = np.random.default_rng(76), []
+
+    def noisy(name, real, mask_at):
+        def wrapper(*args):
+            out = real(*args)
+            absent = ~np.asarray(args[mask_at])[:, :, None]
+            written.append((name, int(absent.sum())))
+            return out + Tensor(np.where(absent, 1e3 * noise.standard_normal(out.shape), 0.0))
+        return wrapper
+
+    for name, mask_at in (("temporal_block", 2), ("temporal_recurrent", 2), ("encoder1", 5)):
+        monkeypatch.setattr(startraj.model, name,
+                            noisy(name, getattr(startraj.model, name), mask_at))
+    return written
+
+
+def _absent_slot_run(variant, training):
+    """On every _absent_slot_scenes scene packed into one batch: a training
+    rollout's predictions, scene_loss and every parameter gradient; or an
+    eval rollout of three packed samples and encoder 2's attention weights
+    on the scene of eight."""
+    config = StarConfig(d_model=8, heads=2, obs_len=8, pred_len=3, noise_dim=4,
+                        graph_threshold=3.0, **VARIANT_FLAGS[variant])
+    params = init_params(config, np.random.default_rng(77))
+    scenes = [preprocess(s) for s in _absent_slot_scenes()]
+    batch = merge_scenes(scenes)
+    if not training:
+        pred = rollout(batch.scene, params, np.random.default_rng(78), batch.sizes, copies=3)
+        weights = [] if params.enc2 is None else [encoder2_attention(scenes[2], params)]
+        return [pred.numpy()] + weights
+    pred = rollout(batch.scene, params, np.random.default_rng(78), batch.sizes, training=True)
+    loss = scene_loss(batch, params, np.random.default_rng(79))
+    loss.backward()
+    return [pred.numpy(), loss.item()] + [p.grad for _, p in params.parameters()]
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+@pytest.mark.parametrize("variant", sorted(VARIANT_FLAGS))
+def test_absent_slot_outputs_reach_nothing(variant, training, monkeypatch):
+    # the attention masks are the encoders' only presence mask: with finite
+    # noise in every absent slot that the temporal blocks and encoder 1 emit,
+    # predictions, loss, attention weights and every parameter gradient equal
+    # the clean run's (assert_array_equal: a non-roller's zeroed prediction
+    # may flip its sign)
+    clean = _absent_slot_run(variant, training)
+    written = _noisy_absent_slots(monkeypatch)
+    noisy = _absent_slot_run(variant, training)
+    temporal = "temporal_recurrent" if variant == "lstm_temporal" else "temporal_block"
+    for name in ("encoder1", temporal):
+        assert sum(count for called, count in written if called == name) > 0, name
+    for got, expected in zip(noisy, clean, strict=True):
+        np.testing.assert_array_equal(got, expected)
+
+
 class TestAbsentSlotsFixture:
     def test_absent_slots_bit_identical(self):
         # training with dropout and augmentation, then best-of-5, on scenes
         # with late starters, leavers, a gap and a post-window entrant;
-        # recorded from _absent_slot_values before TGConv and the rollout's
-        # inputs stopped zeroing absent slots
+        # recorded from _absent_slot_values when the temporal blocks and
+        # encoder 1 stopped zeroing absent slots' outputs: the parameters
+        # after training moved by rounding alone
         with open(ABSENT_FIXTURE) as fh:
             expected = json.load(fh)
         assert _absent_slot_values() == expected
+
+
+if __name__ == "__main__":
+    values = _absent_slot_values()
+    with open(ABSENT_FIXTURE, "w") as fh:
+        json.dump(values, fh, indent=1)
+    print(f"wrote {len(values)} cases to {ABSENT_FIXTURE}")
