@@ -185,15 +185,18 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, allow: np.ndarray, heads: 
     def bwd(g):
         g = _split_heads(g, heads)
         gw = np.matmul(g, np.swapaxes(vh, -1, -2))
-        v._accumulate(_merge_heads(np.matmul(np.swapaxes(w, -1, -2), g)))
+        if v.requires_grad:
+            v._accumulate(_merge_heads(np.matmul(np.swapaxes(w, -1, -2), g)))
         gw -= (gw * w).sum(axis=-1, keepdims=True)
         gl = np.multiply(gw, w, out=gw)  # the logit gradient, w * (gw - rowsum)
-        gq = np.matmul(gl, kh)
-        gq *= scale
-        q._accumulate(_merge_heads(gq))
-        qs = qh * scale  # recomputed, not saved: the forward's bits
-        gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)  # (qs^T gl)^T
-        k._accumulate(_merge_heads(gk))
+        if q.requires_grad:
+            gq = np.matmul(gl, kh)
+            gq *= scale
+            q._accumulate(_merge_heads(gq))
+        if k.requires_grad:
+            qs = qh * scale  # recomputed, not saved: the forward's bits
+            gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gl), -1, -2)  # (qs^T gl)^T
+            k._accumulate(_merge_heads(gk))
 
     out = np.empty(sq[:-1] + sv[-1:])
     np.matmul(w, vh, out=_split_heads(out, heads))
@@ -273,5 +276,5 @@ def temporal_block(
     # x + att and y + ff, each as its linear's residual: float addition commutes
     att = linear(att, params.attn.wo, params.attn.bo, x)
     y = layer_norm(att, params.ln1_gain, params.ln1_bias)
-    ff = linear(linear(y, params.w_ff1, params.b_ff1).relu(), params.w_ff2, params.b_ff2, y)
+    ff = linear(linear(y, params.w_ff1, params.b_ff1, relu=True), params.w_ff2, params.b_ff2, y)
     return layer_norm(ff, params.ln2_gain, params.ln2_bias)

@@ -197,8 +197,8 @@ def embed_inputs(
     """Two separate linear+ReLU position embeddings (N, t, 2) -> (N, t, d),
     one feeding the spatial branch, one the temporal branch."""
     rate = params.config.dropout
-    h_s = linear(positions, params.embed_spatial.w, params.embed_spatial.b).relu()
-    h_t = linear(positions, params.embed_temporal.w, params.embed_temporal.b).relu()
+    h_s = linear(positions, params.embed_spatial.w, params.embed_spatial.b, relu=True)
+    h_t = linear(positions, params.embed_temporal.w, params.embed_temporal.b, relu=True)
     if training:
         h_s = T.dropout(h_s, rate, rng)
         h_t = T.dropout(h_t, rate, rng)

@@ -7,7 +7,10 @@ releases it as it goes (rollout lengths vary per scene, so tapes are one-shot):
 once a node's closure has run, its closure and parents are dropped, and a node
 with parents, the loss included, drops its gradient too. Afterwards only leaves
 (tensors without parents, such as parameters) hold ``.grad``. Closures save no
-array that they can recompute, bit for bit, from their inputs' data.
+array that they can recompute, bit for bit, from their inputs' data or their
+own output: ``linear`` applies its ReLU inside its node and reads the mask off
+its output, so no pre-activation is taped, and ``dropout`` keeps a boolean
+mask and rebuilds the float keep from it in backward.
 
 Gradient ownership: a node's ``.grad`` is its own until its closure returns,
 so the closure may hand that array, or views of it, on to its parents. A
@@ -16,9 +19,9 @@ in place, so no two parents may be handed the same memory: ``concat`` hands
 each its own slice, ``linear`` hands ``g`` itself to its ``residual`` alone,
 and ``__add__``, the only op that passes ``g`` to both sides, copies the
 second operand's share when the first has just adopted it (``x + x``
-included). ``concat``, ``linear``'s input and residual and both sides of
-``+``, ``-`` and ``*`` are handed nothing when they do not require grad: only
-parameters' gradients are ever read.
+included). No op hands a gradient to an operand that does not require grad,
+such as the GRU's zero initial state: only parameters' gradients are ever
+read.
 
 In place: an op allocates each result once and finishes its expression in
 place (``out = x @ W; out += b``), but writes only into arrays it has just
@@ -167,10 +170,10 @@ class Tensor:
             )
 
         def bwd(g):
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            a._accumulate(_unbroadcast(ga, a.shape))
-            b._accumulate(_unbroadcast(gb, b.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
         return Tensor(np.matmul(a.data, b.data), _parents=(a, b), _backward=bwd)
 
@@ -323,7 +326,8 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def bwd(g):
         for i, t in enumerate(tensors):
-            t._accumulate(np.take(g, i, axis=axis))
+            if t.requires_grad:
+                t._accumulate(np.take(g, i, axis=axis))
 
     return Tensor(
         np.stack([t.data for t in tensors], axis=axis),
@@ -352,8 +356,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def bwd(g):
         norm, inv_std = normalize()  # the forward's expressions, so its bits
-        gain._accumulate(_unbroadcast(g * norm, gain.shape))
-        bias._accumulate(_unbroadcast(g, bias.shape))
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * norm, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        if not x.requires_grad:
+            return
         # inv_std * (dn - mean(dn) - norm * mean(dn * norm)), in place on dn
         dn = g * gain.data
         m2 = (dn * norm).mean(axis=-1, keepdims=True)
@@ -369,12 +377,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor(out, _parents=(x, gain, bias), _backward=bwd)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor, residual: Optional[Tensor] = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor, residual: Optional[Tensor] = None,
+           relu: bool = False) -> Tensor:
     """Affine map on the last axis: x @ weight + bias, weight is (in, out),
-    plus residual (of the result's shape) when given, as one tape node with
-    the gradients of the matmul-then-add composite and its `+ residual`, bit
-    for bit. A residual add taped as its own node would keep an extra
-    result-sized array alive until the backward pass."""
+    plus residual (of the result's shape) when given, then with `relu` a
+    ReLU in place, as one tape node with the gradients of the matmul-then-add
+    composite, its `+ residual` and its `.relu()`, bit for bit. Taped as
+    nodes of their own, the add and the ReLU would each keep an extra
+    result-sized array until the backward pass. The ReLU's mask is read off
+    the output, > 0 exactly where its input was (NaN included)."""
     if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise ShapeMismatchError(f"linear: incompatible shapes {x.shape} x {weight.shape}")
     out = np.matmul(x.data, weight.data)
@@ -385,10 +396,15 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, residual: Optional[Tensor] =
             raise ShapeMismatchError(f"linear: residual of {residual.shape} for {out.shape}")
         out += residual.data
         parents += (residual,)
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def bwd(g):
-        bias._accumulate(_unbroadcast(g, bias.shape))
-        gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
+        if relu:
+            g = g * (out > 0)
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        gw = np.matmul(np.swapaxes(x.data, -1, -2), g) if weight.requires_grad else None
         gx = np.matmul(g, weight.data.T) if x.requires_grad else None
         # residual takes g itself, as the composite's add handed it first:
         # after its last read here, since residual may be x and add into g
@@ -396,18 +412,28 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, residual: Optional[Tensor] =
             residual._accumulate(g)
         if gx is not None:
             x._accumulate(_unbroadcast(gx, x.shape))
-        weight._accumulate(_unbroadcast(gw, weight.shape))
+        if gw is not None:
+            weight._accumulate(_unbroadcast(gw, weight.shape))
 
     return Tensor(out, _parents=parents, _backward=bwd)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout, for training; identity at rate 0."""
+    """Inverted dropout, for training; identity at rate 0. One tape node
+    holding the boolean mask of kept entries, from which forward and backward
+    rebuild the float keep with one expression: the output and gradient of
+    `x * Tensor(keep)`, bit for bit, with no float keep on the tape. The
+    output is C-ordered, as that product's is for a C-ordered x."""
     if rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(np.float64)
-    keep /= 1.0 - rate
-    return x * Tensor(keep)
+    mask = rng.random(x.shape) >= rate
+
+    def bwd(g):
+        x._accumulate(g * (mask / (1.0 - rate)))
+
+    out = mask / (1.0 - rate)
+    out *= x.data  # x.data * keep: IEEE multiplication commutes
+    return Tensor(out, _parents=(x,), _backward=bwd)
 
 
 def parameter(data: ArrayLike) -> Tensor:

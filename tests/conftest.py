@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 from contextlib import contextmanager
+from typing import List, NamedTuple
 
 import numpy as np
 import pytest
@@ -66,3 +67,34 @@ def read_only_tensors():
             yield
 
     return switch
+
+
+class TapeStats(NamedTuple):
+    nodes: List[Tensor]  # every tensor on the tape, the loss included, once
+    nbytes: int  # the bytes of their data, each array counted once by its base
+
+
+def _tape_stats(loss: Tensor) -> TapeStats:
+    nodes, seen, todo = [], {id(loss)}, [loss]
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    bases = {}
+    for node in nodes:
+        a = node.data
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        bases[id(a)] = a.nbytes
+    return TapeStats(nodes, sum(bases.values()))
+
+
+@pytest.fixture
+def tape_stats():
+    """tape_stats(loss): the tensors reachable from loss through their
+    parents (the node count is len(.nodes)) and the distinct bytes of their
+    data, views counted once with the array they view."""
+    return _tape_stats

@@ -5,6 +5,7 @@ implementation in this file (plain numpy / scalar loops), never by calling the
 code under test twice.
 """
 
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -156,14 +157,42 @@ class TestBackward:
         np.testing.assert_allclose(w.grad, x.numpy().T @ np.ones((5, 3)), atol=1e-12)
 
     def test_constant_operands_get_no_gradient(self):
-        # +, -, * and concat hand nothing to an operand that does not require
-        # grad, on either side; the other side's gradient is unchanged
+        # no op hands anything to an operand that does not require grad, on
+        # either side; the other side's gradient is unchanged
         x = parameter(np.arange(3.0))
         c = Tensor(np.full(3, 2.0))
         loss = ((x + c) + (c + x) + (x - c) + (c - x) + x * c + c * x).sum()
         (loss + concat([c, x]).sum() + concat([x, c]).sum()).backward()
         assert c.grad is None
         np.testing.assert_array_equal(x.grad, np.full(3, 1 + 1 + 1 - 1 + 2 + 2 + 1 + 1.0))
+
+        # every op with two or more operands, each proper subset of them
+        # constant: the rest get the bits they get when all are parameters
+        rng = np.random.default_rng(13)
+        a, w, s = rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 4)), rng.standard_normal(4)
+        allow = (rng.random((2, 3, 3)) < 0.5) | np.eye(3, dtype=bool)
+        ops = {
+            "matmul": (Tensor.matmul, [a, w]),
+            "stack": (lambda p, q: stack([p, q], axis=1), [a, a + 1.0]),
+            "layer_norm": (layer_norm, [a, s, s + 1.0]),
+            "linear": (linear, [a, w, s, a * 2.0]),
+            "linear relu": (lambda *t: linear(*t, relu=True), [a, w, s, a * 2.0]),
+            "masked_attention": (lambda q, k, v: masked_attention(q, k, v, allow, 2),
+                                 [a, a * 0.5, a - 1.0]),
+        }
+        for name, (op, arrays) in ops.items():
+            upstream = rng.standard_normal(op(*(Tensor(v) for v in arrays)).shape)
+            expect = _outputs_and_grads(op, arrays, upstream)[1]
+            for n in range(1, len(arrays)):
+                for const in itertools.combinations(range(len(arrays)), n):
+                    leaves = [Tensor(v) if i in const else parameter(v)
+                              for i, v in enumerate(arrays)]
+                    (op(*leaves) * Tensor(upstream)).sum().backward()
+                    for i, leaf in enumerate(leaves):
+                        if i in const:
+                            assert leaf.grad is None, (name, const, i)
+                        else:
+                            np.testing.assert_array_equal(leaf.grad, expect[i])
 
     def test_constant_loss_zero_grads(self):
         # [TRIVIAL] loss independent of parameter -> zero gradient
@@ -430,17 +459,6 @@ class TestLinearHelper:
             linear(x, w, b, x)
 
 
-def _tape_nodes(root: Tensor) -> int:
-    """Tensors reachable from root through _parents, root included."""
-    seen, stack = {id(root)}, [root]
-    while stack:
-        for p in stack.pop()._parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    return len(seen)
-
-
 class TestAllocationBudget:
     """Eval-mode linear and layer_norm allocate their result once and finish
     the expression in place. numpy reports its buffers to tracemalloc, so the
@@ -473,25 +491,38 @@ class TestAllocationBudget:
 
 
 class TestTapeNodes:
-    """The attention core and the linear layer each record one tape node."""
+    """The attention core, the linear layer (its ReLU included) and dropout
+    each record one tape node."""
 
-    def test_linear_adds_one_node(self):
+    def test_linear_adds_one_node(self, tape_stats):
         rng = np.random.default_rng(9)
         x, w, b = (parameter(rng.standard_normal(s)) for s in ((3, 4), (4, 2), (2,)))
-        assert _tape_nodes(linear(x, w, b)) == 3 + 1
+        assert len(tape_stats(linear(x, w, b)).nodes) == 3 + 1
+        assert len(tape_stats(linear(x, w, b, relu=True)).nodes) == 3 + 1
 
-    def test_linear_with_residual_adds_one_node(self):
+    def test_linear_with_residual_adds_one_node(self, tape_stats):
         rng = np.random.default_rng(9)
         x, w, b, r = (parameter(rng.standard_normal(s)) for s in ((3, 4), (4, 2), (2,), (3, 2)))
-        assert _tape_nodes(linear(x, w, b, r)) == 4 + 1
+        assert len(tape_stats(linear(x, w, b, r)).nodes) == 4 + 1
+        assert len(tape_stats(linear(x, w, b, r, relu=True)).nodes) == 4 + 1
 
-    def test_masked_attention_adds_one_node(self):
+    def test_dropout_adds_one_node_holding_a_bool_mask(self, tape_stats):
+        # the float keep is rebuilt from the mask; it is on no tape
+        x = parameter(np.random.default_rng(9).standard_normal((3, 4)))
+        out = dropout(x, 0.5, np.random.default_rng(0))
+        stats = tape_stats(out)
+        assert len(stats.nodes) == 1 + 1
+        assert stats.nbytes == 2 * x.data.nbytes
+        cells = dict(zip(out._backward.__code__.co_freevars, out._backward.__closure__))
+        assert cells["mask"].cell_contents.dtype == bool
+
+    def test_masked_attention_adds_one_node(self, tape_stats):
         # the heads are split and merged inside the node; the weights are a
         # plain array, on no tape
         rng = np.random.default_rng(10)
         q, k, v = (parameter(rng.standard_normal((2, 3, 4))) for _ in range(3))
         allow = np.array([[[True, False, True]] * 3] * 2)  # (2, 3, 3), one per row
-        assert _tape_nodes(masked_attention(q, k, v, allow, 2)) == 3 + 1
+        assert len(tape_stats(masked_attention(q, k, v, allow, 2)).nodes) == 3 + 1
         assert type(attention_weights(q, k, allow, 2)) is np.ndarray
 
 
@@ -625,11 +656,19 @@ def _outputs_and_grads(op, arrays, upstream, swap=None):
     return out.numpy(), [t.grad for t in leaves]
 
 
+def _composite_dropout(x, rate, rng):
+    """dropout as it was: the float keep a constant leaf, times x."""
+    keep = (rng.random(x.shape) >= rate).astype(np.float64)
+    keep /= 1.0 - rate
+    return x * Tensor(keep)
+
+
 class TestRecomputingClosures:
     """layer_norm, relu and masked_attention recompute in backward what they
-    used to save, and write their temporaries in place; outputs and every
-    input gradient keep their bits and their memory layout, under a
-    C-contiguous and under a transposed upstream gradient."""
+    used to save, and write their temporaries in place; linear's ReLU reads
+    its mask off the output and dropout rebuilds its float keep from a bool
+    mask. Outputs and every input gradient keep their bits and their memory
+    layout, under a C-contiguous and under a transposed upstream gradient."""
 
     @staticmethod
     def _assert_same(new, old, arrays, upstream, swap=(0, 1), c_ordered_out=False):
@@ -684,3 +723,68 @@ class TestRecomputingClosures:
         q, k, v = (Tensor(a) for a in arrays)
         w_old = _saving_multi_head(q, k, v, allow, heads)[1]
         np.testing.assert_array_equal(attention_weights(q, k, allow, heads), w_old.numpy())
+
+    @settings(max_examples=25)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_linear_relu(self, seed):
+        # linear(..., relu=True), with and without a residual, against the
+        # composite linear(...).relu()
+        rng = np.random.default_rng(seed)
+        lead = tuple(rng.integers(1, 5, size=rng.integers(1, 3)))
+        d_in, d_out = (int(v) for v in rng.integers(1, 7, size=2))
+        x = rng.standard_normal(lead + (d_in,))
+        w, b = rng.standard_normal((d_in, d_out)), rng.standard_normal(d_out)
+        r = rng.standard_normal(lead + (d_out,))
+        # the kink: an all-zero input row, a zero bias entry and a zero
+        # residual entry there give pre-activations of exactly 0
+        x.reshape(-1, d_in)[0] = 0.0
+        b[0] = 0.0
+        r.reshape(-1, d_out)[0, 0] = 0.0
+        assert (x @ w + b + r == 0.0).any()
+        upstream = rng.standard_normal(lead + (d_out,))
+        self._assert_same(lambda *t: linear(*t, relu=True), lambda *t: linear(*t).relu(),
+                          [x, w, b], upstream)
+        self._assert_same(lambda *t: linear(*t, relu=True), lambda *t: linear(*t).relu(),
+                          [x, w, b, r], upstream)
+        # finite differences, away from the kink
+        leaves = [parameter(rng.standard_normal(v.shape)) for v in (x, w, b, r)]
+        g = Tensor(upstream)
+        assert check_gradients(lambda: (linear(*leaves[:3], relu=True) * g).sum(),
+                               list(zip("xwb", leaves))) < TOLERANCE
+        assert check_gradients(lambda: (linear(*leaves, relu=True) * g).sum(),
+                               list(zip("xwbr", leaves))) < TOLERANCE
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate inf - inf
+    def test_linear_relu_nan_pre_activation(self):
+        # a NaN pre-activation stays NaN and, as NaN > 0 is false, passes no
+        # gradient, as in the composite: the first row overflows to inf on
+        # the way in, and inf * 10 + inf * -10 is NaN; the second row gives a
+        # negative entry and an exact 0
+        x = np.array([[1e10, 1e10, 0.0], [1.0, 2.0, 3.0]])
+        w, b = np.array([[10.0, 1.0], [-10.0, 1.0], [1.0, -1.0]]), np.zeros(2)
+        pre = (x * 1e300) @ w + b
+        assert np.isnan(pre).any() and (pre < 0).any() and (pre == 0).any()
+        self._assert_same(lambda x, w, b: linear(x * 1e300, w, b, relu=True),
+                          lambda x, w, b: linear(x * 1e300, w, b).relu(),
+                          [x, w, b], np.random.default_rng(0).standard_normal((2, 2)))
+
+    @settings(max_examples=25)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_dropout(self, seed):
+        # the same draw from the generator, the same output and gradient, and
+        # the generator left in the same state
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 6, size=rng.integers(2, 4)))
+        x = rng.standard_normal(shape)
+        rate = float(rng.uniform(0.05, 0.95))
+        self._assert_same(lambda t: dropout(t, rate, np.random.default_rng(seed)),
+                          lambda t: _composite_dropout(t, rate, np.random.default_rng(seed)),
+                          [x], rng.standard_normal(shape))
+        gens = [np.random.default_rng(seed) for _ in range(2)]
+        dropout(Tensor(x), rate, gens[0])
+        _composite_dropout(Tensor(x), rate, gens[1])
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state
+        leaf = parameter(x)
+        g = Tensor(rng.standard_normal(shape))
+        loss = lambda: (dropout(leaf, rate, np.random.default_rng(seed)) * g).sum()
+        assert check_gradients(loss, [("x", leaf)]) < TOLERANCE

@@ -288,14 +288,15 @@ class TestTraining:
     def test_backward_peak_is_the_forward_tape(self):
         # numpy reports its buffers to tracemalloc, so these are byte counts.
         # A packed step of 4 scenes x 4 peds at the default config holds
-        # 42.7 MB after the forward and backward adds 1.1 MB on top: each
+        # 37.6 MB after the forward and backward adds 1.1 MB on top: each
         # closure, and each gradient of a node with parents, is freed once
         # swept. Before that, backward added 72 MB to a 64.1 MB tape whose
         # closures also kept layer_norm's output, relu's mask and the scaled
         # queries; the tape was 51.7 MB while each attention output was
         # stored twice (again by merge_heads) and each residual add kept the
-        # linear output it summed, and 44.8 MB while the encoders zeroed
-        # absent slots' outputs.
+        # linear output it summed, 44.8 MB while the encoders zeroed absent
+        # slots' outputs, and 42.7 MB while each ReLU was a node of its own
+        # and dropout taped a float keep.
         rng = np.random.default_rng(0)
         batch = merge_scenes([preprocess(simulate_scene(rng, n_peds=4)) for _ in range(4)])
         params = init_params(StarConfig(), np.random.default_rng(1))
@@ -309,7 +310,29 @@ class TestTraining:
         finally:
             tracemalloc.stop()
         assert peak - tape < 0.1 * tape, (tape, peak)
-        assert tape < 48e6, tape
+        assert tape < 40e6, tape
+
+    def test_training_step_tapes_no_relu_node_or_float_keep(self, tape_stats):
+        # linear applies its ReLU inside its own node, and dropout is one node
+        # holding a bool mask: no relu node, and no constant float leaf of 0s
+        # and 1 / (1 - rate)s, on the tape of a training step
+        rng = np.random.default_rng(0)
+        batch = merge_scenes([preprocess(simulate_scene(rng, n_peds=4)) for _ in range(4)])
+        config = StarConfig()
+        params = init_params(config, np.random.default_rng(1))
+        stats = tape_stats(scene_loss(batch, params, np.random.default_rng(2)))
+        ops = [n._backward.__qualname__ for n in stats.nodes if n._backward is not None]
+        assert not [op for op in ops if "relu" in op]
+        scaled = 1.0 / (1.0 - config.dropout)
+        assert not [n for n in stats.nodes if not n.requires_grad
+                    and np.isin(n.data, (0.0, scaled)).all() and (n.data == scaled).any()]
+        # both embeddings of every rollout step pass through dropout
+        drops = [n for n in stats.nodes if n._backward is not None
+                 and n._backward.__qualname__ == "dropout.<locals>.bwd"]
+        assert len(drops) == 2 * config.pred_len
+        for n in drops:
+            cells = dict(zip(n._backward.__code__.co_freevars, n._backward.__closure__))
+            assert cells["mask"].cell_contents.dtype == bool
 
     def test_scene_loss_rejects_mismatched_future(self):
         # a 12-step future under a model that predicts 5
