@@ -7,6 +7,7 @@ of autodiff tensors so they can be shared across concurrent forward passes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Tuple
@@ -209,8 +210,10 @@ def head_projections(h: Tensor, params: AttentionParams) -> Tuple[Tensor, Tensor
             linear(h, params.wv, params.bv))
 
 
+@functools.cache
 def positional_encoding(t_max: int, d_model: int) -> np.ndarray:
-    """Sinusoidal table (t_max, d_model): sin on even columns, cos on odd."""
+    """Sinusoidal table (t_max, d_model): sin on even columns, cos on odd.
+    Built once per (t_max, d_model); every call returns that read-only table."""
     if d_model % 2 != 0:
         raise ShapeMismatchError("positional encoding needs an even d_model")
     pos = np.arange(t_max)[:, None]
@@ -219,6 +222,7 @@ def positional_encoding(t_max: int, d_model: int) -> np.ndarray:
     table = np.zeros((t_max, d_model))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
+    table.flags.writeable = False
     return table
 
 

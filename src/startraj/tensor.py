@@ -10,7 +10,11 @@ with parents, the loss included, drops its gradient too. Afterwards only leaves
 array that they can recompute, bit for bit, from their inputs' data or their
 own output: ``linear`` applies its ReLU inside its node and reads the mask off
 its output, so no pre-activation is taped, and ``dropout`` keeps a boolean
-mask and rebuilds the float keep from it in backward.
+mask and rebuilds the float keep from it in backward. The one exception is
+``layer_norm``: it keeps each row's mean and inverse standard deviation, two
+``(..., 1)`` arrays, 2/d of its input (1/16 at d_model 32), because
+recomputing them cost two row reductions, a square root and a divide in
+every backward call.
 
 Gradient ownership: a node's ``.grad`` is its own until its closure returns,
 so the closure may hand that array, or views of it, on to its parents. A
@@ -42,6 +46,7 @@ from .errors import NonFiniteError, ShapeMismatchError
 
 ArrayLike = Union[float, int, Sequence, np.ndarray]
 LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -69,14 +74,24 @@ class Tensor:
         _parents: Tuple["Tensor", ...] = (),
         _backward: Optional[Callable[[np.ndarray], None]] = None,
     ):
-        arr = np.asarray(data, dtype=np.float64)
-        if not _parents and not np.all(np.isfinite(arr)):
-            raise NonFiniteError("tensor initialized with non-finite values")
+        if not _parents:  # a leaf: parameters, inputs and constants
+            arr = np.asarray(data, dtype=np.float64)
+            if not np.all(np.isfinite(arr)):
+                raise NonFiniteError("tensor initialized with non-finite values")
+        else:  # an op result: the float64 array its op made is adopted as it is
+            arr = data
+            if type(arr) is not np.ndarray or arr.dtype is not _FLOAT64:
+                arr = np.asarray(arr, dtype=np.float64)
+            if not requires_grad:
+                for p in _parents:
+                    if p.requires_grad:
+                        requires_grad = True
+                        break
         self.data = arr
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
+        self.requires_grad = requires_grad
+        self._parents = _parents if requires_grad else ()
+        self._backward = _backward if requires_grad else None
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -338,24 +353,30 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and
-    shift. Backward recomputes the normalized rows from x.data.
+    shift. The closure keeps each row's mean and inverse standard deviation,
+    two (..., 1) arrays, 2/d of x, and backward rebuilds the normalized rows
+    from x.data with the forward's expressions, so with its bits.
 
     x.data must be C-ordered, as every caller's is: backward hands x a
     C-ordered gradient, the out-of-place expression's layout (and so, for
     later sums, its bits) only when x.data is C-ordered."""
+    d = x.shape[-1]
 
-    def normalize():  # (x - mean) * inv_std over the last axis, and inv_std
-        norm = x.data - x.data.mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt((norm * norm).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
-        norm *= inv_std
-        return norm, inv_std
+    def row_mean(a):  # ndarray.mean's sum and in-place divide, without its wrapper
+        m = np.add.reduce(a, axis=-1, keepdims=True)
+        m /= d
+        return m
 
-    out, _ = normalize()
+    mean = row_mean(x.data)
+    out = x.data - mean
+    inv_std = 1.0 / np.sqrt(row_mean(out * out) + LAYER_NORM_EPS)
+    out *= inv_std
     out *= gain.data
     out += bias.data
 
     def bwd(g):
-        norm, inv_std = normalize()  # the forward's expressions, so its bits
+        norm = x.data - mean
+        norm *= inv_std
         if gain.requires_grad:
             gain._accumulate(_unbroadcast(g * norm, gain.shape))
         if bias.requires_grad:
@@ -364,8 +385,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             return
         # inv_std * (dn - mean(dn) - norm * mean(dn * norm)), in place on dn
         dn = g * gain.data
-        m2 = (dn * norm).mean(axis=-1, keepdims=True)
-        dn -= dn.mean(axis=-1, keepdims=True)
+        m2 = row_mean(dn * norm)
+        dn -= row_mean(dn)
         norm *= m2
         dn -= norm
         dn *= inv_std
@@ -379,15 +400,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor, residual: Optional[Tensor] = None,
            relu: bool = False) -> Tensor:
-    """Affine map on the last axis: x @ weight + bias, weight is (in, out),
-    plus residual (of the result's shape) when given, then with `relu` a
-    ReLU in place, as one tape node with the gradients of the matmul-then-add
-    composite, its `+ residual` and its `.relu()`, bit for bit. Taped as
-    nodes of their own, the add and the ReLU would each keep an extra
-    result-sized array until the backward pass. The ReLU's mask is read off
-    the output, > 0 exactly where its input was (NaN included)."""
+    """Affine map on the last axis: x @ weight + bias, weight is (in, out)
+    and bias (out,), plus residual (of the result's shape) when given, then
+    with `relu` a ReLU in place, as one tape node with the gradients of the
+    matmul-then-add composite, its `+ residual` and its `.relu()`, bit for
+    bit. Taped as nodes of their own, the add and the ReLU would each keep
+    an extra result-sized array until the backward pass. The ReLU's mask is
+    read off the output, > 0 exactly where its input was (NaN included)."""
     if x.ndim < 2 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise ShapeMismatchError(f"linear: incompatible shapes {x.shape} x {weight.shape}")
+    if bias.shape != weight.shape[1:]:
+        raise ShapeMismatchError(f"linear: bias of {bias.shape} for {weight.shape}")
     out = np.matmul(x.data, weight.data)
     out += bias.data
     parents = (x, weight, bias)
@@ -402,18 +425,25 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, residual: Optional[Tensor] =
     def bwd(g):
         if relu:
             g = g * (out > 0)
+        # bias and weight sum over the leading (batch) axes; g @ weight.T
+        # already has x's shape
+        lead = tuple(range(g.ndim - 1))
         if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
-        gw = np.matmul(np.swapaxes(x.data, -1, -2), g) if weight.requires_grad else None
+            bias._accumulate(np.add.reduce(g, axis=lead))
+        gw = None
+        if weight.requires_grad:
+            gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
+            if gw.ndim > 2:
+                gw = np.add.reduce(gw, axis=lead[:-1])
         gx = np.matmul(g, weight.data.T) if x.requires_grad else None
         # residual takes g itself, as the composite's add handed it first:
         # after its last read here, since residual may be x and add into g
         if residual is not None and residual.requires_grad:
             residual._accumulate(g)
         if gx is not None:
-            x._accumulate(_unbroadcast(gx, x.shape))
+            x._accumulate(gx)
         if gw is not None:
-            weight._accumulate(_unbroadcast(gw, weight.shape))
+            weight._accumulate(gw)
 
     return Tensor(out, _parents=parents, _backward=bwd)
 

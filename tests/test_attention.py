@@ -177,6 +177,17 @@ class TestPositionalEncoding:
         with pytest.raises(ShapeMismatchError):
             positional_encoding(4, 5)
 
+    def test_one_read_only_table_per_shape(self):
+        # the table is built once per (t_max, d_model) and shared, so no
+        # caller may write it
+        table = positional_encoding(5, 4)
+        assert positional_encoding(5, 4) is table
+        assert positional_encoding(6, 4) is not table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        np.testing.assert_array_equal(table[0], [0.0, 1.0, 0.0, 1.0])
+
 
 class TestTemporalBlock:
     def _params(self, d=8, heads=2, seed=8):

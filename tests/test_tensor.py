@@ -256,6 +256,30 @@ class TestBackward:
         with pytest.raises(NonFiniteError):
             Tensor([np.inf])
 
+    def test_op_result_adopts_its_float64_array(self):
+        # an op result holds the array its op made, not a copy
+        arr = np.arange(3.0)
+        out = Tensor(arr, _parents=(parameter(np.zeros(3)),), _backward=lambda g: None)
+        assert out.data is arr
+
+    def test_op_result_may_hold_non_finite_values(self):
+        # only leaves are checked: an overflowing op gives its inf and NaN
+        a = parameter([1e300, 1e300])
+        with np.errstate(over="ignore", invalid="ignore"):
+            inf = a * Tensor([1e300, 1e300])
+            nan = inf - inf
+        assert np.isinf(inf.numpy()).all() and np.isnan(nan.numpy()).all()
+        out = Tensor(np.array([np.nan, -np.inf]), _parents=(a,), _backward=lambda g: None)
+        assert np.isnan(out.numpy()[0]) and out.numpy()[1] == -np.inf
+
+    def test_op_result_of_constants_drops_parents_and_closure(self):
+        a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+        for out in (a * b, linear(Tensor(np.ones((2, 2))), a.reshape(2, 1), Tensor([1.0]))):
+            assert not out.requires_grad
+            assert out._parents == () and out._backward is None
+        out = a * parameter([3.0, 4.0])
+        assert out.requires_grad and len(out._parents) == 2 and out._backward is not None
+
     def test_primitive_gradcheck(self):
         # [DERIVED] finite differences over a composite of every primitive
         rng = np.random.default_rng(4)
@@ -457,6 +481,14 @@ class TestLinearHelper:
         x, w, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(4))
         with pytest.raises(ShapeMismatchError, match=r"residual of \(2, 3\) for \(2, 4\)"):
             linear(x, w, b, x)
+
+    def test_bias_of_another_shape_rejected(self):
+        # backward sums the bias gradient over every leading axis, so the
+        # bias is (out,) and broadcasts over nothing else
+        x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+        for shape in ((1, 4), (2, 4), (1,)):
+            with pytest.raises(ShapeMismatchError, match="bias of"):
+                linear(x, w, Tensor(np.zeros(shape)))
 
 
 class TestAllocationBudget:
@@ -664,11 +696,13 @@ def _composite_dropout(x, rate, rng):
 
 
 class TestRecomputingClosures:
-    """layer_norm, relu and masked_attention recompute in backward what they
-    used to save, and write their temporaries in place; linear's ReLU reads
-    its mask off the output and dropout rebuilds its float keep from a bool
-    mask. Outputs and every input gradient keep their bits and their memory
-    layout, under a C-contiguous and under a transposed upstream gradient."""
+    """relu and masked_attention recompute in backward what they used to
+    save, layer_norm rebuilds its normalized rows from the row means and
+    inverse standard deviations it keeps, and all three write their
+    temporaries in place; linear's ReLU reads its mask off the output and
+    dropout rebuilds its float keep from a bool mask. Outputs and every input
+    gradient keep their bits and their memory layout, under a C-contiguous
+    and under a transposed upstream gradient."""
 
     @staticmethod
     def _assert_same(new, old, arrays, upstream, swap=(0, 1), c_ordered_out=False):
@@ -678,6 +712,7 @@ class TestRecomputingClosures:
             expect = _outputs_and_grads(old, arrays, upstream, how)
             for a, b in zip([got[0]] + got[1], [expect[0]] + expect[1]):
                 np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(np.signbit(a), np.signbit(b))  # -0.0
             if c_ordered_out:
                 assert got[0].flags.c_contiguous, how
             else:
@@ -696,6 +731,30 @@ class TestRecomputingClosures:
         side = (d,) if rng.random() < 0.5 else (t, 1)
         arrays = [x, rng.standard_normal(side), rng.standard_normal(side)]
         self._assert_same(layer_norm, _saving_layer_norm, arrays, rng.standard_normal(x.shape))
+
+    @pytest.mark.parametrize("side", [(4,), (3, 1)])
+    def test_layer_norm_fixed_rows(self, side):
+        # rows of zero variance (inv_std = 1 / sqrt(eps)), rows offset by
+        # 1e8 and rows holding -0.0, under a per-feature and a per-step gain
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 3, 4))
+        x[0, 0] = 2.5
+        x[0, 1] = -0.0
+        x[0, 2] = [-0.0, 0.0, -0.0, 1.0]
+        x[1] += 1e8
+        x[1, 1] = 1e8
+        gain, bias = rng.standard_normal(side), rng.standard_normal(side)
+        out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).numpy()
+        # a constant row normalizes to zeros and gives the bias
+        np.testing.assert_array_equal(out[0, :2], np.broadcast_to(bias, (3, 4))[:2])
+        self._assert_same(layer_norm, _saving_layer_norm, [x, gain, bias],
+                          rng.standard_normal(x.shape))
+        # finite differences, without the 1e8 rows: their row means round
+        # away more than a 1e-5 step could resolve
+        leaves = [parameter(a) for a in (x[:1].copy(), gain, bias)]
+        g = Tensor(rng.standard_normal(leaves[0].shape))
+        assert check_gradients(lambda: (layer_norm(*leaves) * g).sum(),
+                               list(zip(("x", "gain", "bias"), leaves))) < TOLERANCE
 
     @settings(max_examples=25)
     @given(st.integers(min_value=0, max_value=10_000))

@@ -288,15 +288,17 @@ class TestTraining:
     def test_backward_peak_is_the_forward_tape(self):
         # numpy reports its buffers to tracemalloc, so these are byte counts.
         # A packed step of 4 scenes x 4 peds at the default config holds
-        # 37.6 MB after the forward and backward adds 1.1 MB on top: each
+        # 37.9 MB after the forward and backward adds 1.1 MB on top: each
         # closure, and each gradient of a node with parents, is freed once
         # swept. Before that, backward added 72 MB to a 64.1 MB tape whose
         # closures also kept layer_norm's output, relu's mask and the scaled
         # queries; the tape was 51.7 MB while each attention output was
         # stored twice (again by merge_heads) and each residual add kept the
         # linear output it summed, 44.8 MB while the encoders zeroed absent
-        # slots' outputs, and 42.7 MB while each ReLU was a node of its own
-        # and dropout taped a float keep.
+        # slots' outputs, 42.7 MB while each ReLU was a node of its own and
+        # dropout taped a float keep, and 37.6 MB while layer_norm
+        # recomputed its row means and inverse standard deviations in
+        # backward instead of keeping them.
         rng = np.random.default_rng(0)
         batch = merge_scenes([preprocess(simulate_scene(rng, n_peds=4)) for _ in range(4)])
         params = init_params(StarConfig(), np.random.default_rng(1))
