@@ -5,6 +5,7 @@ rollout loop, which carries the graph memory from one step to the next.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import InitVar, asdict, dataclass
@@ -21,7 +22,7 @@ from .graph import Layout, TGConvParams, build_graph, scene_layout, spatial_bloc
 from .tensor import Tensor, concat, linear, parameter
 
 CHECKPOINT_FORMAT = "startraj-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # v1 named the TGConv output layer w_out/b_out; v2 stores it as the attention
 # output projection wo/bo
 _V1_RENAMES = {".spatial.w_out": ".spatial.wo", ".spatial.b_out": ".spatial.bo"}
@@ -430,12 +431,16 @@ def encoder2_attention(scene: TrajectoryScene, params: StarParams) -> np.ndarray
 # checkpoints
 # ----------------------------------------------------------------------
 def save_checkpoint(path: str, params: StarParams) -> None:
+    """Write a v3 checkpoint: JSON with the config and, per parameter name,
+    its shape and its row-major values as base64 of little-endian float64
+    bytes ("data"). load_checkpoint reads every array back bit for bit."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": params.config.to_dict(),
         "params": {
-            name: {"shape": list(t.shape), "values": t.data.ravel().tolist()}
+            name: {"shape": list(t.shape),
+                   "data": base64.b64encode(t.data.astype("<f8").tobytes()).decode("ascii")}
             for name, t in params.parameters()
         },
     }
@@ -450,9 +455,28 @@ def _v2_name(name: str) -> str:
     return name
 
 
+def _decoded(path: str, name: str, entry: dict, size: int) -> np.ndarray:
+    """A v3 entry's values: its base64 "data" as a writable native array."""
+    data = entry.get("data")
+    if "values" in entry or not isinstance(data, str):
+        raise DataFormatError(f"{path}: parameter {name} must store its values as a "
+                              f"base64 string in 'data'")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError:  # binascii.Error: not base64, or not ASCII
+        raise DataFormatError(f"{path}: parameter {name} data is not base64") from None
+    if len(raw) != 8 * size:
+        raise DataFormatError(f"{path}: parameter {name} holds {len(raw)} bytes; "
+                              f"its shape needs {8 * size}")
+    return np.frombuffer(raw, "<f8").astype(np.float64)
+
+
 def load_checkpoint(path: str) -> StarParams:
-    """Read a checkpoint written by save_checkpoint (v2) or by a v1 release.
-    Malformed contents raise DataFormatError."""
+    """Read a checkpoint written by save_checkpoint (v3), or a v1 or v2 file,
+    which stored each parameter's values as a list of decimal floats. The
+    arrays are writable, C-ordered native float64. Malformed contents (a
+    parameter set, shape, byte count or encoding that does not fit, or a
+    non-finite value) raise DataFormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -461,7 +485,7 @@ def load_checkpoint(path: str) -> StarParams:
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     version = payload.get("version")
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):  # not 1.0 or true
+    if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):  # not 1.0 or true
         raise DataFormatError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         config = StarConfig.from_dict(payload["config"])
@@ -483,7 +507,8 @@ def load_checkpoint(path: str) -> StarParams:
                 raise DataFormatError(
                     f"{path}: shape mismatch for {name}: {entry['shape']} vs {list(t.shape)}"
                 )
-            values = np.asarray(entry["values"], dtype=np.float64).reshape(t.shape)
+            values = (_decoded(path, name, entry, t.size) if version == CHECKPOINT_VERSION
+                      else np.asarray(entry["values"], dtype=np.float64)).reshape(t.shape)
             if not np.all(np.isfinite(values)):
                 raise DataFormatError(f"{path}: non-finite value in parameter {name}")
             t.data = values

@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import base64
 from contextlib import contextmanager
 from typing import List, NamedTuple
 
@@ -17,6 +18,19 @@ from startraj.tensor import Tensor
 # and no example has a deadline. Each test sets its own max_examples.
 settings.register_profile("startraj", derandomize=True, database=None, deadline=None)
 settings.load_profile("startraj")
+
+
+@pytest.fixture(scope="session")
+def set_values():
+    """set_values(entry, values): write values, broadcast to entry["shape"],
+    into a v3 checkpoint entry as save_checkpoint stores them, base64 of
+    row-major little-endian float64; the one way a test edits a saved
+    checkpoint's values."""
+    def store(entry: dict, values) -> None:
+        flat = np.broadcast_to(np.asarray(values, dtype="<f8"), entry["shape"]).tobytes()
+        entry["data"] = base64.b64encode(flat).decode("ascii")
+
+    return store
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 All invocations go through cli.main() in-process.
 """
 
+import base64
 import json
 import os
 import pathlib
@@ -28,6 +29,24 @@ def _without(d, key):
     return {k: v for k, v in d.items() if k != key}
 
 
+def _b64(values, dtype="<f8") -> str:
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _with_entry(p, name, entry, version=None):
+    """p with params[name] replaced by entry, and its version set if given."""
+    bad = {**p, "params": {**p["params"], name: entry}}
+    return bad if version is None else {**bad, "version": version}
+
+
+def _as_v2(p):
+    """p as the v2 writer stored it: each parameter's values as a float list."""
+    return {**p, "version": 2, "params": {
+        name: {"shape": e["shape"],
+               "values": np.frombuffer(base64.b64decode(e["data"]), "<f8").tolist()}
+        for name, e in p["params"].items()}}
+
+
 # checkpoint payload -> malformed file content (text, or a payload to dump)
 MALFORMED_CHECKPOINTS = {
     "not-json": lambda p: "{ this is not json",
@@ -36,14 +55,39 @@ MALFORMED_CHECKPOINTS = {
     "int-bool-setting": lambda p: {**p, "config": {**p["config"], "deterministic": 3}},
     "text-bool-setting": lambda p: {**p, "config": {**p["config"], "use_memory": "maybe"}},
     "float-version": lambda p: {**p, "version": 2.0},
+    "float-v3-version": lambda p: {**p, "version": 3.0},
     "bool-version": lambda p: {**p, "version": True},
     "missing-params": lambda p: _without(p, "params"),
     "missing-shape": lambda p: {**p, "params": {
         **p["params"], "decoder.b": _without(p["params"]["decoder.b"], "shape")}},
-    "nan-weight": lambda p: {**p, "params": {
-        **p["params"], "decoder.b": {"shape": [2], "values": [float("nan"), 0.0]}}},
-    "inf-weight": lambda p: {**p, "params": {
-        **p["params"], "decoder.b": {"shape": [2], "values": [0.0, float("inf")]}}},
+    # v3: decoder.b, shape [2], as base64 float64 bytes in "data"
+    "not-base64": lambda p: _with_entry(p, "decoder.b", {"shape": [2], "data": "AAAA!AAA"}),
+    "unpadded-base64": lambda p: _with_entry(p, "decoder.b",
+                                             {"shape": [2], "data": _b64([0.0, 0.0])[:-1]}),
+    "short-data": lambda p: _with_entry(p, "decoder.b", {"shape": [2], "data": _b64([0.0])}),
+    "long-data": lambda p: _with_entry(p, "decoder.b",
+                                       {"shape": [2], "data": _b64([0.0, 0.0, 0.0])}),
+    "float32-data": lambda p: _with_entry(p, "decoder.b",
+                                          {"shape": [2], "data": _b64([0.0, 0.0], "<f4")}),
+    "nan-bytes": lambda p: _with_entry(p, "decoder.b",
+                                       {"shape": [2], "data": _b64([float("nan"), 0.0])}),
+    "inf-bytes": lambda p: _with_entry(p, "decoder.b",
+                                       {"shape": [2], "data": _b64([0.0, float("inf")])}),
+    "minus-inf-bytes": lambda p: _with_entry(p, "decoder.b",
+                                             {"shape": [2], "data": _b64([-float("inf"), 0.0])}),
+    "missing-data": lambda p: _with_entry(p, "decoder.b", {"shape": [2]}),
+    "list-data": lambda p: _with_entry(p, "decoder.b", {"shape": [2], "data": [0.0, 0.0]}),
+    "null-data": lambda p: _with_entry(p, "decoder.b", {"shape": [2], "data": None}),
+    "v3-values": lambda p: _with_entry(p, "decoder.b", {"shape": [2], "values": [0.0, 0.0]}),
+    "v3-values-and-data": lambda p: _with_entry(
+        p, "decoder.b", {"shape": [2], "values": [0.0, 0.0], "data": _b64([0.0, 0.0])}),
+    # v1 and v2 stored decimal float lists
+    "nan-weight": lambda p: _with_entry(_as_v2(p), "decoder.b",
+                                        {"shape": [2], "values": [float("nan"), 0.0]}),
+    "inf-weight": lambda p: _with_entry(_as_v2(p), "decoder.b",
+                                        {"shape": [2], "values": [0.0, float("inf")]}),
+    "v2-data": lambda p: _with_entry(_as_v2(p), "decoder.b",
+                                     {"shape": [2], "data": _b64([0.0, 0.0])}),
 }
 
 # config-file lines that name a bad value for one run setting; each exits 2
@@ -162,7 +206,8 @@ class TestExitCodes:
         code = main(["predict", "--checkpoint", str(path), "--scene",
                      str(data_dir / "ZARA1.txt"), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("data error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", [["--epochs", "0"], ["--epochs", "-2"],
                                       ["--max-steps", "0"]])
@@ -312,12 +357,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "data error: memory holds 3 steps; expected 7\n"
 
-    def test_overflow_is_one_numeric_line(self, tmp_path, data_dir, checkpoint, capsys):
+    def test_overflow_is_one_numeric_line(self, tmp_path, data_dir, checkpoint, capsys,
+                                          set_values):
         # finite weights that overflow in the forward pass: numpy warns of
         # nothing, and the non-finite check reports the failure in one line
         payload = json.loads(checkpoint.read_text())
-        entry = payload["params"]["embed_spatial.w"]
-        entry["values"] = [1e300] * len(entry["values"])
+        set_values(payload["params"]["embed_spatial.w"], 1e300)
         huge_ck = tmp_path / "huge.json"
         huge_ck.write_text(json.dumps(payload))
         with warnings.catch_warnings():
@@ -331,12 +376,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("layer", ["enc1.spatial", "enc2.spatial", "enc1.temporal.attn"])
     def test_overflowing_attention_is_named(self, tmp_path, data_dir, checkpoint, capsys,
-                                            layer):
+                                            set_values, layer):
         # finite query and key weights whose logits overflow
         payload = json.loads(checkpoint.read_text())
         for w in ("wq", "wk"):
-            entry = payload["params"][f"{layer}.{w}"]
-            entry["values"] = [1e300] * len(entry["values"])
+            set_values(payload["params"][f"{layer}.{w}"], 1e300)
         huge_ck = tmp_path / "huge.json"
         huge_ck.write_text(json.dumps(payload))
         code = main(["predict", "--checkpoint", str(huge_ck), "--scene",
@@ -590,14 +634,13 @@ class TestPredictCommand:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # deliberate overflow
     def test_non_finite_prediction_is_numeric_failure(self, tmp_path, data_dir,
-                                                      checkpoint, capsys):
+                                                      checkpoint, capsys, set_values):
         # finite weights whose decoder output overflows: encoder 2 emits all
         # ones (zero gain, unit bias) and each decoder weight is 1e308
         payload = json.loads(checkpoint.read_text())
         for name, value in (("enc2.temporal.ln2_gain", 0.0), ("enc2.temporal.ln2_bias", 1.0),
                             ("decoder.w", 1e308)):
-            entry = payload["params"][name]
-            entry["values"] = [value] * len(entry["values"])
+            set_values(payload["params"][name], value)
         huge_ck = tmp_path / "huge.json"
         huge_ck.write_text(json.dumps(payload))
         code = main(["predict", "--checkpoint", str(huge_ck), "--scene",

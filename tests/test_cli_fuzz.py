@@ -1,7 +1,7 @@
 """Fuzzing `predict`, `attention`, `train` and `eval` through cli.main.
 
 A tiny checkpoint and scene file are mutated: checkpoint config values,
-parameter shapes and values, dropped keys and wrong types; scene byte flips,
+parameter shapes and value bytes, dropped keys and wrong types; scene byte flips,
 truncation and non-finite or overflowing fields. `train` gets a tiny config
 file with odd values for known keys, unknown keys and lines without `=`, and
 `train` and `eval` get data files mutated as the scene is, with far-off frame
@@ -14,6 +14,7 @@ will, must run: `train` and `eval` exit 0 on every variant, and `predict`
 exits 0 or names the missing full observation window.
 """
 
+import base64
 import contextlib
 import io
 import json
@@ -131,12 +132,19 @@ def test_mutated_checkpoint(base, command, data):
         entry["shape"] = data.draw(st.one_of(
             ODD_VALUES, st.lists(st.integers(min_value=-2, max_value=40), max_size=3)))
     elif kind == "values":
-        n = len(entry["values"])
-        entry["values"] = data.draw(st.one_of(
-            ODD_VALUES,
+        # the base64 float64 bytes of odd values, bytes of any length, text
+        # that is not base64, or a v1/v2 value list in a v3 entry
+        n = int(np.prod(entry["shape"]))
+        floats = st.one_of(
             st.lists(st.sampled_from([0.0, 1e300, -1e300, float("nan"), float("inf")]),
                      min_size=n, max_size=n),
-            st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=n + 2)))
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=n + 2))
+        raw = st.one_of(floats.map(lambda v: np.asarray(v, dtype="<f8").tobytes()),
+                        st.binary(max_size=8 * n + 9))
+        field = data.draw(st.sampled_from(["data", "values"]))
+        entry[field] = data.draw(st.one_of(
+            ODD_VALUES, floats, st.text(max_size=12),
+            raw.map(lambda b: base64.b64encode(b).decode("ascii"))))
     else:
         holder = data.draw(st.sampled_from([payload, config, params, entry]))
         key = data.draw(st.sampled_from(sorted(holder)))

@@ -6,9 +6,11 @@ its rollout and loss stay as the v1 code wrote them):
     PYTHONPATH=src python tests/test_model.py
 """
 
+import base64
 import hashlib
 import json
 import os
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -31,6 +33,13 @@ from startraj.synthetic import simulate_scene
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 V1_CHECKPOINT = os.path.join(FIXTURES, "v1_tiny_checkpoint.json")
 V1_EXPECTED = os.path.join(FIXTURES, "v1_tiny_expected.json")
+# the v1 fixture's parameters as the v2 writer saved them
+V2_CHECKPOINT = os.path.join(FIXTURES, "v2_tiny_checkpoint.json")
+
+
+def _b64(values) -> str:
+    """values as a v3 checkpoint stores them: base64 of little-endian float64."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def _config(**kw):
@@ -612,7 +621,7 @@ class TestCheckpoints:
     def test_v1_fixture_bit_identical(self, tmp_path):
         # a v1 checkpoint (d_model 8, 2 heads) with the rollout and scene_loss
         # recorded by the v1 code, and every gradient; the loaded model must
-        # reproduce them exactly, before and after a v2 save/load
+        # reproduce them exactly, before and after a v3 save/load
         params = load_checkpoint(V1_CHECKPOINT)
         with open(V1_EXPECTED) as fh:
             expected = json.load(fh)
@@ -623,15 +632,81 @@ class TestCheckpoints:
         for (name, grad), want in zip(got["grads"].items(), expected["grads"]):
             np.testing.assert_array_equal(grad, want, err_msg=name)
 
-        path = str(tmp_path / "v2.json")
+        path = str(tmp_path / "v3.json")
         save_checkpoint(path, params)
         with open(path) as fh:
             payload = json.load(fh)
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert "enc1.spatial.wo" in payload["params"]
         assert not any("w_out" in name for name in payload["params"])
         again = rollout(_v1_scene(), load_checkpoint(path), rng=np.random.default_rng(0))
         np.testing.assert_array_equal(again.numpy(), expected["rollout"])
+
+    def test_v1_v2_v3_load_the_same_arrays(self, tmp_path):
+        # the v1 fixture, the v2 writer's copy of it and a v3 save: the same
+        # bytes in every array, and each reproduces the v1 rollout bit for bit
+        v3_path = str(tmp_path / "v3.json")
+        save_checkpoint(v3_path, load_checkpoint(V1_CHECKPOINT))
+        with open(V1_EXPECTED) as fh:
+            expected = json.load(fh)["rollout"]
+        loaded = [load_checkpoint(p) for p in (V1_CHECKPOINT, V2_CHECKPOINT, v3_path)]
+        assert loaded[0].config == loaded[1].config == loaded[2].config
+        for named in zip(*(p.parameters() for p in loaded), strict=True):
+            assert len({name for name, _ in named}) == 1
+            assert len({t.data.tobytes() for _, t in named}) == 1, named[0][0]
+        for params in loaded:
+            pred = rollout(_v1_scene(), params, rng=np.random.default_rng(0))
+            np.testing.assert_array_equal(pred.numpy(), expected)
+
+    def test_v3_stores_little_endian_float64_bytes(self, tmp_path):
+        params = init_params(_config(), np.random.default_rng(37))
+        path = tmp_path / "ck.json"
+        save_checkpoint(str(path), params)
+        stored = json.loads(path.read_text())["params"]
+        for name, t in params.parameters():
+            assert set(stored[name]) == {"shape", "data"}
+            raw = base64.b64decode(stored[name]["data"], validate=True)
+            assert raw == t.data.astype("<f8").tobytes(), name
+
+    @pytest.mark.parametrize("path", [V1_CHECKPOINT, V2_CHECKPOINT, "v3"])
+    def test_loaded_arrays_writable_native(self, tmp_path, path):
+        if path == "v3":
+            path = str(tmp_path / "v3.json")
+            save_checkpoint(path, load_checkpoint(V1_CHECKPOINT))
+        for name, t in load_checkpoint(path).parameters():
+            flags = t.data.flags
+            assert flags.writeable and flags.c_contiguous, name
+            assert t.data.dtype == np.float64 and t.data.dtype.isnative, name
+
+    # a v3 decoder.b entry (shape [2]) -> the DataFormatError it raises
+    BAD_V3_ENTRIES = {
+        "not base64": ({"data": "AAAA!AAA"}, "decoder.b data is not base64"),
+        "not ASCII": ({"data": "AAAA\u00e9AAA"}, "decoder.b data is not base64"),
+        "bad padding": ({"data": "AAAAAAAAAAAAAAAAAAAAAA="}, "decoder.b data is not base64"),
+        "too few bytes": ({"data": _b64([0.0])},
+                          "decoder.b holds 8 bytes; its shape needs 16"),
+        "too many bytes": ({"data": _b64([0.0, 0.0, 0.0])},
+                           "decoder.b holds 24 bytes; its shape needs 16"),
+        "nan": ({"data": _b64([float("nan"), 0.0])}, "non-finite value in parameter decoder.b"),
+        "inf": ({"data": _b64([0.0, float("inf")])}, "non-finite value in parameter decoder.b"),
+        "-inf": ({"data": _b64([-float("inf"), 0.0])}, "non-finite value in parameter decoder.b"),
+        "no data": ({}, "decoder.b must store its values as a base64 string"),
+        "list data": ({"data": [0.0, 0.0]}, "decoder.b must store its values as a base64"),
+        "number data": ({"data": 0}, "decoder.b must store its values as a base64"),
+        "values beside data": ({"data": _b64([0.0, 0.0]), "values": [0.0, 0.0]},
+                               "decoder.b must store its values as a base64"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_V3_ENTRIES))
+    def test_malformed_v3_entry_rejected(self, tmp_path, case):
+        fields, message = self.BAD_V3_ENTRIES[case]
+        path = tmp_path / "ck.json"
+        save_checkpoint(str(path), init_params(_config(), np.random.default_rng(38)))
+        payload = json.loads(path.read_text())
+        payload["params"]["decoder.b"] = {"shape": [2], **fields}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            load_checkpoint(str(path))
 
     # configs as releases before noise_dim 0 and use_memory were stored one
     # way wrote them: canonical fields, then these entries
@@ -703,27 +778,41 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match="decoder.w"):
             load_checkpoint(path)
 
-    def test_shape_mismatch_rejected(self, tmp_path):
+    def test_shape_mismatch_rejected(self, tmp_path, set_values):
         config = _config()
         params = init_params(config, np.random.default_rng(34))
         path = tmp_path / "ck.json"
         save_checkpoint(path, params)
         payload = json.loads(path.read_text())
         payload["params"]["decoder.b"]["shape"] = [3]
-        payload["params"]["decoder.b"]["values"] = [0.0, 0.0, 0.0]
+        set_values(payload["params"]["decoder.b"], 0.0)
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="shape"):
             load_checkpoint(path)
 
-    def test_non_finite_weight_rejected(self, tmp_path):
+    def test_non_finite_weight_rejected(self, tmp_path, set_values):
         params = init_params(_config(), np.random.default_rng(35))
         path = tmp_path / "ck.json"
         save_checkpoint(path, params)
         payload = json.loads(path.read_text())
-        payload["params"]["enc1.spatial.wq"]["values"][3] = float("nan")
+        values = params.enc1.spatial.wq.data.copy()
+        values.flat[3] = float("nan")
+        set_values(payload["params"]["enc1.spatial.wq"], values)
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="enc1.spatial.wq"):
             load_checkpoint(path)
+
+    def test_non_finite_v2_value_rejected(self, tmp_path):
+        # v1 and v2 files store decimal float lists, which JSON spells NaN
+        with open(V2_CHECKPOINT) as fh:
+            payload = json.load(fh)
+        for value in (float("nan"), float("inf"), -float("inf")):
+            payload["params"]["enc1.spatial.wq"]["values"][3] = value
+            path = tmp_path / "v2.json"
+            path.write_text(json.dumps(payload))
+            with pytest.raises(DataFormatError, match="non-finite value in parameter "
+                                                      "enc1.spatial.wq"):
+                load_checkpoint(str(path))
 
 
 def _reachable_tensors(obj, seen):
