@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -251,13 +251,12 @@ def cmd_train(args) -> int:
         scenes.extend(_load_scenes(train_files[name], config, stride=args.stride))
     os.makedirs(args.out, exist_ok=True)
     curve_path = os.path.join(args.out, "loss_curve.txt")
-    params, history = train(spec, config, scenes, out_dir=args.out,
-                            log=lambda msg: print(msg))
+    params, history = train(spec, config, scenes, out_dir=args.out, log=print)
     with open(curve_path, "w", encoding="utf-8") as fh:
         fh.write("step\tloss\n")
         for step, value in history:
             fh.write(f"{step}\t{value:.8f}\n")
-    write_manifest(args, config.to_dict(), inputs=sorted(train_files.values()),
+    write_manifest(args, asdict(config), inputs=sorted(train_files.values()),
                    outputs=[curve_path, os.path.join(args.out, "checkpoint_final.json")],
                    seed=spec.seed)
     return EXIT_OK
@@ -285,7 +284,7 @@ def cmd_eval(args) -> int:
             fh.write(f"{variant}\t{name}\t{args.seed}\t{a:.6f}\t{f:.6f}\t{k}\n")
     for name, (a, f, k) in results.items():
         print(f"{name}: ADE {a:.4f}  FDE {f:.4f}  (K={k})")
-    write_manifest(args, config.to_dict(),
+    write_manifest(args, asdict(config),
                    inputs=[args.checkpoint] + sorted(files.values()),
                    outputs=[report_path], seed=args.seed)
     return EXIT_OK
@@ -311,7 +310,7 @@ def cmd_predict(args) -> int:
     svg_path = os.path.join(args.out, "prediction.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(trajectory_svg(scene, pred_world))
-    write_manifest(args, config.to_dict(),
+    write_manifest(args, asdict(config),
                    inputs=[args.checkpoint, args.scene],
                    outputs=[traj_path, svg_path], seed=args.seed)
     return EXIT_OK
@@ -342,7 +341,7 @@ def cmd_attention(args) -> int:
     svg_path = os.path.join(args.out, "attention.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(attention_svg(scene, step, weights[focus], focus))
-    write_manifest(args, config.to_dict(),
+    write_manifest(args, asdict(config),
                    inputs=[args.checkpoint, args.scene],
                    outputs=[csv_path, svg_path], seed=args.seed)
     return EXIT_OK

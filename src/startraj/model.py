@@ -8,7 +8,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import InitVar, asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass, replace
 from numbers import Integral, Real
 from typing import List, Optional, Tuple
 
@@ -89,13 +89,6 @@ class StarConfig:
             # ablation and a model without encoder 2 run without it
             self.use_memory = False
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "StarConfig":
-        return StarConfig(**d)
-
 
 VARIANT_FLAGS = {
     "full": dict(use_memory=True, temporal_kind="transformer", use_encoder2=True),
@@ -108,9 +101,7 @@ VARIANT_FLAGS = {
 def config_for_variant(variant: str, base: Optional[StarConfig] = None) -> StarConfig:
     if variant not in VARIANT_FLAGS:
         raise ValueError(f"unknown variant {variant!r}; have {sorted(VARIANT_FLAGS)}")
-    d = (base.to_dict() if base is not None else StarConfig().to_dict())
-    d.update(VARIANT_FLAGS[variant])
-    return StarConfig.from_dict(d)
+    return replace(base or StarConfig(), **VARIANT_FLAGS[variant])
 
 
 @dataclass
@@ -284,11 +275,10 @@ def encoder2(
     return _temporal(spatial, params.enc2, presence)
 
 
-def decode_step(h_last: Tensor, noise: Optional[Tensor], params: StarParams) -> Tensor:
+def decode_step(h_last: Tensor, noise: Tensor, params: StarParams) -> Tensor:
     """Linear map of concat(embedding, noise) to an (x, y) position in the
-    origin-shifted frame."""
-    inp = h_last if noise is None else concat([h_last, noise], axis=-1)
-    return linear(inp, params.decoder.w, params.decoder.b)
+    origin-shifted frame; noise is (rows, noise_dim), no columns at 0."""
+    return linear(concat([h_last, noise], axis=-1), params.decoder.w, params.decoder.b)
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +318,9 @@ def rollout(
     whole history (in training, dropout resamples it). Training tapes and
     re-encodes all of it, draws each step's noise as it decodes and, under
     teacher_forcing, appends the scene's ground truth to the history instead
-    of the prediction. Otherwise the rollout runs on params.frozen(), with no
+    of the prediction, with the scene's presence: a roller absent from a
+    future step is absent there from the history, the temporal masks and the
+    graph. Otherwise the rollout runs on params.frozen(), with no
     tape; after step 0, encoder 1's TGConv runs on the newest step alone and
     appends to its cached outputs, bit-exactly, while the temporal branches,
     the fusion and encoder 2 see the full history. All the noise is drawn
@@ -365,7 +357,7 @@ def rollout(
 
     n = scene.n_peds
     nd = config.noise_dim
-    if not training and nd > 0:  # sample-major, as `copies` sequential rollouts draw it
+    if not training:  # sample-major, as `copies` sequential rollouts draw it
         noises = rng.standard_normal((copies, config.pred_len, n, nd)).swapaxes(0, 1)
     origins = scene.origins
     memory: Optional[Tensor] = None
@@ -389,8 +381,7 @@ def rollout(
         if config.use_memory:
             memory = enc
         h_last = enc[:, -1, :]
-        noise = None if nd == 0 else Tensor(
-            rng.standard_normal((n, nd)) if training else noises[s].reshape(n, nd))
+        noise = Tensor(rng.standard_normal((n, nd)) if training else noises[s].reshape(n, nd))
         step = decode_step(h_last, noise, params) * Tensor(rollers[:, None].astype(np.float64))
         if not np.all(np.isfinite(step.data)):
             raise NonFiniteError(f"non-finite predicted position at rollout step {s}")
@@ -398,12 +389,13 @@ def rollout(
         if s + 1 == config.pred_len:
             break  # no later step reads this one's history, presence or masks
 
+        present = rollers & scene.presence[:, config.obs_len + s] if forced else rollers
         appended = step if not forced else Tensor(
-            np.where(rollers[:, None], scene.positions[:, config.obs_len + s], 0.0))
+            np.where(present[:, None], scene.positions[:, config.obs_len + s], 0.0))
         history = concat([history, appended.reshape(n, 1, 2)], axis=1)
-        presence = np.concatenate([presence, rollers[:, None]], axis=1)
+        presence = np.concatenate([presence, present[:, None]], axis=1)
         world_step = (appended.data + origins)[:, None]  # (N, 1, 2)
-        step_masks = build_graph(world_step, rollers[:, None], layout, config.graph_threshold)
+        step_masks = build_graph(world_step, present[:, None], layout, config.graph_threshold)
         masks = [np.concatenate(pair) for pair in zip(masks, step_masks)]
 
     return T.stack(preds, axis=1)
@@ -437,7 +429,7 @@ def save_checkpoint(path: str, params: StarParams) -> None:
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "params": {
             name: {"shape": list(t.shape),
                    "data": base64.b64encode(t.data.astype("<f8").tobytes()).decode("ascii")}
@@ -488,7 +480,7 @@ def load_checkpoint(path: str) -> StarParams:
     if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):  # not 1.0 or true
         raise DataFormatError(f"{path}: unsupported checkpoint version {version!r}")
     try:
-        config = StarConfig.from_dict(payload["config"])
+        config = StarConfig(**payload["config"])
         params = init_params(config, np.random.default_rng(0))
         stored = payload["params"]
         if version == 1:

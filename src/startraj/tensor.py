@@ -232,9 +232,7 @@ class Tensor:
 
         return Tensor(a.data.sum(), _parents=(a,), _backward=bwd)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int):
         a = self
         old = a.shape
 

@@ -40,6 +40,9 @@ class Mutant:
 
 
 CHECKPOINTS = "tests/test_model.py::TestCheckpoints::"
+BLOCKS = "tests/test_scene_blocks.py::TestBlockVsDense::"
+INCREMENTAL = "tests/test_incremental.py::TestIncrementalRollout::"
+NOISE_FREE = "tests/test_model.py::TestRollout::test_noise_free_rollout_leaves_generator_alone"
 
 MUTANTS = [
     Mutant("loader-keeps-non-finite", "model.py",
@@ -75,6 +78,38 @@ MUTANTS = [
            "import numpy as np\n",
            "import numpy as np\nimport scipy\n",
            ("tests/test_imports.py::test_imports_are_stdlib_numpy_or_package[optim.py]",)),
+    Mutant("packed-rows-as-one-scene", "model.py",
+           "layout = scene_layout(sizes)",
+           "layout = scene_layout([scene.n_peds])",
+           ("tests/test_scene_blocks.py::TestSceneLayout::test_rollout_groups_rows_once",
+            BLOCKS + "test_rollout_and_gradients_match_dense[sizes0]",
+            "tests/test_scene_blocks.py::TestPackedFixture::test_packed_fixture_bit_identical")),
+    Mutant("spatial-run-offset", "graph.py",
+           "off += hi - lo",
+           "off += 0",
+           (BLOCKS + "test_cross_scene_edges_ignored",
+            BLOCKS + "test_forward_and_weights_match_oracle[sizes0]")),
+    Mutant("encoder1-mask-window", "model.py",
+           "m[L - k:]",
+           "m[:k]",
+           (INCREMENTAL + "test_matches_full_reencode_bit_for_bit[full-False]",)),
+    Mutant("eval-cache-reads-oldest-row", "model.py",
+           "h_s.data[:, -1:]",
+           "h_s.data[:, :1]",
+           (INCREMENTAL + "test_matches_full_reencode_bit_for_bit[full-False]",)),
+    Mutant("noise-free-eval-draw-consumes", "model.py",
+           "rng.standard_normal((copies, config.pred_len, n, nd))",
+           "rng.standard_normal((copies, config.pred_len, n, max(nd, 1)))[..., :nd]",
+           (NOISE_FREE + "[False-1]", NOISE_FREE + "[False-3]")),
+    Mutant("noise-free-training-draw-consumes", "model.py",
+           "rng.standard_normal((n, nd))",
+           "rng.standard_normal((n, max(nd, 1)))[:, :nd]",
+           (NOISE_FREE + "[True-1]",)),
+    Mutant("forced-presence-is-rollers", "model.py",
+           "present = rollers & scene.presence[:, config.obs_len + s] if forced else rollers",
+           "present = rollers",
+           (INCREMENTAL + "test_forced_leaver_is_absent_where_the_data_is[full]",
+            "tests/test_trainer.py::TestAbsentSlotsFixture::test_absent_slots_bit_identical")),
 ]
 
 

@@ -5,6 +5,7 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the report lines.
 """
 
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -239,8 +240,8 @@ class TestAcceptance:
 
         full_cfg = config_for_variant("full", base)
         nomem_cfg = config_for_variant("no_memory", base)
-        diff = {k for k, v in full_cfg.to_dict().items()
-                if nomem_cfg.to_dict()[k] != v}
+        diff = {k for k, v in asdict(full_cfg).items()
+                if asdict(nomem_cfg)[k] != v}
         assert diff == {"use_memory"}
 
         # memory concatenates along time, so the two variants share one

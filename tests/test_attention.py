@@ -318,13 +318,13 @@ def _oracle_grads(q, k, v, allow, g):
 def _split(a, heads):
     """(..., t, d) -> (..., heads, t, d // heads), each head's columns, of an
     array or, on the tape, a Tensor."""
-    return a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)).swapaxes(-3, -2)
+    return a.reshape(*a.shape[:-1], heads, a.shape[-1] // heads).swapaxes(-3, -2)
 
 
 def _merge(a):
     """_split's inverse: (..., heads, t, d_k) -> (..., t, heads * d_k)."""
     a = a.swapaxes(-3, -2)
-    return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+    return a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1])
 
 
 class TestMaskedAttentionBackward:

@@ -331,6 +331,8 @@ class TestExitCodes:
         assert main(["gradcheck", "--seed", "0"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "full_rollout" in out and "FAIL" not in out
+        # one line per run_suite entry, in order, as README lists them
+        assert [line.split()[0] for line in out.splitlines()] == TestReadme.gradcheck_entries()
 
     def test_gradcheck_corrupted_detector(self, capsys, skewed_q_gradient):
         # one analytic gradient is skewed; the detector must fire
@@ -412,10 +414,20 @@ class TestConfigFiles:
 class TestReadme:
     """README's config-file keys and `--variant` list name exactly the keys
     that load_config_file accepts and the VARIANT_FLAGS names, so no setting
-    is added, dropped or renamed without its documentation."""
+    is added, dropped or renamed without its documentation. Its gradcheck
+    entries are run_suite's, in order: test_gradcheck_success, which runs
+    the suite, checks them against gradcheck_entries."""
 
     LINES = (pathlib.Path(__file__).parent.parent / "README.md").read_text(
         encoding="utf-8").splitlines()
+
+    @classmethod
+    def gradcheck_entries(cls):
+        """The entry names in README's `startraj gradcheck` comment, in order."""
+        text = " ".join(line.removeprefix("# ") for line in cls.LINES)
+        found = re.search(r"one line per entry \(([^)]*)\)", text)
+        assert found, "README's gradcheck example lists no entries"
+        return [item.split()[0] for item in found.group(1).split(",")]
 
     def test_config_file_keys(self, tmp_path):
         found = re.search(r"Keys are the model fields +\(([^)]*)\) +plus training fields"

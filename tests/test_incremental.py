@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import startraj.attention
 import startraj.model
 import startraj.trainer
 from startraj import (
@@ -72,7 +73,9 @@ def _eval_values():
 def _full_reencode(scene, params, rng, sizes=None, truth_positions=None):
     """The rollout as it was before the per-step caches: every step embeds
     the whole history, builds the masks of the whole window, and runs both
-    encoders on all of it."""
+    encoders on all of it. With truth_positions (teacher forcing), a step
+    appends the truth of the rollers the scene has there, and the others
+    absent."""
     config, n = params.config, scene.n_peds
     layout = scene_layout([n] if sizes is None else sizes)
     obs, rollers = config.obs_len, scene.rollout_mask
@@ -89,15 +92,16 @@ def _full_reencode(scene, params, rng, sizes=None, truth_positions=None):
         enc = encoder2(fused, masks, params, presence, layout=layout)
         if config.use_memory:
             memory = enc
-        nd = config.noise_dim
-        noise = Tensor(rng.standard_normal((n, nd))) if nd > 0 else None
+        noise = Tensor(rng.standard_normal((n, config.noise_dim)))
         step = decode_step(enc[:, -1, :], noise, params).numpy() * rollers[:, None]
         preds.append(step)
+        present = rollers
         if truth_positions is not None:
-            step = np.where(rollers[:, None], truth_positions[:, obs + s], 0.0)
+            present = rollers & scene.presence[:, obs + s]
+            step = np.where(present[:, None], truth_positions[:, obs + s], 0.0)
         history = np.concatenate([history, step[:, None]], axis=1)
         world = np.concatenate([world, (step + scene.origins)[:, None]], axis=1)
-        presence = np.concatenate([presence, rollers[:, None]], axis=1)
+        presence = np.concatenate([presence, present[:, None]], axis=1)
     return np.stack(preds, axis=1)
 
 
@@ -117,6 +121,60 @@ class TestIncrementalRollout:
                 want = _full_reencode(scene, params, np.random.default_rng(n),
                                       truth_positions=scene.positions if forced else None)
                 np.testing.assert_array_equal(got, want, err_msg=f"n={n} forced={forced}")
+
+    @pytest.mark.parametrize("variant", VARIANT_FLAGS)
+    def test_forced_leaver_is_absent_where_the_data_is(self, variant, monkeypatch):
+        # under teacher forcing, row 1 (gone after the observed window) and
+        # row 3 (missing from one future step) are appended absent there:
+        # absent from the temporal masks and keys and the graph, so TGConv
+        # gives them their self-loop alone
+        config = _config(variant, teacher_forcing=True)
+        obs = config.obs_len
+        sim = simulate_scene(np.random.default_rng(95), n_peds=5,
+                             total_len=obs + config.pred_len)
+        presence = sim.presence.copy()
+        presence[1, obs:] = False
+        presence[3, obs + 1] = False
+        positions = np.where(presence[:, :, None], sim.positions, 0.0)
+        scene = preprocess(TrajectoryScene(sim.ped_ids, positions, presence, obs))
+        assert scene.rollout_mask.all()
+        time_masks, keys, graphs = [], [], []
+        real_temporal, real_spatial = startraj.model._temporal, startraj.model.spatial_block
+        real_attention = startraj.attention.masked_attention
+
+        def temporal_spy(h, enc, time_mask):
+            time_masks.append(time_mask)
+            return real_temporal(h, enc, time_mask)
+
+        def attention_spy(q, k, v, allow, heads):  # attention's global: temporal blocks only
+            keys.append(allow[:, 0])
+            return real_attention(q, k, v, allow, heads)
+
+        def spatial_spy(h, masks, *args):
+            graphs.append(masks[0][:, 0])  # one scene: (t, N, N)
+            return real_spatial(h, masks, *args)
+
+        monkeypatch.setattr(startraj.model, "_temporal", temporal_spy)
+        monkeypatch.setattr(startraj.attention, "masked_attention", attention_spy)
+        monkeypatch.setattr(startraj.model, "spatial_block", spatial_spy)
+        params = init_params(config, np.random.default_rng(96))
+        got = rollout(scene, params, rng=np.random.default_rng(97), training=True).numpy()
+        monkeypatch.undo()
+        want = presence[:, :obs + config.pred_len - 1]  # the last step is never appended
+        assert np.array_equal(time_masks[-1], want)
+        assert all(np.array_equal(m, want[:, :m.shape[1]]) for m in time_masks)
+        if config.temporal_kind == "transformer":
+            assert keys and all(np.array_equal(k, want[:, :k.shape[1]]) for k in keys)
+        eye = np.eye(5, dtype=bool)
+        for graph in graphs:
+            for i, s in ((1, obs), (1, obs + 1), (3, obs + 1)):
+                if s < len(graph):
+                    assert np.array_equal(graph[s, i], eye[i])
+                    assert np.array_equal(graph[s, :, i], eye[i])
+        assert len(graphs[-1]) == len(want[0])
+        reencoded = _full_reencode(scene, params, np.random.default_rng(97),
+                                   truth_positions=scene.positions)
+        np.testing.assert_array_equal(got, reencoded)
 
     @pytest.mark.parametrize("variant", VARIANT_FLAGS)
     def test_packed_mixed_layout_matches_full_reencode(self, variant):
@@ -333,7 +391,7 @@ def test_evaluate_matches_recorded_values():
 PROPERTY_EXAMPLES = 100
 # (d_model, heads) pairs that StarConfig accepts
 WIDTHS = [(2, 1), (4, 1), (4, 2), (6, 3), (8, 2), (8, 4)]
-FF_DIMS = st.none() | st.integers(min_value=1, max_value=12)  # None: 4 * d_model
+FF_DIMS = st.none() | st.integers(min_value=1, max_value=12)  # None: 2 * d_model
 
 
 @st.composite

@@ -29,6 +29,7 @@ from startraj.model import (
     VARIANT_FLAGS, GruParams, encoder2, encoder2_attention, temporal_recurrent,
 )
 from startraj.synthetic import simulate_scene
+from startraj.tensor import linear
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 V1_CHECKPOINT = os.path.join(FIXTURES, "v1_tiny_checkpoint.json")
@@ -153,7 +154,7 @@ class TestConfig:
 
     def test_config_round_trip(self):
         c = _config(pred_len=5)
-        assert StarConfig.from_dict(c.to_dict()).to_dict() == c.to_dict()
+        assert asdict(StarConfig(**asdict(c))) == asdict(c)
 
 
 class TestEmbedInputs:
@@ -323,16 +324,27 @@ class TestDecodeStep:
         params.decoder.w.data[:] = 0.0
         params.decoder.b.data[:] = [0.5, -0.5]
         out = decode_step(Tensor(np.random.default_rng(10).standard_normal((4, 8))),
-                          None, params)
+                          Tensor(np.zeros((4, 0))), params)
         np.testing.assert_array_equal(out.numpy(), np.tile([0.5, -0.5], (4, 1)))
 
     def test_deterministic_repeatable(self):
         # [TRIVIAL]
         params = init_params(_config(), np.random.default_rng(11))
         h = Tensor(np.random.default_rng(12).standard_normal((3, 8)))
-        a = decode_step(h, None, params).numpy()
-        b = decode_step(h, None, params).numpy()
+        a = decode_step(h, Tensor(np.zeros((3, 0))), params).numpy()
+        b = decode_step(h, Tensor(np.zeros((3, 0))), params).numpy()
         np.testing.assert_array_equal(a, b)
+
+    def test_zero_noise_columns_give_the_linear_map(self):
+        # a noise-free model decodes concat(h_last, no columns): the linear
+        # map of h_last alone, bit for bit, for rollout's strided h_last too
+        params = init_params(_config(), np.random.default_rng(11))
+        assert params.config.noise_dim == 0
+        enc = Tensor(np.random.default_rng(12).standard_normal((5, 3, 8)))
+        for h in (enc[:, -1, :], Tensor(enc.data[:, -1, :].copy())):
+            got = decode_step(h, Tensor(np.zeros((5, 0))), params).numpy()
+            want = linear(h, params.decoder.w, params.decoder.b).numpy()
+            assert got.tobytes() == want.tobytes()
 
     def test_noise_changes_output(self):
         # [TRIVIAL] linearity: different noise -> different output
@@ -383,6 +395,20 @@ class TestRollout:
         c = rollout(scene, params, rng=np.random.default_rng(6)).numpy()
         np.testing.assert_array_equal(a, b)
         assert np.any(a != c)
+
+    @pytest.mark.parametrize("training, copies", [(False, 1), (False, 3), (True, 1)])
+    def test_noise_free_rollout_leaves_generator_alone(self, training, copies):
+        # noise_dim 0 draws zero-size noise, which takes nothing from the
+        # generator, and at dropout 0 training draws nothing else
+        config = _config()
+        assert config.noise_dim == 0 and config.dropout == 0.0
+        params = init_params(config, np.random.default_rng(38))
+        rng = np.random.default_rng(39)
+        state = rng.bit_generator.state
+        out = rollout(_scene(n=3, seed=38, config=config), params, rng=rng,
+                      training=training, copies=copies)
+        assert out.shape == (3 * copies, config.pred_len, 2)
+        assert rng.bit_generator.state == state
 
     def test_far_apart_pedestrians_match_solo_rollouts(self):
         # [TRIVIAL per spec] locality through every block: pedestrians never
@@ -602,7 +628,7 @@ class TestCheckpoints:
         path = str(tmp_path / "ck.json")
         save_checkpoint(path, params)
         loaded = load_checkpoint(path)
-        assert loaded.config.to_dict() == config.to_dict()
+        assert asdict(loaded.config) == asdict(config)
         for (na, a), (nb, b) in zip(params.parameters(), loaded.parameters()):
             assert na == nb
             np.testing.assert_array_equal(a.numpy(), b.numpy())

@@ -666,11 +666,11 @@ def _saving_multi_head(q, k, v, allow, heads):
     merged output and weights. The merge copies, or with d_k = 1 makes a
     view that is not C-ordered, where the fused op's output is its own
     C-ordered buffer."""
-    split = lambda x: x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-3, -2)
+    split = lambda x: x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads).swapaxes(-3, -2)
     out, w = _saving_attention(split(q), split(k), split(v), allow[..., None, :, :],
                                q.shape[-1] // heads)
     out = out.swapaxes(-3, -2)
-    return out.reshape(out.shape[:-2] + (q.shape[-1],)), w
+    return out.reshape(*out.shape[:-2], q.shape[-1]), w
 
 
 def _outputs_and_grads(op, arrays, upstream, swap=None):

@@ -595,7 +595,9 @@ class TestAbsentSlotsFixture:
         # with late starters, leavers, a gap and a post-window entrant;
         # recorded from _absent_slot_values when the temporal blocks and
         # encoder 1 stopped zeroing absent slots' outputs: the parameters
-        # after training moved by rounding alone
+        # after training moved by rounding alone. The forced ("*/True")
+        # entries were re-recorded when teacher forcing began to append a
+        # roller absent from a future step as absent, not at its origin
         with open(ABSENT_FIXTURE) as fh:
             expected = json.load(fh)
         assert _absent_slot_values() == expected
